@@ -1,9 +1,13 @@
-"""Hot-path benchmark: mix-zone detection and Wait-For-Me publication.
+"""Hot-path benchmark: mix-zone detection, Wait-For-Me publication and the
+per-user spatial-distortion metric.
 
-The two slowest cells of an engine run (ROADMAP), rewritten in this PR on the
-columnar kernel layer.  This bench times them directly — no attack or metric
-overhead — and records throughput plus the speedup against the committed
-pre-refactor baselines in ``BENCH_hotpaths.json``.
+Cells of an engine run rewritten on the columnar kernel layer.  This bench
+times them directly — no engine overhead — and records throughput plus the
+speedup against the committed pre-refactor baselines in
+``BENCH_hotpaths.json``.  The spatial-distortion cell times the columnar
+kernel against its scalar reference oracle on the same Geo-I publication
+(far-off fixes: the kernel's hardest case) in the same run, and fails unless
+the two agree bitwise.
 
 The pre-PR numbers below were measured on the implementation at commit
 63d6381 (Python double loops over spatial bins for detection; per-pair
@@ -13,8 +17,19 @@ the same workloads this bench generates.
 
 from __future__ import annotations
 
+from typing import Optional
+
+import numpy as np
+
+from repro.baselines.geo_indistinguishability import GeoIndConfig, GeoIndistinguishabilityMechanism
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
 from repro.experiments.formatting import format_table
+from repro.metrics.utility import (
+    DistortionSummary,
+    dataset_spatial_distortion,
+    trajectory_spatial_distortion,
+    trajectory_spatial_distortion_reference,
+)
 from repro.mixzones.detection import detect_mix_zones
 
 #: Pre-refactor wall seconds, by (cell, scale).  Scales not measured before
@@ -27,8 +42,19 @@ PRE_REFACTOR_S = {
 }
 
 
-def _cell_timing(cell: str, scale: str, samples: list, points: int) -> dict:
-    before = PRE_REFACTOR_S.get((cell, scale))
+def _reference_distances(original, published) -> np.ndarray:
+    """Per-fix distances of the matched users, by the scalar oracle."""
+    return np.concatenate([
+        trajectory_spatial_distortion_reference(original[t.user_id], t)
+        for t in published
+        if len(t)
+    ])
+
+
+def _cell_timing(
+    cell: str, scale: str, samples: list, points: int, before: Optional[float] = None
+) -> dict:
+    before = before or PRE_REFACTOR_S.get((cell, scale))
     wall_s = min(samples)
     return {
         "wall_s": wall_s,
@@ -55,12 +81,30 @@ def test_hotpaths(
         lambda: mechanism.publish(standard), repeats=5
     )
 
+    noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(standard)
+    summary, kernel_samples = bench_timer(
+        lambda: dataset_spatial_distortion(standard, noisy, match_by_user=True)
+    )
+    reference, reference_samples = bench_timer(
+        lambda: _reference_distances(standard, noisy), repeats=1
+    )
+    kernel = np.concatenate([
+        trajectory_spatial_distortion(standard[t.user_id], t) for t in noisy if len(t)
+    ])
+    assert np.array_equal(kernel.view(np.int64), reference.view(np.int64))
+    assert summary == DistortionSummary.from_distances(reference)
+
     timings = {
         "detect_mix_zones": _cell_timing(
             "detect_mix_zones", evaluation_scale, mixzone_samples, crossing.n_points
         ),
         "wait4me_publish": _cell_timing(
             "wait4me_publish", evaluation_scale, wait4me_samples, standard.n_points
+        ),
+        # Speedup here is against the scalar oracle, timed in the same run.
+        "spatial_distortion_by_user": _cell_timing(
+            "spatial_distortion_by_user", evaluation_scale, kernel_samples,
+            noisy.n_points, before=min(reference_samples),
         ),
     }
     rows = [
@@ -88,6 +132,8 @@ def test_hotpaths(
             "workload": {
                 "crossing_points": crossing.n_points,
                 "standard_points": standard.n_points,
+                "distortion_mechanism": "geo-ind (GeoIndConfig(seed=0))",
+                "distortion_reference_wall_s": min(reference_samples),
             }
         },
     )

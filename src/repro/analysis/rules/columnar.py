@@ -3,14 +3,16 @@
 Every attack and mechanism hot path was ported onto the columnar kernel
 layer (``repro.geo.kernels``); the scalar implementations survive only as
 ``engine="reference"`` oracles.  This rule keeps it that way: in hot-path
-modules (``attacks/``, ``mixzones/``, ``baselines/``) it flags
+modules (``attacks/``, ``mixzones/``, ``baselines/``, ``metrics/``) it flags
 
 * ``for``/``while`` loops and comprehensions that iterate directly over
   per-point trajectory arrays (``.lats``/``.lons``/``.timestamps``/
   ``.points``), and
-* scalar per-element distance calls (``haversine``/``equirectangular``)
+* scalar per-element distance calls (``haversine``/``equirectangular``, and
+  the planar ``point_segment_distance_m``/``point_to_polyline_distance_m``)
   evaluated inside any loop or comprehension — the canonical sign of a
-  point-at-a-time Python path (use ``haversine_array`` on the whole batch),
+  point-at-a-time Python path (use ``haversine_array`` on the whole batch,
+  or ``repro.geo.kernels.polyline_distances`` for point-to-path distances),
 
 unless the code is oracle scope.  Oracle scope is computed per module as a
 fixpoint: functions whose name contains ``reference`` or ``scalar``, code
@@ -31,12 +33,17 @@ from .base import Rule
 
 __all__ = ["ColumnarDisciplineRule"]
 
-_TARGETS = ("repro/attacks/", "repro/mixzones/", "repro/baselines/")
+_TARGETS = ("repro/attacks/", "repro/mixzones/", "repro/baselines/", "repro/metrics/")
 
 _POINT_ATTRS = {"lats", "lons", "timestamps", "points"}
 #: Builtins through which an iterable still walks its argument element-wise.
 _ITER_WRAPPERS = {"zip", "enumerate", "reversed", "sorted", "iter", "list", "tuple", "range", "len", "map", "filter"}
-_SCALAR_DISTANCE = {"haversine", "equirectangular"}
+_SCALAR_DISTANCE = {
+    "haversine",
+    "equirectangular",
+    "point_segment_distance_m",
+    "point_to_polyline_distance_m",
+}
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _LOOPS = (ast.For, ast.While, *_COMPREHENSIONS)
 
@@ -177,7 +184,8 @@ class ColumnarDisciplineRule(Rule):
                         ),
                         hint=(
                             "batch the distances with haversine_array/"
-                            "equirectangular_array over numpy arrays"
+                            "equirectangular_array over numpy arrays, or "
+                            "point-to-path distances with polyline_distances"
                         ),
                         scope_line=enclosing_def_line(stack),
                     )

@@ -73,7 +73,7 @@ class PoiRetrievalScore:
         return cls(precision, recall, f_score, n_true, n_extracted)
 
 
-def poi_retrieval_pooled(
+def poi_retrieval_pooled(  # repro: allow=R3 -- tens of POIs; batching could flip a <= test
     true_pois: Sequence[Tuple[float, float]],
     extracted: Sequence[ExtractedPoi],
     match_distance_m: float = 250.0,
@@ -102,7 +102,7 @@ def poi_retrieval_pooled(
     )
 
 
-def poi_retrieval_per_user(
+def poi_retrieval_per_user(  # repro: allow=R3 -- tens of POIs; batching could flip a <= test
     true_pois: Mapping[str, Sequence[Tuple[float, float]]],
     extracted: Mapping[str, Sequence[ExtractedPoi]],
     match_distance_m: float = 250.0,

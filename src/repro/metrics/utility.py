@@ -27,18 +27,20 @@ per-user variants that say so explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.trajectory import MobilityDataset, Trajectory
 from ..geo.geometry import BoundingBox, point_to_polyline_distance_m
 from ..geo.grid import Grid
+from ..geo.kernels import polyline_distances
 from ..geo.projection import LocalProjection
 
 __all__ = [
     "DistortionSummary",
     "trajectory_spatial_distortion",
+    "trajectory_spatial_distortion_reference",
     "dataset_spatial_distortion",
     "CoverageScore",
     "area_coverage",
@@ -87,18 +89,79 @@ def trajectory_spatial_distortion(
     the distance to the nearest point of that polyline is returned.  An empty
     published trajectory yields an empty array; an empty original trajectory
     raises ``ValueError`` (there is nothing to compare against).
+
+    Exactness contract: the result is bitwise that of
+    :func:`trajectory_spatial_distortion_reference`, the per-fix scalar loop.
+    Both project onto the same plane — centred on the ``np.mean`` of the
+    concatenated original and published coordinates — and evaluate every
+    (fix, segment) distance with the same float expression; the columnar
+    kernel (:func:`repro.geo.kernels.polyline_distances`) only skips
+    segments that provably cannot hold a fix's minimum, and a minimum is
+    exact whatever the order it is taken in.
     """
     if len(original) == 0:
         raise ValueError("original trajectory is empty")
     if len(published) == 0:
         return np.zeros(0)
-    all_lats = np.concatenate([np.asarray(original.lats), np.asarray(published.lats)])
-    all_lons = np.concatenate([np.asarray(original.lons), np.asarray(published.lons)])
-    projection = LocalProjection.centered_on(all_lats, all_lons)
+    return _matched_distances([(original, published)])
+
+
+def trajectory_spatial_distortion_reference(
+    original: Trajectory, published: Trajectory
+) -> np.ndarray:
+    """The scalar oracle of :func:`trajectory_spatial_distortion`.
+
+    Scans the whole original polyline once per published fix (O(n·m)).
+    """
+    if len(original) == 0:
+        raise ValueError("original trajectory is empty")
+    if len(published) == 0:
+        return np.zeros(0)
+    projection = _matched_projection(original, published)
     oxs, oys = projection.project_array(np.asarray(original.lats), np.asarray(original.lons))
     pxs, pys = projection.project_array(np.asarray(published.lats), np.asarray(published.lons))
     return np.array(
         [point_to_polyline_distance_m(float(px), float(py), oxs, oys) for px, py in zip(pxs, pys)]
+    )
+
+
+def _matched_projection(original: Trajectory, published: Trajectory) -> LocalProjection:
+    """The plane one (original, published) pair is compared in."""
+    all_lats = np.concatenate([np.asarray(original.lats), np.asarray(published.lats)])
+    all_lons = np.concatenate([np.asarray(original.lons), np.asarray(published.lons)])
+    return LocalProjection.centered_on(all_lats, all_lons)
+
+
+def _matched_distances(pairs: Sequence[Tuple[Trajectory, Trajectory]]) -> np.ndarray:
+    """Per-fix distances of each published trajectory to its original path.
+
+    Every pair keeps its own projection; the distances of all pairs are one
+    :func:`~repro.geo.kernels.polyline_distances` call with the pairs as
+    segments, concatenated in pair order.
+    """
+    fix_xs: List[np.ndarray] = []
+    fix_ys: List[np.ndarray] = []
+    line_xs: List[np.ndarray] = []
+    line_ys: List[np.ndarray] = []
+    for original, published in pairs:
+        projection = _matched_projection(original, published)
+        oxs, oys = projection.project_array(np.asarray(original.lats), np.asarray(original.lons))
+        pxs, pys = projection.project_array(
+            np.asarray(published.lats), np.asarray(published.lons)
+        )
+        fix_xs.append(pxs)
+        fix_ys.append(pys)
+        line_xs.append(oxs)
+        line_ys.append(oys)
+    fix_counts = [xs.size for xs in fix_xs]
+    line_offsets = np.concatenate([[0], np.cumsum([xs.size for xs in line_xs])])
+    return polyline_distances(
+        np.concatenate(fix_xs),
+        np.concatenate(fix_ys),
+        np.repeat(np.arange(len(fix_counts)), fix_counts),
+        np.concatenate(line_xs),
+        np.concatenate(line_ys),
+        line_offsets,
     )
 
 
@@ -111,22 +174,23 @@ def dataset_spatial_distortion(
 
     When ``match_by_user`` is true, each published trajectory is compared to
     the original trajectory carrying the same identifier (suitable for
-    mechanisms that keep identifiers, like Geo-I or plain smoothing).  When
-    false (default), each published fix is compared to the nearest original
-    fix of *any* user — the right notion for pseudonymised or swapped data,
-    and the one a spatial analyst cares about ("are the published points in
-    places where people actually were?").
+    mechanisms that keep identifiers, like Geo-I or plain smoothing), as
+    :func:`trajectory_spatial_distortion` does, in one columnar kernel call.
+    When false (default), each published fix is compared to the nearest
+    original fix of *any* user — the right notion for pseudonymised or
+    swapped data, and the one a spatial analyst cares about ("are the
+    published points in places where people actually were?").
     """
     if match_by_user:
-        distances: List[np.ndarray] = []
+        pairs = []
         for traj in published:
             reference = original.get(traj.user_id)
             if reference is None or len(reference) == 0 or len(traj) == 0:
                 continue
-            distances.append(trajectory_spatial_distortion(reference, traj))
-        if not distances:
+            pairs.append((reference, traj))
+        if not pairs:
             return DistortionSummary.from_distances(np.zeros(0))
-        return DistortionSummary.from_distances(np.concatenate(distances))
+        return DistortionSummary.from_distances(_matched_distances(pairs))
 
     orig_lats, orig_lons = original.all_coordinates()
     pub_lats, pub_lons = published.all_coordinates()
@@ -186,19 +250,26 @@ class CoverageScore:
     @classmethod
     def from_covers(cls, original_cells: set, published_cells: set) -> "CoverageScore":
         """Score a published cell cover against the original one."""
-        if not published_cells:
-            precision = 1.0 if not original_cells else 0.0
+        return cls.from_counts(
+            len(published_cells & original_cells), len(original_cells), len(published_cells)
+        )
+
+    @classmethod
+    def from_counts(cls, shared: int, n_original: int, n_published: int) -> "CoverageScore":
+        """Score covers given only their sizes and the size of their intersection."""
+        if not n_published:
+            precision = 1.0 if not n_original else 0.0
         else:
-            precision = len(published_cells & original_cells) / len(published_cells)
-        if not original_cells:
+            precision = shared / n_published
+        if not n_original:
             recall = 1.0
         else:
-            recall = len(published_cells & original_cells) / len(original_cells)
+            recall = shared / n_original
         if precision + recall == 0.0:
             f_score = 0.0
         else:
             f_score = 2.0 * precision * recall / (precision + recall)
-        return cls(precision, recall, f_score, len(original_cells), len(published_cells))
+        return cls(precision, recall, f_score, n_original, n_published)
 
 
 def area_coverage(
@@ -212,16 +283,21 @@ def area_coverage(
     The grid covers the original dataset (optionally expanded to a caller
     supplied ``bbox`` so that points pushed outside by noisy mechanisms are
     still counted — they land in boundary cells and hurt precision).
+
+    Covers are sets of flat integer cell ids (:meth:`Grid.cell_ids`, one id
+    per ``(row, col)`` cell), so the score equals the set-of-cells
+    :meth:`CoverageScore.from_covers` of :meth:`Grid.cell_cover`.
     """
     orig_lats, orig_lons = original.all_coordinates()
     if orig_lats.size == 0:
         raise ValueError("original dataset is empty")
     grid_bbox = bbox or original.bbox.expanded(cell_size_m)
     grid = Grid.covering(grid_bbox, cell_size_m)
-    original_cells = grid.cell_cover(orig_lats, orig_lons)
+    original_cells = np.unique(grid.cell_ids(orig_lats, orig_lons))
     pub_lats, pub_lons = published.all_coordinates()
-    published_cells = grid.cell_cover(pub_lats, pub_lons) if pub_lats.size else set()
-    return CoverageScore.from_covers(original_cells, published_cells)
+    published_cells = np.unique(grid.cell_ids(pub_lats, pub_lons))
+    shared = np.intersect1d(original_cells, published_cells, assume_unique=True).size
+    return CoverageScore.from_counts(shared, original_cells.size, published_cells.size)
 
 
 # ---------------------------------------------------------------------------

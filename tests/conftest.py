@@ -7,6 +7,11 @@ transformation returns new objects, so this is the natural usage anyway).
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,36 @@ from repro.experiments.workloads import crossing_rich_world, standard_world
 #: Reference point used by hand-built trajectories (central Lyon).
 LYON_LAT = 45.7640
 LYON_LON = 4.8357
+
+
+#: Both paths of a kernel with an optional scipy index: the scipy path, and
+#: the numpy-only path pinned by hiding scipy (use with :func:`hidden_scipy`).
+CANDIDATE_PATHS = [
+    pytest.param(False, id="indexed", marks=pytest.mark.skipif(
+        importlib.util.find_spec("scipy") is None, reason="scipy not installed")),
+    pytest.param(True, id="numpy-only"),
+]
+
+
+def hidden_scipy(hide: bool):
+    """A context in which ``import scipy.spatial`` fails when ``hide``.
+
+    Not hiding is a null context: ``patch.dict`` restores ``sys.modules`` on
+    exit, which would evict a scipy first imported inside the block.
+    """
+    if not hide:
+        return contextlib.nullcontext()
+    return mock.patch.dict(sys.modules, {"scipy": None, "scipy.spatial": None})
+
+
+def assert_bitwise(actual, expected) -> None:
+    """Float arrays equal bit for bit (not merely within a tolerance)."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), (
+        np.flatnonzero(actual != expected)
+    )
 
 
 def make_line_trajectory(

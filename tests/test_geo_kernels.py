@@ -6,8 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.trajectory import MobilityDataset, Trajectory
+from repro.geo.geometry import point_to_polyline_distance_m
 from repro.geo.kernels import (
     ColumnarTraces,
     SyncedDistances,
@@ -16,12 +19,13 @@ from repro.geo.kernels import (
     iter_neighbor_pairs,
     masked_mean_distances,
     planar_radius_cliques,
+    polyline_distances,
     segmented_radius_pairs,
     segmented_searchsorted,
     windowed_stay_spans,
 )
 
-from .conftest import make_line_trajectory
+from .conftest import CANDIDATE_PATHS, assert_bitwise, hidden_scipy, make_line_trajectory
 
 
 def small_dataset_trio() -> MobilityDataset:
@@ -568,3 +572,134 @@ class TestWindowedStaySpans:
             np.zeros(1), np.zeros(1), np.zeros(1), np.array([0, 1]), 200.0, 900.0, 1800.0
         )
         assert starts.size == 0
+
+
+# ---------------------------------------------------------------- polyline distances
+
+def polyline_oracle(xs, ys, segments, line_xs, line_ys, line_offsets):
+    return np.array([
+        point_to_polyline_distance_m(
+            float(x), float(y),
+            line_xs[line_offsets[k] : line_offsets[k + 1]],
+            line_ys[line_offsets[k] : line_offsets[k + 1]],
+        )
+        for x, y, k in zip(xs, ys, segments)
+    ])
+
+
+@st.composite
+def polyline_worlds(draw):
+    """Planar polylines plus points measured against them, edge cases included.
+
+    Polylines random-walk (steps of centimetres to kilometres), may repeat
+    vertices (zero-length edges), may hold a single vertex, and may jump a
+    long gap.  Points sit exactly on first, interior and last vertices, on
+    edges, near the path, or far off it (Geo-I-like noise).
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_lines = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    line_xs, line_ys, sizes = [], [], []
+    for _ in range(n_lines):
+        n = int(rng.choice([1, 2, 3, int(rng.integers(4, 40))]))
+        steps = rng.choice([0.01, 1.0, 20.0, 300.0], size=n) * rng.standard_normal((2, n))
+        if n > 2 and rng.random() < 0.5:  # a long recording gap
+            steps[:, rng.integers(1, n)] += rng.uniform(-20_000.0, 20_000.0, 2)
+        x, y = np.cumsum(steps, axis=1) + rng.uniform(-5_000.0, 5_000.0, (2, 1))
+        if n > 1 and rng.random() < 0.5:  # duplicate vertices
+            dup = rng.integers(0, n, size=rng.integers(1, n + 1))
+            x[dup[1:]] = x[dup[0]]
+            y[dup[1:]] = y[dup[0]]
+        line_xs.append(np.round(x, int(rng.integers(0, 4))))
+        line_ys.append(np.round(y, int(rng.integers(0, 4))))
+        sizes.append(n)
+    offsets = np.r_[0, np.cumsum(sizes)]
+    lx, ly = np.concatenate(line_xs), np.concatenate(line_ys)
+    n_points = draw(st.integers(0, 60))
+    segments = rng.integers(0, n_lines, n_points)
+    xs, ys = np.empty(n_points), np.empty(n_points)
+    for i, k in enumerate(segments):
+        lo, hi = offsets[k], offsets[k + 1]
+        kind = rng.integers(0, 5)
+        j = int(rng.choice([lo, hi - 1, rng.integers(lo, hi)]))
+        if kind == 0:  # exactly on a first, last or interior vertex
+            xs[i], ys[i] = lx[j], ly[j]
+        elif kind == 1 and hi - lo > 1:  # on an edge
+            j = min(j, hi - 2)
+            t = rng.random()
+            xs[i] = lx[j] + t * (lx[j + 1] - lx[j])
+            ys[i] = ly[j] + t * (ly[j + 1] - ly[j])
+        else:  # near the path, or far off it
+            sigma = rng.choice([0.5, 30.0, 1_000.0, 50_000.0])
+            xs[i], ys[i] = lx[j] + sigma * rng.standard_normal(), ly[j] + sigma * rng.standard_normal()
+    return xs, ys, segments, lx, ly, offsets
+
+
+class TestPolylineDistances:
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    @settings(max_examples=150, deadline=None)
+    @given(world=polyline_worlds())
+    def test_matches_scalar_oracle_bitwise(self, hide_scipy, world):
+        with hidden_scipy(hide_scipy):
+            actual = polyline_distances(*world)
+        assert_bitwise(actual, polyline_oracle(*world))
+
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    def test_last_vertex_keeps_the_oracle_rounding_residue(self, hide_scipy):
+        # A fix exactly on a polyline's last vertex is not at distance 0
+        # under the pair expression: the projection parameter t rounds
+        # below 1.  Treating vertex hits as exact zeros would lose this.
+        lx = np.array([106.6, 229.5, 43.6])
+        ly = np.array([435.1, 315.9, -497.3])
+        xs, ys = np.array([43.6, 106.6, 229.5]), np.array([-497.3, 435.1, 315.9])
+        world = (xs, ys, np.zeros(3, dtype=np.int64), lx, ly, np.array([0, 3]))
+        with hidden_scipy(hide_scipy):
+            actual = polyline_distances(*world)
+        assert_bitwise(actual, polyline_oracle(*world))
+        assert 0.0 < actual[0] < 1e-12
+        assert actual[1] == actual[2] == 0.0
+
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    def test_nearest_edge_between_its_samples(self, hide_scipy):
+        # The point's nearest edge (the x axis, 10 m below) has no vertex or
+        # sample near it, while a farther edge's end vertex (12 m above) is
+        # the nearest vertex: the nearest edge must still be a candidate.
+        lx, ly = np.array([0.0, 100.0, 25.0, 25.5]), np.array([0.0, 0.0, 22.0, 22.0])
+        world = (np.array([25.0]), np.array([10.0]), np.zeros(1, dtype=np.int64),
+                 lx, ly, np.array([0, 4]))
+        with hidden_scipy(hide_scipy):
+            actual = polyline_distances(*world)
+        assert actual[0] == 10.0
+        assert_bitwise(actual, polyline_oracle(*world))
+
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    def test_points_on_many_polylines(self, hide_scipy):
+        rng = np.random.default_rng(7)
+        sizes = [1, 50, 2, 300]
+        offsets = np.r_[0, np.cumsum(sizes)]
+        lx = np.cumsum(rng.normal(0.0, 40.0, offsets[-1]))
+        ly = np.cumsum(rng.normal(0.0, 40.0, offsets[-1]))
+        segments = rng.integers(0, len(sizes), 500)
+        xs = rng.uniform(lx.min(), lx.max(), 500)
+        ys = rng.uniform(ly.min(), ly.max(), 500)
+        world = (xs, ys, segments, lx, ly, offsets)
+        with hidden_scipy(hide_scipy):
+            actual = polyline_distances(*world)
+        assert_bitwise(actual, polyline_oracle(*world))
+
+    def test_no_points(self):
+        out = polyline_distances(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
+                                 np.zeros(0), np.zeros(0), np.array([0]))
+        assert out.shape == (0,)
+
+    def test_invalid_inputs_raise(self):
+        one = np.zeros(1)
+        seg = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="empty polyline"):
+            polyline_distances(one, one, np.array([1]), one, one, np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match="index the polylines"):
+            polyline_distances(one, one, np.array([2]), one, one, np.array([0, 1]))
+        with pytest.raises(ValueError, match="line_offsets"):
+            polyline_distances(one, one, seg, one, one, np.array([0, 2]))
+        with pytest.raises(ValueError, match="align"):
+            polyline_distances(one, np.zeros(2), seg, one, one, np.array([0, 1]))

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.geo_indistinguishability import GeoIndConfig, GeoIndistinguishabilityMechanism
 from repro.core.speed_smoothing import smooth_dataset
 from repro.core.trajectory import MobilityDataset, Trajectory
+from repro.geo.grid import Grid
 from repro.metrics.utility import (
     CoverageScore,
     DistortionSummary,
@@ -16,8 +19,11 @@ from repro.metrics.utility import (
     point_retention,
     range_query_distortion,
     trajectory_spatial_distortion,
+    trajectory_spatial_distortion_reference,
     trip_length_error,
 )
+
+from .conftest import CANDIDATE_PATHS, LYON_LAT, LYON_LON, assert_bitwise, hidden_scipy
 
 
 
@@ -79,7 +85,98 @@ class TestDatasetDistortion:
             dataset_spatial_distortion(MobilityDataset(), small_dataset)
 
 
+@st.composite
+def matched_worlds(draw):
+    """(original, published) datasets exercising the per-user distortion edge cases.
+
+    Originals random-walk with steps from centimetres to kilometres and may
+    repeat vertices, hold one vertex, or jump a long gap.  Published fixes
+    sit exactly on first, interior and last vertices, near the path, or far
+    off it (Geo-I-like noise); some published users are absent from the
+    original, some published trajectories are empty.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m_per_deg = 111_195.0
+    originals, published = [], []
+    for u in range(draw(st.integers(1, 4))):
+        n = int(rng.choice([1, 2, int(rng.integers(3, 40))]))
+        steps_m = rng.choice([0.05, 15.0, 400.0], size=n) * rng.standard_normal((2, n))
+        if n > 2 and rng.random() < 0.5:
+            steps_m[:, rng.integers(1, n)] += rng.uniform(-15_000.0, 15_000.0, 2)
+        lats = LYON_LAT + np.cumsum(steps_m[0]) / m_per_deg
+        lons = LYON_LON + np.cumsum(steps_m[1]) / (m_per_deg * np.cos(np.radians(LYON_LAT)))
+        if n > 1 and rng.random() < 0.5:
+            dup = rng.integers(0, n, size=rng.integers(1, n + 1))
+            lats[dup[1:]], lons[dup[1:]] = lats[dup[0]], lons[dup[0]]
+        originals.append(Trajectory(f"u{u}", np.arange(n) * 30.0, lats, lons))
+    for u in range(len(originals) + 1):  # the last published user has no original
+        ref = originals[min(u, len(originals) - 1)]
+        k = int(rng.choice([0, int(rng.integers(1, 30))]))
+        vertex = rng.choice([0, len(ref) - 1, int(rng.integers(0, len(ref)))], size=k)
+        noise_m = rng.choice([0.0, 0.0, 2.0, 300.0, 20_000.0], size=k) * rng.standard_normal((2, k))
+        lats = ref.lats[vertex] + noise_m[0] / m_per_deg
+        lons = ref.lons[vertex] + noise_m[1] / m_per_deg
+        published.append(Trajectory(f"u{u}", np.arange(k) * 10.0, lats, lons))
+    return MobilityDataset(originals), MobilityDataset(published)
+
+
+class TestDistortionKernelEquivalence:
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    @settings(max_examples=100, deadline=None)
+    @given(world=matched_worlds())
+    def test_per_user_distortion_matches_reference_bitwise(self, hide_scipy, world):
+        original, published = world
+        expected = [
+            trajectory_spatial_distortion_reference(original[t.user_id], t)
+            for t in published
+            if t.user_id in original and len(t)
+        ]
+        with hidden_scipy(hide_scipy):
+            summary = dataset_spatial_distortion(original, published, match_by_user=True)
+            actual = [
+                trajectory_spatial_distortion(original[t.user_id], t)
+                for t in published
+                if t.user_id in original and len(t)
+            ]
+        for got, want in zip(actual, expected):
+            assert_bitwise(got, want)
+        assert summary == DistortionSummary.from_distances(
+            np.concatenate(expected) if expected else np.zeros(0)
+        )
+
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    def test_smoothed_world_matches_reference_bitwise(self, hide_scipy, small_dataset):
+        published = smooth_dataset(small_dataset, epsilon_m=100.0)
+        expected = np.concatenate([
+            trajectory_spatial_distortion_reference(small_dataset[t.user_id], t)
+            for t in published
+            if len(t)
+        ])
+        with hidden_scipy(hide_scipy):
+            summary = dataset_spatial_distortion(small_dataset, published, match_by_user=True)
+        assert summary == DistortionSummary.from_distances(expected)
+
+
 class TestAreaCoverage:
+    def test_matches_the_set_of_cells_cover(self):
+        rng = np.random.default_rng(3)
+        original = MobilityDataset([
+            Trajectory("a", np.arange(300.0), LYON_LAT + rng.normal(0, 0.01, 300),
+                       LYON_LON + rng.normal(0, 0.01, 300)),
+        ])
+        for spread in (0.001, 0.01, 0.05):  # the widest lands far outside the grid
+            published = MobilityDataset([
+                Trajectory("a", np.arange(400.0), LYON_LAT + rng.normal(0, spread, 400),
+                           LYON_LON + rng.normal(0, spread, 400)),
+            ])
+            for cell_size_m in (50.0, 200.0, 800.0):
+                grid = Grid.covering(original.bbox.expanded(cell_size_m), cell_size_m)
+                expected = CoverageScore.from_covers(
+                    grid.cell_cover(*original.all_coordinates()),
+                    grid.cell_cover(*published.all_coordinates()),
+                )
+                assert area_coverage(original, published, cell_size_m=cell_size_m) == expected
+
     def test_identical_datasets_have_perfect_coverage(self, small_dataset):
         score = area_coverage(small_dataset, small_dataset, cell_size_m=200.0)
         assert score.precision == 1.0

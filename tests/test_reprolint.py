@@ -90,6 +90,21 @@ class TestColumnarRule:
     def test_def_line_waiver_suppresses_body_findings(self):
         assert findings_for(fixture("repro", "attacks", "r3_waived.py"), "R3") == []
 
+    def test_metrics_modules_are_hot_paths(self):
+        # Point-to-path distances count as scalar distance calls.
+        found = findings_for(fixture("repro", "metrics", "r3_violating.py"), "R3")
+        messages = [f.message for f in found]
+        assert any("scalar point_to_polyline_distance_m()" in m for m in messages)
+        assert any("scalar point_segment_distance_m()" in m for m in messages)
+        assert any("per-point loop" in m for m in messages)
+        assert len(found) == 3
+
+    def test_metrics_conforming_fixture_is_clean(self):
+        assert findings_for(fixture("repro", "metrics", "r3_conforming.py"), "R3") == []
+
+    def test_metrics_waived_fixture_is_suppressed(self):
+        assert findings_for(fixture("repro", "metrics", "r3_waived.py"), "R3") == []
+
 
 # ------------------------------------------------------------ R4 registry integrity
 
