@@ -31,7 +31,7 @@ def test_e7_full_pipeline_throughput(benchmark, sized_worlds, n_users):
     world = sized_worlds[n_users]
     anonymizer = Anonymizer()
     result = benchmark.pedantic(lambda: anonymizer.publish(world.dataset), rounds=3, iterations=1)
-    published, report = result
+    published = result.dataset
     throughput = world.dataset.n_points / max(benchmark.stats.stats.mean, 1e-9)
     print()
     print(
@@ -67,13 +67,13 @@ def test_e7_out_of_core_throughput(
         world.dataset, tmp_path_factory.mktemp("e7-store") / "world"
     )
 
-    (published_memory, _), memory_samples = bench_timer(
+    published_memory, memory_samples = bench_timer(
         lambda: Anonymizer().publish(world.dataset)
     )
-    (published_store, _), store_samples = bench_timer(
+    published_store, store_samples = bench_timer(
         lambda: Anonymizer().publish(store.dataset())
     )
-    assert published_store.n_points == published_memory.n_points
+    assert published_store.dataset.n_points == published_memory.dataset.n_points
     memory_s, store_s = min(memory_samples), min(store_samples)
 
     n_points = world.dataset.n_points

@@ -21,9 +21,10 @@ def test_fig1_pipeline(benchmark):
     world = figure1_world()
     anonymizer = Anonymizer(AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0)))
 
-    published, report = benchmark.pedantic(
+    result = benchmark.pedantic(
         lambda: anonymizer.publish(world.dataset), rounds=3, iterations=1
     )
+    published, report = result.dataset, result.report
 
     extractor = PoiExtractor()
     smoothed = smooth_dataset(world.dataset)

@@ -78,10 +78,10 @@ def test_hotpaths(
     )
     mechanism = Wait4MeMechanism(Wait4MeConfig(k=4, delta_m=500.0))
     published, wait4me_samples = bench_timer(
-        lambda: mechanism.publish(standard), repeats=5
+        lambda: mechanism.publish(standard).dataset, repeats=5
     )
 
-    noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(standard)
+    noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(standard).dataset
     summary, kernel_samples = bench_timer(
         lambda: dataset_spatial_distortion(standard, noisy, match_by_user=True)
     )

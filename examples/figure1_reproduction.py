@@ -48,7 +48,8 @@ def main(output_dir: str = "figure1_output") -> None:
 
     # Panel 1c: the full pipeline (smoothing + swapping inside the mix-zone).
     anonymizer = Anonymizer(AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0)))
-    published, report = anonymizer.publish(world.dataset)
+    result = anonymizer.publish(world.dataset)
+    published, report = result.dataset, result.report
     write_geojson(out / "panel_1c_swapped.geojson", published, report.zones)
     print(f"panel 1c: {published.n_points} points, {report.n_swaps} swap(s), "
           f"{report.suppressed_points} points suppressed inside zones")

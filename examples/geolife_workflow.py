@@ -50,7 +50,8 @@ def main() -> None:
     dataset = read_geolife_directory(input_dir, max_users=args.max_users)
     print(f"loaded {len(dataset)} users / {dataset.n_points} points from {input_dir}/")
 
-    published, report = Anonymizer().publish(dataset)
+    result = Anonymizer().publish(dataset)
+    published, report = result.dataset, result.report
     print(report.summary())
 
     output_dir = Path(args.output)

@@ -24,8 +24,9 @@ declarative engine::
                           metrics=["spatial-distortion"])
     rows = EvaluationEngine(workers=4).run(spec, worlds={...})
 
-The legacy surface (``Anonymizer().publish`` returning a ``(dataset,
-report)`` tuple) remains available as a deprecation shim.
+Every mechanism's ``publish()`` returns a :class:`PublicationResult`: the
+published ``dataset`` plus its provenance (``report``, ``pseudonym_of``,
+``properties``).
 
 See ``examples/`` for complete scenarios and ``DESIGN.md`` / ``EXPERIMENTS.md``
 for the system inventory and the reproduced evaluation.
@@ -43,7 +44,7 @@ from .api import (
     register_mechanism,
     register_metric,
 )
-from .core.pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig, anonymize
+from .core.pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig
 from .core.speed_smoothing import (
     SpeedSmoother,
     SpeedSmoothingConfig,
@@ -57,7 +58,7 @@ from .mixzones.detection import MixZoneDetector, detect_mix_zones
 from .mixzones.swapping import MixZoneSwapper, SwapPolicy, swap_dataset
 from .mixzones.zones import MixZone
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -84,7 +85,6 @@ __all__ = [
     "Anonymizer",
     "AnonymizerConfig",
     "AnonymizationReport",
-    "anonymize",
     "MixZone",
     "MixZoneDetector",
     "detect_mix_zones",

@@ -14,7 +14,7 @@ decorators; everything registered becomes addressable by string spec from the
 :class:`~repro.experiments.engine.EvaluationEngine` pair.
 """
 
-from .adapters import ChainMechanism, MechanismAdapter, publish_result
+from .adapters import ChainMechanism
 from .protocols import Attack, Mechanism, Metric
 from .registry import (
     RegistryError,
@@ -37,9 +37,7 @@ __all__ = [
     "Mechanism",
     "Attack",
     "Metric",
-    "MechanismAdapter",
     "ChainMechanism",
-    "publish_result",
     "RegistryError",
     "parse_spec",
     "format_spec",

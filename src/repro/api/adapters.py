@@ -1,138 +1,29 @@
-"""Adapters bridging legacy mechanisms onto the unified publication API.
+"""Sequential composition of mechanisms (spec syntax ``a|b``).
 
-Three pieces:
-
-* :func:`publish_result` — run any mechanism (new-style, legacy baseline, or
-  the tuple-returning :class:`~repro.core.pipeline.Anonymizer`) and normalise
-  the outcome into a :class:`~repro.api.result.PublicationResult`, harvesting
-  whatever provenance the mechanism exposes (``last_report``,
-  ``last_pseudonym_of``, ``public_properties()``).
-* :class:`MechanismAdapter` — what :func:`repro.api.make_mechanism` returns:
-  wraps a registered mechanism so ``publish()`` always yields a
-  ``PublicationResult`` carrying the originating spec.
-* :class:`ChainMechanism` — sequential composition (spec syntax ``a|b``),
-  composing per-stage pseudonym mappings so linkage truth survives chaining.
+:class:`ChainMechanism` feeds each stage's published dataset to the next and
+composes the stages' provenance into one
+:class:`~repro.api.result.PublicationResult`, so linkage truth survives
+chaining.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.pipeline import AnonymizationReport
 from ..core.trajectory import MobilityDataset
-from .registry import parse_spec
 from .result import PublicationResult
 
-__all__ = ["publish_result", "MechanismAdapter", "ChainMechanism"]
-
-
-def _harvest_properties(mechanism: Any) -> Dict[str, object]:
-    getter = getattr(mechanism, "public_properties", None)
-    if callable(getter):
-        return dict(getter())
-    return {}
-
-
-def _normalize_outcome(
-    mechanism: Any, outcome: Any
-) -> tuple:
-    """Normalise any ``publish()`` return shape to ``(dataset, report)``.
-
-    Handles the legacy ``(dataset, AnonymizationReport)`` tuple, a
-    ``PublicationResult``, and a bare dataset (harvesting ``last_report``
-    if the mechanism keeps one).
-    """
-    if isinstance(outcome, PublicationResult):
-        return outcome.dataset, outcome.report
-    if (
-        isinstance(outcome, tuple)
-        and len(outcome) == 2
-        and isinstance(outcome[1], AnonymizationReport)
-    ):
-        return outcome
-    return outcome, getattr(mechanism, "last_report", None)
-
-
-def publish_result(
-    mechanism: Any,
-    dataset: MobilityDataset,
-    *,
-    label: Optional[str] = None,
-    spec: Optional[str] = None,
-    params: Optional[Mapping[str, object]] = None,
-) -> PublicationResult:
-    """Publish ``dataset`` through ``mechanism`` and normalise the outcome."""
-    started = time.perf_counter()
-    outcome = mechanism.publish(dataset)
-    elapsed = time.perf_counter() - started
-
-    if isinstance(outcome, PublicationResult):
-        # A new-style mechanism built the result itself; fill in whatever
-        # provenance the caller knows and the mechanism left blank, so the
-        # adapter's guarantees (spec, params, announced properties) hold.
-        if outcome.spec is None:
-            outcome.spec = spec
-        if label and outcome.mechanism == "mechanism":
-            outcome.mechanism = label
-        if not outcome.params and params:
-            outcome.params = dict(params)
-        harvested = _harvest_properties(mechanism)
-        if harvested:
-            merged = dict(harvested)
-            merged.update(outcome.properties)
-            outcome.properties = merged
-        if not outcome.wall_time_s:
-            outcome.wall_time_s = elapsed
-        return outcome
-    published, report = _normalize_outcome(mechanism, outcome)
-    return PublicationResult(
-        dataset=published,
-        mechanism=label or getattr(mechanism, "name", type(mechanism).__name__),
-        spec=spec,
-        params=dict(params or {}),
-        report=report,
-        pseudonym_of=getattr(mechanism, "last_pseudonym_of", None),
-        properties=_harvest_properties(mechanism),
-        wall_time_s=elapsed,
-    )
-
-
-class MechanismAdapter:
-    """Expose any registered mechanism through the unified API surface."""
-
-    def __init__(
-        self, inner: Any, *, spec: Optional[str] = None, label: Optional[str] = None
-    ) -> None:
-        self.inner = inner
-        self.spec = spec
-        params: Dict[str, object] = {}
-        name = getattr(inner, "name", type(inner).__name__)
-        if spec and "|" not in spec:
-            name, params = parse_spec(spec)
-        self.name = label or name
-        self.params = params
-
-    def publish(self, dataset: MobilityDataset) -> PublicationResult:
-        return publish_result(
-            self.inner, dataset, label=self.name, spec=self.spec, params=self.params
-        )
-
-    def public_properties(self) -> Dict[str, object]:
-        return _harvest_properties(self.inner)
-
-    def __repr__(self) -> str:
-        return f"MechanismAdapter(spec={self.spec!r}, inner={self.inner!r})"
+__all__ = ["ChainMechanism"]
 
 
 class ChainMechanism:
     """Apply mechanisms in sequence, composing their provenance.
 
-    The published output of each stage feeds the next.  The last report seen
-    along the chain is kept (the paper's pipeline is the only report
-    producer), and per-stage pseudonym mappings are composed so
-    ``last_pseudonym_of`` always maps *final published labels* to *original
-    user identifiers*.
+    The published output of each stage feeds the next.  The result keeps the
+    last report seen along the chain (the paper's pipeline is the only
+    report producer), merges the announced properties in stage order, and
+    composes per-stage pseudonym mappings so ``pseudonym_of`` always maps
+    *final published labels* to *original user identifiers*.
     """
 
     name = "chain"
@@ -141,34 +32,29 @@ class ChainMechanism:
         if not stages:
             raise ValueError("a chain needs at least one stage")
         self.stages: List[Any] = list(stages)
-        self.last_report: Optional[AnonymizationReport] = None
-        self.last_pseudonym_of: Optional[Dict[str, str]] = None
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        current = dataset
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        result = PublicationResult(dataset, mechanism=self.name)
         mapping: Optional[Dict[str, str]] = None
-        self.last_report = None
+        properties: Dict[str, object] = {}
         for stage in self.stages:
-            current, report = _normalize_outcome(stage, stage.publish(current))
-            if report is not None:
-                self.last_report = report
-            stage_mapping = getattr(stage, "last_pseudonym_of", None)
-            if stage_mapping:
-                composed = {}
-                for new_label, previous_label in stage_mapping.items():
-                    if mapping is not None:
-                        composed[new_label] = mapping.get(previous_label, previous_label)
-                    else:
-                        composed[new_label] = previous_label
-                mapping = composed
-        self.last_pseudonym_of = mapping
-        return current
-
-    def public_properties(self) -> Dict[str, object]:
-        merged: Dict[str, object] = {}
-        for stage in self.stages:
-            merged.update(_harvest_properties(stage))
-        return merged
+            stage_result = stage.publish(result.dataset)
+            result.dataset = stage_result.dataset
+            if stage_result.report is not None:
+                result.report = stage_result.report
+            properties.update(stage_result.properties)
+            if stage_result.pseudonym_of:
+                mapping = {
+                    new_label: (
+                        mapping.get(previous_label, previous_label)
+                        if mapping is not None
+                        else previous_label
+                    )
+                    for new_label, previous_label in stage_result.pseudonym_of.items()
+                }
+        result.pseudonym_of = mapping
+        result.properties = properties
+        return result
 
     def __repr__(self) -> str:
         return f"ChainMechanism({self.stages!r})"

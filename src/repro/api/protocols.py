@@ -5,10 +5,8 @@ Three component kinds plug into the
 string spec through its registry (:mod:`repro.api.registry`):
 
 * :class:`Mechanism` — transforms a dataset into a published
-  :class:`~repro.api.result.PublicationResult`.  Registered implementations
-  may follow the legacy surface (``publish() -> MobilityDataset``);
-  :func:`repro.api.make_mechanism` wraps them so the new surface always
-  holds.
+  :class:`~repro.api.result.PublicationResult`; every registered mechanism
+  builds its own result, carrying whatever provenance it produced.
 * :class:`Attack` — an adversary evaluated against a publication.  The
   engine-facing form returns *row columns*; raw attack algorithms
   (``PoiExtractor``, ``Reidentifier``, ...) are also registered for direct

@@ -311,29 +311,25 @@ def make_mechanism(
 ) -> Any:
     """Build a mechanism from a spec string.
 
-    With ``wrap=True`` (default) the mechanism is wrapped in a
-    :class:`~repro.api.adapters.MechanismAdapter` so that ``publish()``
-    returns a provenance-carrying
-    :class:`~repro.api.result.PublicationResult`.  ``wrap=False`` returns the
-    raw registered object (legacy ``publish() -> MobilityDataset`` surface).
+    The registered object is returned as built; its ``publish()`` returns a
+    :class:`~repro.api.result.PublicationResult`.  ``|`` chains stages:
+    ``"smoothing:epsilon_m=100|pseudonyms:seed=3"`` builds a
+    :class:`~repro.api.adapters.ChainMechanism`.
 
-    ``|`` chains stages: ``"smoothing:epsilon_m=100|pseudonyms:seed=3"``.
+    ``wrap`` is accepted and ignored.  It is kept only because the frozen
+    benchmark harness (``perfbench/harness.py``) still passes ``wrap=False``.
     """
     _load_builtin_plugins()
-    from .adapters import ChainMechanism, MechanismAdapter
-
     if isinstance(spec, str) and "|" in spec:
+        from .adapters import ChainMechanism
+
         parts = [part.strip() for part in spec.split("|") if part.strip()]
         if not parts:
             raise RegistryError(f"empty chain spec {spec!r}")
-        inner: Any = ChainMechanism(
+        return ChainMechanism(
             [MECHANISMS.create(part, defaults=defaults) for part in parts]
         )
-    else:
-        inner = MECHANISMS.create(spec, defaults=defaults)
-    if not wrap:
-        return inner
-    return MechanismAdapter(inner, spec=spec)
+    return MECHANISMS.create(spec, defaults=defaults)
 
 
 def make_attack(spec: str, *, defaults: Optional[Mapping[str, Any]] = None) -> Any:

@@ -1,11 +1,9 @@
-"""The unified publication result: dataset plus provenance.
+"""The publication result: dataset plus provenance.
 
-:class:`PublicationResult` supersedes the two historical return shapes —
-``MobilityDataset`` (baseline mechanisms) and
-``(MobilityDataset, AnonymizationReport)`` (the paper's pipeline) — with one
-object that always carries the published data *and* whatever provenance the
-mechanism produced.  Downstream consumers (attack evaluators, metrics, the
-evaluation engine) read the provenance they need instead of reaching into
+Every mechanism's ``publish()`` returns one :class:`PublicationResult`,
+which carries the published data *and* whatever provenance the mechanism
+produced.  Downstream consumers (attack evaluators, metrics, the evaluation
+engine) read the provenance they need instead of reaching into
 mechanism-specific attributes:
 
 * ``report`` — the pipeline's :class:`~repro.core.pipeline.AnonymizationReport`
@@ -16,18 +14,14 @@ mechanism-specific attributes:
   Geo-Indistinguishability ``epsilon``), which adaptive attackers may use;
 * ``identity_truth()`` — the ground-truth label mapping linkage attacks are
   scored against, derived from whichever provenance is present.
-
-For convenience the result quacks like its dataset (``len``, iteration,
-indexing), so legacy code that treated ``publish()``'s return value as a
-dataset keeps working when handed a result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from ..core.trajectory import MobilityDataset, Trajectory
+from ..core.trajectory import MobilityDataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import AnonymizationReport
@@ -37,37 +31,13 @@ __all__ = ["PublicationResult"]
 
 @dataclass
 class PublicationResult:
-    """The published dataset together with unified provenance."""
+    """The published dataset together with its provenance."""
 
     dataset: MobilityDataset
     mechanism: str = "mechanism"
-    spec: Optional[str] = None
-    params: Mapping[str, object] = field(default_factory=dict)
     report: Optional["AnonymizationReport"] = None
     pseudonym_of: Optional[Mapping[str, str]] = None
     properties: Mapping[str, object] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    # -- dataset delegation ---------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.dataset)
-
-    def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self.dataset)
-
-    def __getitem__(self, user_id: str) -> Trajectory:
-        return self.dataset[user_id]
-
-    @property
-    def user_ids(self) -> List[str]:
-        return self.dataset.user_ids
-
-    @property
-    def n_points(self) -> int:
-        return self.dataset.n_points
-
-    # -- provenance helpers ---------------------------------------------------------
 
     def identity_truth(self) -> Dict[str, str]:
         """Published label -> physical user, from the best available provenance.
@@ -92,15 +62,13 @@ class PublicationResult:
 
     def summary(self) -> str:
         """One line for logs and examples."""
-        origin = self.spec or self.mechanism
         text = (
-            f"{origin}: {len(self.dataset)} users / {self.dataset.n_points} points"
+            f"{self.mechanism}: {len(self.dataset)} users / "
+            f"{self.dataset.n_points} points"
         )
         if self.report is not None:
             text += (
                 f", {self.report.n_zones} mix-zones, {self.report.n_swaps} swaps,"
                 f" {self.report.suppressed_points} points suppressed"
             )
-        if self.wall_time_s:
-            text += f" ({self.wall_time_s:.2f}s)"
         return text

@@ -6,7 +6,7 @@ from .geo_indistinguishability import (
     GeoIndistinguishabilityMechanism,
     planar_laplace_noise,
 )
-from .paper import FullPipelineMechanism, SpeedSmoothingMechanism
+from .paper import SpeedSmoothingMechanism
 from .trivial import DownsamplingMechanism, IdentityMechanism, PseudonymizationMechanism
 from .wait4me import Wait4MeConfig, Wait4MeMechanism
 
@@ -21,5 +21,4 @@ __all__ = [
     "DownsamplingMechanism",
     "PseudonymizationMechanism",
     "SpeedSmoothingMechanism",
-    "FullPipelineMechanism",
 ]

@@ -2,33 +2,20 @@
 
 Every protection mechanism evaluated in the reproduction — the paper's
 pipeline, Geo-Indistinguishability, Wait-For-Me, and the trivial anchors —
-exposes the same minimal interface: transform a :class:`MobilityDataset` into
-the dataset that gets published.  The experiment harness only relies on this
-interface, so adding a new mechanism to the comparison means implementing a
-single method.
-
-The ``publish() -> MobilityDataset`` surface is the *legacy* one.  The
-unified API (:mod:`repro.api`) wraps these mechanisms so ``publish()``
-returns a provenance-carrying
-:class:`~repro.api.result.PublicationResult`; :meth:`publish_result` is the
-bridge, and mechanisms can feed it by exposing three optional hooks:
-
-* ``last_report`` — an :class:`~repro.core.pipeline.AnonymizationReport`
-  from the most recent publication;
-* ``last_pseudonym_of`` — published label -> original user mapping;
-* :meth:`public_properties` — parameters the mechanism announces publicly
-  (an adaptive attacker may read them).
+exposes the same minimal interface: ``publish(dataset)`` returns a
+:class:`~repro.api.result.PublicationResult` holding the published dataset
+and whatever provenance the mechanism produced (a pipeline report, a
+pseudonym mapping, publicly announced parameters).  The experiment harness
+only relies on this interface, so adding a new mechanism to the comparison
+means implementing a single method.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict
 
+from ..api.result import PublicationResult
 from ..core.trajectory import MobilityDataset
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.result import PublicationResult
 
 __all__ = ["PublicationMechanism"]
 
@@ -40,18 +27,8 @@ class PublicationMechanism(ABC):
     name: str = "mechanism"
 
     @abstractmethod
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        """Return the protected dataset; the input is never modified."""
-
-    def publish_result(self, dataset: MobilityDataset) -> "PublicationResult":
-        """Publish under the unified API: dataset plus provenance."""
-        from ..api.adapters import publish_result
-
-        return publish_result(self, dataset, label=self.name)
-
-    def public_properties(self) -> Dict[str, object]:
-        """Parameters this mechanism publicly announces (none by default)."""
-        return {}
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        """Return the publication with its provenance; the input is never modified."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

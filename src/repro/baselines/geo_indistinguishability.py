@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..api.registry import register_mechanism
+from ..api.result import PublicationResult
 from ..core.trajectory import MobilityDataset, Trajectory
 from ..geo.projection import LocalProjection
 from .base import PublicationMechanism
@@ -107,20 +108,21 @@ class GeoIndistinguishabilityMechanism(PublicationMechanism):
         new_lons = np.clip(new_lons, -180.0, 180.0)
         return Trajectory(trajectory.user_id, trajectory.timestamps, new_lats, new_lons)
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        """Perturb every trajectory of the dataset independently."""
-        return dataset.map_trajectories(self.publish_trajectory)
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        """Perturb every trajectory of the dataset independently.
 
-    def public_properties(self) -> dict:
-        """A Geo-I release announces its privacy budget, hence its noise scale.
-
+        A Geo-I release announces its privacy budget, hence its noise scale:
         ``noise_radius_m`` is the mean planar-Laplace radius ``2 / epsilon``
         — the figure an informed attacker scales its clustering diameter to.
         """
-        return {
-            "epsilon_per_m": self.config.epsilon_per_m,
-            "noise_radius_m": 2.0 / self.config.epsilon_per_m,
-        }
+        return PublicationResult(
+            dataset.map_trajectories(self.publish_trajectory),
+            mechanism=self.name,
+            properties={
+                "epsilon_per_m": self.config.epsilon_per_m,
+                "noise_radius_m": 2.0 / self.config.epsilon_per_m,
+            },
+        )
 
 
 @register_mechanism("geo-ind", aliases=("geo-i", "geoind"))

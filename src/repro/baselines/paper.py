@@ -1,13 +1,12 @@
-"""Adapters exposing the paper's mechanisms through the common interface.
+"""The paper's mechanisms as registered publication mechanisms.
 
-These wrappers let the experiment harness treat the paper's pipeline exactly
-like any baseline (:class:`~repro.baselines.base.PublicationMechanism`):
-
-* :class:`SpeedSmoothingMechanism` — the first mechanism alone (constant
-  speed, Figure 1b);
-* :class:`FullPipelineMechanism` — smoothing plus mix-zone swapping
-  (Figure 1c), keeping the last :class:`~repro.core.pipeline.AnonymizationReport`
-  available for provenance-based scoring.
+* ``smoothing`` — :class:`SpeedSmoothingMechanism`, the first mechanism
+  alone (constant speed, Figure 1b);
+* ``promesse`` — the full pipeline, smoothing plus mix-zone swapping
+  (Figure 1c): the factory returns the :class:`~repro.core.pipeline.Anonymizer`
+  itself, whose result carries the
+  :class:`~repro.core.pipeline.AnonymizationReport` for provenance-based
+  scoring.
 """
 
 from __future__ import annotations
@@ -15,14 +14,15 @@ from __future__ import annotations
 from typing import Optional
 
 from ..api.registry import register_mechanism
-from ..core.pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig
+from ..api.result import PublicationResult
+from ..core.pipeline import Anonymizer, AnonymizerConfig
 from ..core.speed_smoothing import SpeedSmoother, SpeedSmoothingConfig
 from ..core.trajectory import MobilityDataset
 from ..mixzones.detection import MixZoneDetectionConfig
 from ..mixzones.swapping import SwapConfig, SwapPolicy
 from .base import PublicationMechanism
 
-__all__ = ["SpeedSmoothingMechanism", "FullPipelineMechanism"]
+__all__ = ["SpeedSmoothingMechanism"]
 
 
 class SpeedSmoothingMechanism(PublicationMechanism):
@@ -38,28 +38,10 @@ class SpeedSmoothingMechanism(PublicationMechanism):
         """The smoothing configuration in use."""
         return self._smoother.config
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        return self._smoother.smooth_dataset(dataset)
-
-
-class FullPipelineMechanism(PublicationMechanism):
-    """The paper's full pipeline: smoothing followed by mix-zone swapping."""
-
-    name = "paper-full"
-
-    def __init__(self, config: Optional[AnonymizerConfig] = None) -> None:
-        self._anonymizer = Anonymizer(config)
-        self.last_report: Optional[AnonymizationReport] = None
-
-    @property
-    def config(self) -> AnonymizerConfig:
-        """The pipeline configuration in use."""
-        return self._anonymizer.config
-
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        published, report = self._anonymizer.publish(dataset)
-        self.last_report = report
-        return published
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        return PublicationResult(
+            self._smoother.smooth_dataset(dataset), mechanism=self.name
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +79,10 @@ def _promesse_mechanism(
     enable_swapping: bool = True,
     pseudonymize: bool = True,
     time_tolerance_s: float = 1800.0,
-) -> FullPipelineMechanism:
+) -> Anonymizer:
     """The full pipeline, e.g. ``promesse:zone_radius_m=200,swap=always``."""
     policy = SwapPolicy(str(swap).replace("-", "_"))
-    return FullPipelineMechanism(
+    return Anonymizer(
         AnonymizerConfig(
             smoothing=SpeedSmoothingConfig(epsilon_m=epsilon_m),
             detection=MixZoneDetectionConfig(radius_m=zone_radius_m),

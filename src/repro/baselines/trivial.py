@@ -17,11 +17,12 @@ Neither mechanism here offers real protection; they bound the comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..api.registry import register_mechanism
+from ..api.result import PublicationResult
 from ..core.trajectory import MobilityDataset
 from .base import PublicationMechanism
 
@@ -34,8 +35,8 @@ class IdentityMechanism(PublicationMechanism):
 
     name = "identity"
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        return dataset
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        return PublicationResult(dataset, mechanism=self.name)
 
 
 @register_mechanism("downsampling", aliases=("downsample",))
@@ -50,8 +51,11 @@ class DownsamplingMechanism(PublicationMechanism):
         if self.factor < 1:
             raise ValueError("factor must be at least 1")
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
-        return dataset.map_trajectories(lambda t: t.downsample(self.factor))
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        return PublicationResult(
+            dataset.map_trajectories(lambda t: t.downsample(self.factor)),
+            mechanism=self.name,
+        )
 
 
 @register_mechanism("pseudonyms", aliases=("pseudonymization",))
@@ -59,20 +63,20 @@ class DownsamplingMechanism(PublicationMechanism):
 class PseudonymizationMechanism(PublicationMechanism):
     """Replace user identifiers with random pseudonyms; keep locations intact.
 
-    The pseudonym -> original-user mapping of the most recent publication is
-    kept in ``last_pseudonym_of`` as provenance for the unified API (it is
-    what linkage attacks are scored against).
+    The result's ``pseudonym_of`` maps each pseudonym to its original user
+    (it is what linkage attacks are scored against).
     """
 
     seed: Optional[int] = 0
     name: str = "pseudonyms"
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
         rng = np.random.default_rng(self.seed)
         users = dataset.user_ids
         order = rng.permutation(len(users))
         mapping = {users[i]: f"p{rank:04d}" for rank, i in enumerate(order)}
-        self.last_pseudonym_of: Dict[str, str] = {
-            pseudonym: user for user, pseudonym in mapping.items()
-        }
-        return dataset.relabel(mapping)
+        return PublicationResult(
+            dataset.relabel(mapping),
+            mechanism=self.name,
+            pseudonym_of={pseudonym: user for user, pseudonym in mapping.items()},
+        )

@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.registry import register_mechanism
+from ..api.result import PublicationResult
 from ..core.trajectory import MobilityDataset, Trajectory
 from ..geo.kernels import SyncedDistances
 from ..geo.projection import LocalProjection
@@ -128,33 +129,33 @@ class Wait4MeMechanism(PublicationMechanism):
 
     # -- public API --------------------------------------------------------------------
 
-    def publish(self, dataset: MobilityDataset) -> MobilityDataset:
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
         """Anonymize the dataset; users sent to the trash bin are dropped."""
         non_empty = [t for t in dataset if len(t) >= 2]
         if len(non_empty) < self.config.k:
             # Not enough users to form a single anonymity group: nothing can
             # be published under (k, δ)-anonymity.
-            return MobilityDataset()
+            return PublicationResult(MobilityDataset(), mechanism=self.name)
 
-        grid, xs, ys, users = self._synchronize(non_empty)
+        grid, xs, ys, users, projection = self._synchronize(non_empty)
         cluster = (
             self._cluster_reference if self.config.engine == "reference" else self._cluster
         )
         clusters, trashed = cluster(xs, ys)
-        published = self._space_translate(grid, xs, ys, users, clusters)
-        return MobilityDataset(published)
+        published = self._space_translate(grid, xs, ys, users, clusters, projection)
+        return PublicationResult(MobilityDataset(published), mechanism=self.name)
 
     # -- phase 1: synchronization ---------------------------------------------------------
 
     def _synchronize(
         self, trajectories: Sequence[Trajectory]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], LocalProjection]:
         """Resample every trajectory on a common time grid.
 
         Returns the grid (timestamps), the ``(n_users, n_grid)`` planes of
         planar x / y positions in meters (NaN where a user is not observed,
-        i.e. outside her recording interval) and the user ids indexing their
-        rows.
+        i.e. outside her recording interval), the user ids indexing their
+        rows and the projection the planes are expressed in.
 
         Coordinates are interpolated in degrees and the resampled matrices
         projected with one batched call: the local projection is linear, so
@@ -168,7 +169,7 @@ class Wait4MeMechanism(PublicationMechanism):
         grid = t_min + np.arange(n_steps) * cfg.time_step_s
 
         n_points = sum(len(t) for t in trajectories)
-        self._projection = LocalProjection(
+        projection = LocalProjection(
             sum(float(np.sum(t.lats)) for t in trajectories) / n_points,
             sum(float(np.sum(t.lons)) for t in trajectories) / n_points,
         )
@@ -178,8 +179,8 @@ class Wait4MeMechanism(PublicationMechanism):
             ts = traj.timestamps
             grid_lats[k] = np.interp(grid, ts, traj.lats, left=np.nan, right=np.nan)
             grid_lons[k] = np.interp(grid, ts, traj.lons, left=np.nan, right=np.nan)
-        xs, ys = self._projection.project_array_inplace(grid_lats, grid_lons)
-        return grid, xs, ys, [t.user_id for t in trajectories]
+        xs, ys = projection.project_array_inplace(grid_lats, grid_lons)
+        return grid, xs, ys, [t.user_id for t in trajectories], projection
 
     # -- phase 2: greedy clustering ----------------------------------------------------------
 
@@ -341,6 +342,7 @@ class Wait4MeMechanism(PublicationMechanism):
         ys: np.ndarray,
         users: List[str],
         clusters: List[List[int]],
+        projection: LocalProjection,
     ) -> List[Trajectory]:
         """Pull cluster members inside the δ-cylinder around the cluster centroid."""
         cfg = self.config
@@ -380,7 +382,7 @@ class Wait4MeMechanism(PublicationMechanism):
             )
             pulled_x = center_x + dx * scale
             pulled_y = center_y + dy * scale
-        lats, lons = self._projection.unproject_array(pulled_x, pulled_y)
+        lats, lons = projection.unproject_array(pulled_x, pulled_y)
         member_observed = ~np.isnan(pulled_x)
         published: List[Trajectory] = []
         for m, user_index in enumerate(member_rows):

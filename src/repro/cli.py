@@ -14,7 +14,7 @@ the engine)::
     repro cache stats --cache-file cells.sqlite --json
 
 The breakdown is decoded from the serialized cell keys themselves (the
-``v2:`` canonical text is valid JSON), read-only — the command never writes
+``v3:`` canonical text is valid JSON), read-only — the command never writes
 or locks the file beyond a read transaction.
 """
 

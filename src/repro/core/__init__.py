@@ -1,6 +1,6 @@
 """Core data model and the paper's primary contribution (smoothing + pipeline)."""
 
-from .pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig, anonymize
+from .pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig
 from .speed_smoothing import (
     SpeedSmoother,
     SpeedSmoothingConfig,
@@ -22,5 +22,4 @@ __all__ = [
     "Anonymizer",
     "AnonymizerConfig",
     "AnonymizationReport",
-    "anonymize",
 ]

@@ -11,16 +11,12 @@ Section III and Figure 1:
    corresponding points are suppressed from the smoothed data, and user
    identifiers are shuffled inside each zone (Figure 1c).
 
-The pipeline returns both the published dataset and an
+:meth:`Anonymizer.publish` returns a
+:class:`~repro.api.result.PublicationResult` whose ``report`` is an
 :class:`AnonymizationReport` carrying every piece of provenance needed by the
 evaluation: detected zones, swap records, suppression counts and ground-truth
-segment ownership.
-
-.. note::
-   The ``publish() -> (dataset, report)`` tuple is the legacy surface, kept
-   for compatibility.  New code should prefer :meth:`Anonymizer.publish_result`
-   (or ``repro.api.make_mechanism("promesse")``), which returns the unified
-   :class:`~repro.api.result.PublicationResult` carrying the same provenance.
+segment ownership.  The registered ``promesse`` mechanism is an
+:class:`Anonymizer`.
 """
 
 from __future__ import annotations
@@ -28,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..api.result import PublicationResult
 from ..mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 from ..mixzones.swapping import MixZoneSwapper, SwapConfig, SwapRecord, SwapResult
 from ..mixzones.zones import MixZone
 from .speed_smoothing import SpeedSmoother, SpeedSmoothingConfig
 from .trajectory import MobilityDataset
 
-__all__ = ["AnonymizerConfig", "AnonymizationReport", "Anonymizer", "anonymize"]
+__all__ = ["AnonymizerConfig", "AnonymizationReport", "Anonymizer"]
 
 
 @dataclass(frozen=True)
@@ -97,14 +94,16 @@ class AnonymizationReport:
 class Anonymizer:
     """End-to-end privacy-preserving publication of a mobility dataset."""
 
+    name = "promesse"
+
     def __init__(self, config: Optional[AnonymizerConfig] = None) -> None:
         self.config = config or AnonymizerConfig()
         self._smoother = SpeedSmoother(self.config.smoothing)
         self._detector = MixZoneDetector(self.config.detection)
         self._swapper = MixZoneSwapper(self.config.swapping)
 
-    def publish(self, dataset: MobilityDataset) -> Tuple[MobilityDataset, AnonymizationReport]:
-        """Anonymize ``dataset`` and return ``(published, report)``.
+    def publish(self, dataset: MobilityDataset) -> PublicationResult:
+        """Anonymize ``dataset``; the result's ``report`` holds the provenance.
 
         The original dataset is never modified.  When both mechanisms are
         disabled the input is returned unchanged (with a pass-through report),
@@ -138,7 +137,7 @@ class Anonymizer:
                 pseudonym_of=swap_result.pseudonym_of,
                 segment_ownership=swap_result.segment_ownership,
             )
-            return published, report
+            return PublicationResult(published, mechanism=self.name, report=report)
 
         published = working
         report = AnonymizationReport(
@@ -155,26 +154,4 @@ class Anonymizer:
                 if len(published[u]) > 0
             },
         )
-        return published, report
-
-
-    def publish_result(self, dataset: MobilityDataset):
-        """Publish under the unified API: a provenance-carrying result.
-
-        Equivalent to :meth:`publish` but returns a single
-        :class:`~repro.api.result.PublicationResult` instead of the legacy
-        ``(dataset, report)`` tuple.
-        """
-        from ..api.result import PublicationResult
-
-        published, report = self.publish(dataset)
-        return PublicationResult(
-            dataset=published, mechanism="promesse", report=report
-        )
-
-
-def anonymize(
-    dataset: MobilityDataset, config: Optional[AnonymizerConfig] = None
-) -> Tuple[MobilityDataset, AnonymizationReport]:
-    """Convenience function: run the full pipeline with ``config`` (or defaults)."""
-    return Anonymizer(config).publish(dataset)
+        return PublicationResult(published, mechanism=self.name, report=report)

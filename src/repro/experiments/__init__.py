@@ -41,7 +41,6 @@ from .worlds import (
 from .runner import (
     DEFAULT_MECHANISM_SPECS,
     DEFAULT_SEED_SWEEP,
-    default_mechanisms,
     seed_sweep,
     ground_truth_pois,
     run_area_coverage,
@@ -90,7 +89,6 @@ __all__ = [
     "DEFAULT_MECHANISM_SPECS",
     "DEFAULT_SEED_SWEEP",
     "seed_sweep",
-    "default_mechanisms",
     "ground_truth_pois",
     "run_poi_retrieval",
     "run_spatial_distortion",

@@ -51,7 +51,9 @@ __all__ = [
 #: encoding (not the key *contents*, which the engine owns) changes shape, so
 #: an old cache file misses cleanly instead of aliasing.  v2: the engine's
 #: key tuple gained the experiment ``mode`` (batch vs stream) component.
-CELL_KEY_FORMAT_VERSION = 2
+#: v3: key *contents* are unchanged; the engine's key code lost its
+#: live-object guards, and the R2 contract pins that code to this version.
+CELL_KEY_FORMAT_VERSION = 3
 
 
 def _canonical(value: Any) -> str:

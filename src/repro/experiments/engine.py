@@ -23,10 +23,10 @@ Each cell yields one row ``{"world", "seed", "mechanism", "attack",
 **attack columns, **metric columns}``; rows come back in deterministic
 cross-product order regardless of worker scheduling.
 
-Axis entries may also be ``(label, item)`` pairs — and mechanism items may be
-live mechanism *objects*, which keeps the legacy ``run_*(world, {"name":
-mechanism})`` call sites working — but only string specs are picklable and
-cacheable, so object cells always run in-process and uncached.
+Axis entries are spec strings or ``(label, spec)`` pairs (plus ``None`` on
+the attack axis for attack-free cells); anything else raises
+:class:`~repro.api.registry.RegistryError`.  Pre-built worlds enter through
+``run(spec, worlds={label: world})``.
 
 A reserved ``prefix`` parameter namespaces a component's columns
 (``"area-coverage:cell_size_m=200,prefix=cov_"`` -> ``cov_f_score``), which
@@ -36,11 +36,9 @@ is how one row can merge several components that would otherwise collide.
 from __future__ import annotations
 
 import warnings
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..api.adapters import publish_result
 from ..api.registry import (
     ATTACKS,
     METRICS,
@@ -48,7 +46,6 @@ from ..api.registry import (
     make_mechanism,
     parse_spec,
 )
-from ..api.result import PublicationResult
 from ..core.trajectory import MobilityDataset
 from .backends import SchedulerBackend, make_backend
 from .cache import CellCacheStore, make_cache_store, serialize_cell_key
@@ -72,22 +69,25 @@ __all__ = [
 # Experiment specification
 # ---------------------------------------------------------------------------
 
-#: An axis entry: a spec string, or an explicit (label, spec-or-object) pair.
-AxisEntry = Union[str, Tuple[str, Any]]
+#: An axis entry: a spec string, or an explicit (label, spec) pair.
+AxisEntry = Union[str, Tuple[str, str]]
 
 
-def _normalize_axis(entries: Sequence[AxisEntry], kind: str) -> List[Tuple[str, Any]]:
+def _normalize_axis(
+    entries: Sequence[Optional[AxisEntry]], kind: str
+) -> List[Tuple[str, Any]]:
     normalized: List[Tuple[str, Any]] = []
     for entry in entries:
-        if isinstance(entry, tuple):
-            label, item = entry
-            normalized.append((str(label), item))
-        elif isinstance(entry, str):
-            normalized.append((entry, entry))
-        elif entry is None and kind == "attack":
+        if entry is None and kind == "attack":
             normalized.append(("", None))
-        else:
-            normalized.append((getattr(entry, "name", type(entry).__name__), entry))
+            continue
+        label, item = entry if isinstance(entry, tuple) else (entry, entry)
+        if not isinstance(item, str):
+            raise RegistryError(
+                f"{kind} axis entries must be spec strings or (label, spec) "
+                f"pairs, got {type(item).__name__}"
+            )
+        normalized.append((str(label), item))
     return normalized
 
 
@@ -112,8 +112,7 @@ class ExperimentSpec:
     name:
         Experiment identifier (used in logs and cache partitioning).
     mechanisms:
-        Mechanism axis: spec strings, ``(label, spec)`` pairs, or
-        ``(label, mechanism object)`` pairs.
+        Mechanism axis: spec strings or ``(label, spec)`` pairs.
     attacks:
         Attack axis: evaluator specs (``poi-retrieval:...``) or ``None`` for
         attack-free cells.  Defaults to one attack-free entry.
@@ -122,8 +121,9 @@ class ExperimentSpec:
         whose columns merge into the same row.  Groups multiply the cross
         product; specs inside a group do not.
     worlds:
-        Workload axis: world specs (see :data:`WORLDS`) or names resolved
-        through the ``worlds`` mapping passed to :meth:`EvaluationEngine.run`.
+        Workload axis: world specs (see :data:`WORLDS`), ``(label, spec)``
+        pairs, or names resolved through the ``worlds`` mapping passed to
+        :meth:`EvaluationEngine.run`.
     seeds:
         Seed axis; each seed is injected into mechanism factories that
         declare a ``seed`` parameter (explicit spec params win).
@@ -221,15 +221,6 @@ def _apply_prefix(columns: Mapping[str, Any], prefix: str) -> Dict[str, Any]:
     return {prefix + key: value for key, value in columns.items()}
 
 
-def _publish_for_group(
-    mech_item: Any, mech_label: str, input_dataset: MobilityDataset, seed: int
-) -> PublicationResult:
-    if isinstance(mech_item, str):
-        mechanism = make_mechanism(mech_item, defaults={"seed": seed})
-        return mechanism.publish(input_dataset)
-    return publish_result(mech_item, input_dataset, label=mech_label)
-
-
 #: Attack names already warned about falling back from stream to batch mode
 #: (per process: worker fan-out re-warns at most once per worker).
 _STREAM_FALLBACK_WARNED: Set[str] = set()
@@ -257,7 +248,7 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
     """
     (world, world_label, input_spec, seed, mech_label, mech_item, cell_args, mode) = payload
     input_dataset = _resolve_input(world, input_spec)
-    result = _publish_for_group(mech_item, mech_label, input_dataset, seed)
+    result = make_mechanism(mech_item, defaults={"seed": seed}).publish(input_dataset)
     context = EvalContext(
         world=world, world_key=world_label, input_dataset=input_dataset, seed=seed
     )
@@ -270,18 +261,15 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
         columns: Dict[str, Any] = {}
         stream_fallback = False
         if attack_item is not None:
-            if isinstance(attack_item, str):
-                name, params, prefix = _pop_prefix(attack_item)
-                if (
-                    attack_defaults is not None
-                    and "execution" not in params
-                    and not ATTACKS.declares(name, "execution")
-                ):
-                    stream_fallback = True
-                    _note_stream_fallback(name)
-                attack = ATTACKS.create_parsed(name, params, defaults=attack_defaults)
-            else:
-                attack, prefix = attack_item, ""
+            name, params, prefix = _pop_prefix(attack_item)
+            if (
+                attack_defaults is not None
+                and "execution" not in params
+                and not ATTACKS.declares(name, "execution")
+            ):
+                stream_fallback = True
+                _note_stream_fallback(name)
+            attack = ATTACKS.create_parsed(name, params, defaults=attack_defaults)
             run = getattr(attack, "run", None)
             if run is None:
                 raise RegistryError(
@@ -323,19 +311,9 @@ def _world_fingerprint(world: Any) -> Tuple:
     :meth:`~repro.core.trajectory.MobilityDataset.content_fingerprint`,
     which caches the tuple on the dataset after the first computation (and
     reads it from the artifact header for store-backed worlds), so repeated
-    ``run`` calls on the same world never re-hash its points; the legacy
-    inline arithmetic is kept for duck-typed datasets without the method.
+    ``run`` calls on the same world never re-hash its points.
     """
-    dataset = world.dataset
-    fingerprint = getattr(dataset, "content_fingerprint", None)
-    if fingerprint is not None:
-        return fingerprint()
-    columnar = dataset.columnar()  # shared read-only views: no copies
-    lats, lons = columnar.lats, columnar.lons
-    stride = max(1, lats.size // 1024)
-    checksum = zlib.crc32(lats[::stride].tobytes())
-    checksum = zlib.crc32(lons[::stride].tobytes(), checksum)
-    return (len(dataset), dataset.n_points, dataset.time_span, checksum)
+    return world.dataset.content_fingerprint()
 
 
 class EvaluationEngine:
@@ -356,7 +334,7 @@ class EvaluationEngine:
         Cells are keyed by (experiment input, world fingerprint, seed,
         mechanism spec, attack spec, metric group), so re-running a spec —
         or a spec sharing cells with an earlier one — only computes what is
-        new.  Cells whose mechanism is a live object are never cached.
+        new.
     backend:
         *How* uncached cell groups execute: ``None`` (serial for
         ``workers=1``, a multiprocessing pool otherwise), a spec string
@@ -388,25 +366,17 @@ class EvaluationEngine:
     def _resolve_worlds(
         spec: ExperimentSpec, worlds: Optional[Mapping[str, Any]]
     ) -> Dict[str, Any]:
-        resolved: Dict[str, Any] = {}
-        for label, item in _normalize_axis(spec.worlds, "world"):
-            if worlds and label in worlds:
-                resolved[label] = worlds[label]
-            elif not isinstance(item, str):
-                resolved[label] = item
-            else:
-                resolved[label] = make_world(item)
-        return resolved
+        return {
+            label: worlds[label] if worlds and label in worlds else make_world(item)
+            for label, item in _normalize_axis(spec.worlds, "world")
+        }
 
     # -- cache ----------------------------------------------------------------------
 
     def _cell_key(
         self, spec: ExperimentSpec, fingerprint: Tuple, cell: Dict[str, Any]
     ) -> Optional[Tuple]:
-        if not self.cache_enabled or not isinstance(cell["mech_item"], str):
-            return None
-        attack_item = cell["attack_item"]
-        if attack_item is not None and not isinstance(attack_item, str):
+        if not self.cache_enabled:
             return None
         return (
             spec.input,
@@ -417,7 +387,7 @@ class EvaluationEngine:
             cell["mech_label"],
             cell["mech_item"],
             cell["attack_label"],
-            attack_item,
+            cell["attack_item"],
             cell["metric_group"],
         )
 
@@ -497,38 +467,20 @@ class EvaluationEngine:
         ]
 
         if payloads:
-            # Cells whose mechanism or attack is a live object cannot cross a
-            # process boundary: they run inline regardless of the backend.
-            parallel: List[Tuple] = []
-            inline: List[Tuple] = []
+            # Hand the backend each cell's serialized cache key (or None when
+            # caching is off) plus the store: a fleet backend whose workers
+            # share the sqlite file writes rows directly into it and ships
+            # only acks back.  In-process backends ignore both.
+            cell_keys: List[List[Optional[str]]] = []
             for payload in payloads:
-                mech_ok = isinstance(payload[5], str)
-                attacks_ok = all(
-                    attack_item is None or isinstance(attack_item, str)
-                    for _, _, attack_item, _ in payload[6]
-                )
-                (parallel if mech_ok and attacks_ok else inline).append(payload)
-            # Hand the backend each parallel cell's serialized cache key (or
-            # None for uncacheable cells) plus the store: a fleet backend
-            # whose workers share the sqlite file writes rows directly into
-            # it and ships only acks back.  In-process backends ignore both.
-            parallel_keys: List[Optional[List[Optional[str]]]] = []
-            for payload in parallel:
                 keys: List[Optional[str]] = []
                 for index, _, _, _ in payload[6]:
                     key = pending_keys.get(index)
                     keys.append(serialize_cell_key(key) if key is not None else None)
-                parallel_keys.append(keys)
-            results = (
-                list(
-                    self.backend.map_groups(
-                        parallel, cell_keys=parallel_keys, cache=self.cache_store
-                    )
-                )
-                if parallel
-                else []
+                cell_keys.append(keys)
+            results = self.backend.map_groups(
+                payloads, cell_keys=cell_keys, cache=self.cache_store
             )
-            results.extend(_evaluate_group(p) for p in inline)
             for group_rows in results:
                 for index, row in group_rows:
                     rows[index] = row

@@ -10,23 +10,18 @@ rows with :mod:`repro.experiments.formatting`.
 
 Adding a mechanism to every experiment is now one registry entry plus one
 line in :data:`DEFAULT_MECHANISM_SPECS`; adding a whole experiment is one
-:class:`~repro.experiments.engine.ExperimentSpec`.
-
-``default_mechanisms`` remains as a deprecated shim over
-:data:`DEFAULT_MECHANISM_SPECS` for callers that still want a dict of live
-mechanism objects.
+:class:`~repro.experiments.engine.ExperimentSpec`.  Runners take their
+mechanisms as a ``{label: spec}`` mapping; a single mechanism is built with
+:func:`repro.api.make_mechanism`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.evaluators import ground_truth_pois
-from ..api.registry import make_mechanism
-from ..baselines.base import PublicationMechanism
 from ..datagen.mobility import SyntheticWorld
 from ..mixzones.swapping import SwapPolicy
 from .engine import EvaluationEngine, ExperimentSpec
@@ -37,7 +32,6 @@ __all__ = [
     "seed_sweep",
     "configure_default_engine",
     "default_engine",
-    "default_mechanisms",
     "ground_truth_pois",
     "run_poi_retrieval",
     "run_spatial_distortion",
@@ -86,25 +80,6 @@ DEFAULT_MECHANISM_SPECS: Dict[str, str] = {
     "wait4me-k4-d500": "wait4me:k=4,delta_m=500.0",
     "downsample-x10": "downsampling:factor=10",
 }
-
-
-def default_mechanisms(seed: int = 0) -> Dict[str, PublicationMechanism]:
-    """Deprecated: the comparison suite as live legacy mechanism objects.
-
-    Prefer :data:`DEFAULT_MECHANISM_SPECS` (registry specs the evaluation
-    engine consumes directly) or ``make_mechanism(spec)`` for a single
-    mechanism under the unified API.
-    """
-    warnings.warn(
-        "default_mechanisms() is deprecated; use DEFAULT_MECHANISM_SPECS "
-        "with ExperimentSpec/EvaluationEngine, or repro.api.make_mechanism()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return {
-        name: make_mechanism(spec, defaults={"seed": seed}, wrap=False)
-        for name, spec in DEFAULT_MECHANISM_SPECS.items()
-    }
 
 
 def _engine_from_env() -> EvaluationEngine:
@@ -194,13 +169,12 @@ def _resolve_engine(scheduler: Optional[Any], cell_cache: Optional[Any]) -> Eval
     return engine
 
 
-MechanismMap = Mapping[str, Union[str, PublicationMechanism]]
+#: A runner's mechanism axis: row label -> mechanism spec.
+MechanismMap = Mapping[str, str]
 
 
-def _mechanism_axis(mechanisms: Optional[MechanismMap]) -> List[Tuple[str, object]]:
-    if mechanisms is None:
-        return list(DEFAULT_MECHANISM_SPECS.items())
-    return [(name, mechanism) for name, mechanism in mechanisms.items()]
+def _mechanism_axis(mechanisms: Optional[MechanismMap]) -> List[Tuple[str, str]]:
+    return list((DEFAULT_MECHANISM_SPECS if mechanisms is None else mechanisms).items())
 
 
 #: One legacy row column: its key and how to read it off an engine row.

@@ -53,7 +53,11 @@ _SECONDS_PER_DAY = 86400.0
 
 
 def _parse_plt_line(line: str) -> Optional[tuple]:
-    """Parse one PLT data line into ``(timestamp, lat, lon)``; None when malformed."""
+    """Parse one PLT data line into ``(timestamp, lat, lon)``; None when malformed.
+
+    Non-finite coordinates and coordinates outside WGS84 bounds count as
+    malformed, so one bad fix cannot abort the whole file.
+    """
     parts = line.strip().split(",")
     if len(parts) < 7:
         return None
@@ -66,6 +70,8 @@ def _parse_plt_line(line: str) -> Optional[tuple]:
         timestamp = dt.replace(tzinfo=timezone.utc).timestamp()
     except ValueError:
         return None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return None  # nan and inf fail the range test too
     return timestamp, lat, lon
 
 

@@ -279,7 +279,7 @@ def _swap_stats_metric():
     """Mix-zone counts from the publication provenance."""
 
     def compute(original: MobilityDataset, result) -> Dict[str, object]:
-        report = getattr(result, "report", None)
+        report = result.report
         return {
             "n_zones": report.n_zones if report is not None else 0,
             "n_swaps": report.n_swaps if report is not None else 0,
@@ -294,7 +294,7 @@ def _mixing_entropy_metric():
     """Average theoretical mixing entropy over traversed zones (bits)."""
 
     def compute(original: MobilityDataset, result) -> Dict[str, object]:
-        report = getattr(result, "report", None)
+        report = result.report
         records = report.swap_records if report is not None else []
         return {"mixing_entropy_bits": empirical_mixing_entropy_bits(records)}
 

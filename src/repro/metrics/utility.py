@@ -386,14 +386,10 @@ def point_retention(original: MobilityDataset, published: MobilityDataset) -> fl
 # ---------------------------------------------------------------------------
 #
 # A registered metric is a callable ``metric(original, result) -> columns``
-# where ``result`` is a PublicationResult (or a bare dataset).  Utility
-# metrics only need the published dataset.
+# where ``result`` is a PublicationResult.  Utility metrics only need the
+# published dataset.
 
 from ..api.registry import register_metric
-
-
-def _published_dataset(result) -> MobilityDataset:
-    return getattr(result, "dataset", result)
 
 
 @register_metric("spatial-distortion", aliases=("distortion",))
@@ -402,7 +398,7 @@ def _spatial_distortion_metric(match_by_user: bool = False):
 
     def compute(original: MobilityDataset, result) -> Dict[str, object]:
         summary = dataset_spatial_distortion(
-            original, _published_dataset(result), match_by_user=match_by_user
+            original, result.dataset, match_by_user=match_by_user
         )
         return {
             "mean_m": summary.mean,
@@ -420,7 +416,7 @@ def _area_coverage_metric(cell_size_m: float = 200.0):
 
     def compute(original: MobilityDataset, result) -> Dict[str, object]:
         score = area_coverage(
-            original, _published_dataset(result), cell_size_m=cell_size_m
+            original, result.dataset, cell_size_m=cell_size_m
         )
         return {
             "cell_size_m": cell_size_m,
@@ -437,7 +433,7 @@ def _point_retention_metric():
     """Fraction of points still published at all."""
 
     def compute(original: MobilityDataset, result) -> Dict[str, object]:
-        return {"point_retention": point_retention(original, _published_dataset(result))}
+        return {"point_retention": point_retention(original, result.dataset)}
 
     return compute
 
@@ -448,7 +444,7 @@ def _trip_length_error_metric():
 
     def compute(original: MobilityDataset, result) -> Dict[str, object]:
         return {
-            "trip_length_error": trip_length_error(original, _published_dataset(result))
+            "trip_length_error": trip_length_error(original, result.dataset)
         }
 
     return compute
@@ -464,7 +460,7 @@ def _range_query_metric(
         return {
             "range_query_error": range_query_distortion(
                 original,
-                _published_dataset(result),
+                result.dataset,
                 n_queries=n_queries,
                 query_size_m=query_size_m,
                 seed=seed,

@@ -1,4 +1,4 @@
-"""Tests for the pluggable API: registries, spec parsing, adapters, parity."""
+"""Tests for the pluggable API: registries, spec parsing, the result contract, parity."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from repro.attacks.tracking import MultiTargetTracker
 from repro.baselines.geo_indistinguishability import GeoIndistinguishabilityMechanism
 from repro.baselines.trivial import IdentityMechanism
 from repro.core.pipeline import Anonymizer
-from repro.experiments.runner import DEFAULT_MECHANISM_SPECS, default_mechanisms
+from repro.experiments.runner import DEFAULT_MECHANISM_SPECS
 
 
 class TestSpecParsing:
@@ -96,7 +96,7 @@ class TestRegistries:
             assert "test-noop-mechanism" in list_mechanisms()
             mechanism = make_mechanism("test-noop-mechanism:strength=2.5")
             assert calls["strength"] == 2.5
-            assert mechanism.name == "test-noop-mechanism"
+            assert isinstance(mechanism, IdentityMechanism)
             with pytest.raises(ValueError, match="already registered"):
                 register_mechanism("test-noop-mechanism")(lambda: IdentityMechanism())
         finally:
@@ -127,11 +127,10 @@ class TestRegistries:
         assert "name-b" in registry
 
     def test_spec_parameters_reach_the_mechanism(self):
-        adapter = make_mechanism("geo-ind:epsilon_per_m=0.005,seed=7")
-        assert isinstance(adapter.inner, GeoIndistinguishabilityMechanism)
-        assert adapter.inner.config.epsilon_per_m == 0.005
-        assert adapter.inner.config.seed == 7
-        assert adapter.params == {"epsilon_per_m": 0.005, "seed": 7}
+        mechanism = make_mechanism("geo-ind:epsilon_per_m=0.005,seed=7")
+        assert isinstance(mechanism, GeoIndistinguishabilityMechanism)
+        assert mechanism.config.epsilon_per_m == 0.005
+        assert mechanism.config.seed == 7
 
     def test_runner_attacks_resolvable_from_specs(self):
         assert isinstance(make_attack("staypoint:max_diameter_m=400"), PoiExtractor)
@@ -142,18 +141,11 @@ class TestRegistries:
 
     def test_default_suite_resolvable_from_specs(self):
         for spec in DEFAULT_MECHANISM_SPECS.values():
-            mechanism = make_mechanism(spec, defaults={"seed": 0}, wrap=False)
+            mechanism = make_mechanism(spec, defaults={"seed": 0})
             assert hasattr(mechanism, "publish")
-
-    def test_default_mechanisms_shim_warns_and_matches_specs(self):
-        with pytest.warns(DeprecationWarning):
-            suite = default_mechanisms(seed=0)
-        assert list(suite) == list(DEFAULT_MECHANISM_SPECS)
-        assert isinstance(suite["raw"], IdentityMechanism)
-        assert suite["geo-ind-strong"].config.epsilon_per_m == pytest.approx(
-            np.log(2.0) / 200.0
-        )
-        assert suite["geo-ind-strong"].config.seed == 0
+        strong = make_mechanism(DEFAULT_MECHANISM_SPECS["geo-ind-strong"], defaults={"seed": 0})
+        assert strong.config.epsilon_per_m == pytest.approx(np.log(2.0) / 200.0)
+        assert strong.config.seed == 0
 
 
 class TestPublicationResult:
@@ -161,42 +153,54 @@ class TestPublicationResult:
         result = make_mechanism("promesse").publish(tiny_world.dataset)
         assert isinstance(result, PublicationResult)
         assert result.report is not None
-        assert result.spec == "promesse"
-        assert len(result) == len(result.dataset)
+        assert result.mechanism == "promesse"
+        assert result.pseudonym_of is None
         assert set(result.identity_truth().values()) <= set(tiny_world.dataset.user_ids)
 
     def test_promesse_spec_matches_legacy_anonymizer(self, tiny_world):
         """Parity: the registry route reproduces Anonymizer point-for-point."""
         result = make_mechanism("promesse").publish(tiny_world.dataset)
-        legacy_published, legacy_report = Anonymizer().publish(tiny_world.dataset)
-        assert [t.user_id for t in result.dataset] == [t.user_id for t in legacy_published]
-        for new, old in zip(result.dataset, legacy_published):
+        direct = Anonymizer().publish(tiny_world.dataset)
+        assert [t.user_id for t in result.dataset] == [t.user_id for t in direct.dataset]
+        for new, old in zip(result.dataset, direct.dataset):
             assert np.array_equal(np.asarray(new.timestamps), np.asarray(old.timestamps))
             assert np.array_equal(np.asarray(new.lats), np.asarray(old.lats))
             assert np.array_equal(np.asarray(new.lons), np.asarray(old.lons))
-        assert result.report.n_zones == legacy_report.n_zones
-        assert result.report.n_swaps == legacy_report.n_swaps
-        assert result.report.suppressed_points == legacy_report.suppressed_points
+        assert result.report.n_zones == direct.report.n_zones
+        assert result.report.n_swaps == direct.report.n_swaps
+        assert result.report.suppressed_points == direct.report.suppressed_points
 
     def test_geo_ind_announces_noise_radius(self, tiny_world):
         result = make_mechanism("geo-ind:epsilon_per_m=0.005,seed=1").publish(
             tiny_world.dataset
         )
         assert result.properties["noise_radius_m"] == pytest.approx(400.0)
+        assert result.properties["epsilon_per_m"] == 0.005
 
     def test_chain_spec_composes_pseudonym_provenance(self, tiny_world):
-        adapter = make_mechanism("smoothing:epsilon_m=100.0|pseudonyms:seed=3")
-        assert isinstance(adapter.inner, ChainMechanism)
-        result = adapter.publish(tiny_world.dataset)
+        chain = make_mechanism("smoothing:epsilon_m=100.0|pseudonyms:seed=3")
+        assert isinstance(chain, ChainMechanism)
+        result = chain.publish(tiny_world.dataset)
         truth = result.identity_truth()
         assert set(truth) == set(result.dataset.user_ids)
         assert set(truth.values()) == set(tiny_world.dataset.user_ids)
         assert all(label.startswith("p") for label in truth)
 
-    def test_pipeline_publish_result_bridge(self, tiny_world):
-        result = Anonymizer().publish_result(tiny_world.dataset)
+    def test_anonymizer_publish_returns_result(self, tiny_world):
+        result = Anonymizer().publish(tiny_world.dataset)
         assert isinstance(result, PublicationResult)
         assert result.report is not None
+        assert result.report.published_points == result.dataset.n_points
+
+    @pytest.mark.parametrize("name", list_mechanisms())
+    def test_every_mechanism_returns_result_and_keeps_no_state(self, name, small_world):
+        """The one contract: publish() builds a PublicationResult and leaves
+        the mechanism exactly as it found it (no ``last_*`` provenance)."""
+        mechanism = MECHANISMS.create(name)
+        before = dict(vars(mechanism))
+        result = mechanism.publish(small_world.dataset)
+        assert type(result) is PublicationResult
+        assert dict(vars(mechanism)) == before
 
     def test_metric_callable_contract(self, tiny_world):
         metric = make_metric("point-retention")

@@ -32,17 +32,10 @@ class TestPoiMatchingAttack:
         training, publish = split_train_publish(small_world, 0.5)
         attacker = Reidentifier()
         knowledge = attacker.knowledge_from_dataset(training)
-        published = PseudonymizationMechanism(seed=1).publish(publish)
-        result = attacker.attack(published, knowledge)
-        # Ground truth: pseudonym -> original user, reconstructed from the relabeling.
-        mapping = PseudonymizationMechanism(seed=1)
-        relabeled = mapping.publish(publish)
-        truth = {}
-        for pseudonym in relabeled.user_ids:
-            for user in publish.user_ids:
-                if relabeled[pseudonym] == publish[user].with_user_id(pseudonym):
-                    truth[pseudonym] = user
-        accuracy = result.accuracy(truth)
+        publication = PseudonymizationMechanism(seed=1).publish(publish)
+        result = attacker.attack(publication.dataset, knowledge)
+        # Ground truth: the pseudonym -> original user mapping of the publication.
+        accuracy = result.accuracy(dict(publication.pseudonym_of))
         assert accuracy >= 0.7, "POI matching must re-identify most raw pseudonymous traces"
 
     def test_accuracy_empty_truth(self):

@@ -63,7 +63,8 @@ class TestTrackingOnPipeline:
         anonymizer = Anonymizer(
             AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0))
         )
-        published, report = anonymizer.publish(crossing_world.dataset)
+        result = anonymizer.publish(crossing_world.dataset)
+        published, report = result.dataset, result.report
         assert report.swap_records, "the crossing-rich world must produce swap records"
         tracker = MultiTargetTracker()
         linkages = tracker.link_zones(published, [r.zone for r in report.swap_records])
@@ -74,7 +75,7 @@ class TestTrackingOnPipeline:
         anonymizer = Anonymizer(
             AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0))
         )
-        _, report = anonymizer.publish(crossing_world.dataset)
+        report = anonymizer.publish(crossing_world.dataset).report
         record = report.swap_records[0]
         truth = zone_link_truth(record)
         assert set(truth.keys()) == set(record.labels_before.values())

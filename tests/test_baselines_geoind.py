@@ -109,7 +109,7 @@ class TestMechanism:
 
     def test_dataset_publication(self, small_dataset):
         mechanism = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0))
-        published = mechanism.publish(small_dataset)
+        published = mechanism.publish(small_dataset).dataset
         assert len(published) == len(small_dataset)
         assert published.n_points == small_dataset.n_points
 

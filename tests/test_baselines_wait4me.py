@@ -39,19 +39,19 @@ def parallel_users(n: int, offset_m: float = 100.0) -> MobilityDataset:
 class TestAnonymization:
     def test_fewer_users_than_k_publishes_nothing(self):
         dataset = parallel_users(2)
-        published = Wait4MeMechanism(Wait4MeConfig(k=4)).publish(dataset)
+        published = Wait4MeMechanism(Wait4MeConfig(k=4)).publish(dataset).dataset
         assert len(published) == 0
 
     def test_close_users_are_all_published(self):
         dataset = parallel_users(4, offset_m=100.0)
-        published = Wait4MeMechanism(Wait4MeConfig(k=4, delta_m=500.0, time_step_s=60.0)).publish(dataset)
+        published = Wait4MeMechanism(Wait4MeConfig(k=4, delta_m=500.0, time_step_s=60.0)).publish(dataset).dataset
         assert set(published.user_ids) == set(dataset.user_ids)
 
     def test_k_delta_property_holds(self):
         """At every synchronized instant, every published user has k-1 companions within delta."""
         dataset = parallel_users(4, offset_m=150.0)
         config = Wait4MeConfig(k=4, delta_m=400.0, time_step_s=60.0)
-        published = Wait4MeMechanism(config).publish(dataset)
+        published = Wait4MeMechanism(config).publish(dataset).dataset
         assert len(published) == 4
         # All published trajectories share the same synchronized grid, so the
         # i-th point of each user is simultaneous.
@@ -76,7 +76,7 @@ class TestAnonymization:
         dataset = dataset.merge(MobilityDataset([outlier]))
         published = Wait4MeMechanism(
             Wait4MeConfig(k=4, delta_m=500.0, max_cluster_radius_m=5_000.0, time_step_s=60.0)
-        ).publish(dataset)
+        ).publish(dataset).dataset
         assert "far" not in published
         assert len(published) == 4
 
@@ -84,7 +84,7 @@ class TestAnonymization:
         """Space translation shrinks the spread: no published user ends farther from the centroid."""
         dataset = parallel_users(4, offset_m=300.0)
         config = Wait4MeConfig(k=4, delta_m=200.0, time_step_s=60.0)
-        published = Wait4MeMechanism(config).publish(dataset)
+        published = Wait4MeMechanism(config).publish(dataset).dataset
         assert len(published) == 4
         projection = LocalProjection.centered_on(*published.all_coordinates())
         coords = []
@@ -97,6 +97,6 @@ class TestAnonymization:
         assert radii.max() <= config.delta_m / 2.0 + 1.0
 
     def test_runs_on_realistic_workload(self, small_dataset):
-        published = Wait4MeMechanism(Wait4MeConfig(k=3, delta_m=800.0)).publish(small_dataset)
+        published = Wait4MeMechanism(Wait4MeConfig(k=3, delta_m=800.0)).publish(small_dataset).dataset
         assert 0 < len(published) <= len(small_dataset)
         assert published.n_points > 0

@@ -37,7 +37,7 @@ PINNED_KEY = (
     ("spatial-distortion", "point-retention"),
 )
 PINNED_TEXT = (
-    'v2:["publish-half:train_fraction=0.5","batch","world",[3,1200,86399.5,987654321],7,'
+    'v3:["publish-half:train_fraction=0.5","batch","world",[3,1200,86399.5,987654321],7,'
     '"paper-full","promesse:swap=coin_flip,seed=7","reident",'
     '"reident:train_fraction=0.5,match_distance_m=250.0,engine=vectorized",'
     '["spatial-distortion","point-retention"]]'
@@ -68,16 +68,16 @@ class TestSerializedFormPinned:
         assert serialize_cell_key(PINNED_KEY) == PINNED_TEXT
 
     def test_none_bool_and_float_forms(self):
-        assert serialize_cell_key((None, True, False)) == "v2:[null,true,false]"
+        assert serialize_cell_key((None, True, False)) == "v3:[null,true,false]"
         # repr round-trips floats at full precision; ints stay ints.
-        assert serialize_cell_key((0.1, 1, 1.0)) == "v2:[0.1,1,1.0]"
+        assert serialize_cell_key((0.1, 1, 1.0)) == "v3:[0.1,1,1.0]"
         # Strings with structural characters cannot collide with the structure.
-        assert serialize_cell_key(('a,"b"', ("c",))) == 'v2:["a,\\"b\\"",["c"]]'
+        assert serialize_cell_key(('a,"b"', ("c",))) == 'v3:["a,\\"b\\"",["c"]]'
 
     def test_numpy_scalars_normalize_to_python(self):
         import numpy as np
 
-        assert serialize_cell_key((np.int64(5), np.float64(2.5))) == "v2:[5,2.5]"
+        assert serialize_cell_key((np.int64(5), np.float64(2.5))) == "v3:[5,2.5]"
         assert serialize_cell_key((5, 2.5)) == serialize_cell_key(
             (np.int64(5), np.float64(2.5))
         )

@@ -38,7 +38,7 @@ class TestCacheStats:
         assert main(["cache", "stats", "--cache-file", path]) == 0
         out = capsys.readouterr().out
         assert f"rows       : {n_rows}" in out
-        assert "v2: " in out  # current key format version
+        assert "v3: " in out  # current key format version
         assert "identity" in out
         assert "downsampling:factor=5" in out
         assert "batch" in out  # the mode column
@@ -48,7 +48,7 @@ class TestCacheStats:
         assert main(["cache", "stats", "--cache-file", path, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["total_rows"] == n_rows
-        assert stats["rows_by_key_version"] == {"v2": n_rows}
+        assert stats["rows_by_key_version"] == {"v3": n_rows}
         assert stats["unparseable_keys"] == 0
         assert stats["payload_bytes"] > 0
         assert sum(e["rows"] for e in stats["rows_by_experiment"]) == n_rows
@@ -69,14 +69,14 @@ class TestCacheStats:
         """Rows under an unknown key format must show up as unparseable."""
         path = str(tmp_path / "mixed.sqlite")
         store = SqliteCellCache(path)
-        store.put_serialized('v2:["full","batch","w",[1],0,"m","i","",null,[]]', {"a": 1})
+        store.put_serialized('v3:["full","batch","w",[1],0,"m","i","",null,[]]', {"a": 1})
         store.put_serialized("v99:not json at all", {"a": 2})
         store.close()
         assert main(["cache", "stats", "--cache-file", path, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["total_rows"] == 2
         assert stats["unparseable_keys"] == 1
-        assert stats["rows_by_key_version"] == {"v2": 1}
+        assert stats["rows_by_key_version"] == {"v3": 1}
 
     def test_python_dash_m_entry_point(self, cache_file):
         """``python -m repro`` must reach the same CLI (console-script twin)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import RegistryError
 from repro.experiments.engine import (
     EvaluationEngine,
     ExperimentSpec,
@@ -127,18 +128,20 @@ class TestEvaluationEngine:
         )
         assert parallel == sequential
 
-    def test_mechanism_objects_supported(self, world):
+    @pytest.mark.parametrize("axis", ["mechanisms", "attacks", "worlds"])
+    def test_objects_on_axes_rejected(self, axis, world):
         from repro.baselines.trivial import IdentityMechanism
 
-        spec = ExperimentSpec(
-            name="objects",
-            mechanisms=[("raw", IdentityMechanism())],
-            metrics=["point-retention"],
-            worlds=["world"],
-        )
-        rows = EvaluationEngine(workers=2).run(spec, worlds={"world": world})
-        assert rows[0]["mechanism"] == "raw"
-        assert rows[0]["point_retention"] == 1.0
+        axes = {"mechanisms": ["identity"], "attacks": [None], "worlds": ["world"]}
+        axes[axis] = [("obj", IdentityMechanism())]
+        spec = ExperimentSpec(name="objects", metrics=["point-retention"], **axes)
+        with pytest.raises(
+            RegistryError, match=f"{axis[:-1]} axis .* got IdentityMechanism"
+        ):
+            EvaluationEngine().run(spec, worlds={"world": world})
+        axes[axis] = [IdentityMechanism()]
+        with pytest.raises(RegistryError, match=f"{axis[:-1]} axis"):
+            EvaluationEngine().run(ExperimentSpec(name="objects", **axes), worlds={"world": world})
 
     def test_raw_attack_on_axis_is_rejected(self, world):
         spec = ExperimentSpec(

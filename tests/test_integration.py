@@ -28,7 +28,7 @@ class TestPoiHidingClaim:
     def test_poi_attack_collapses_on_protected_data(self, small_world):
         truth = ground_truth_pois(small_world)
         extractor = PoiExtractor()
-        published, _ = Anonymizer().publish(small_world.dataset)
+        published = Anonymizer().publish(small_world.dataset).dataset
 
         raw_pois = [p for v in extractor.extract_dataset(small_world.dataset).values() for p in v]
         protected_pois = [p for v in extractor.extract_dataset(published).values() for p in v]
@@ -41,14 +41,14 @@ class TestPoiHidingClaim:
 
     def test_better_spatial_accuracy_than_geo_indistinguishability(self, small_world):
         """The paper's headline: time distortion beats location distortion on utility."""
-        ours, _ = Anonymizer().publish(small_world.dataset)
-        geo = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(small_world.dataset)
+        ours = Anonymizer().publish(small_world.dataset).dataset
+        geo = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(small_world.dataset).dataset
         ours_distortion = dataset_spatial_distortion(small_world.dataset, ours).median
         geo_distortion = dataset_spatial_distortion(small_world.dataset, geo).median
         assert ours_distortion < geo_distortion / 2.0
 
     def test_area_coverage_stays_high(self, small_world):
-        published, _ = Anonymizer().publish(small_world.dataset)
+        published = Anonymizer().publish(small_world.dataset).dataset
         score = area_coverage(small_world.dataset, published, cell_size_m=400.0)
         assert score.f_score > 0.6
 
@@ -96,9 +96,9 @@ class TestFigureOneScenario:
     """The two-user scenario illustrated by Figure 1 of the paper."""
 
     def test_figure1_pipeline(self, tiny_world):
-        published, report = Anonymizer(
+        published = Anonymizer(
             AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0))
-        ).publish(tiny_world.dataset)
+        ).publish(tiny_world.dataset).dataset
         assert len(published) >= 1
         # The published traces have constant speed within each session.
         for traj in published:
@@ -108,7 +108,7 @@ class TestFigureOneScenario:
                 assert np.std(short_session_gaps) < 30.0
 
     def test_published_dataset_round_trips_through_csv(self, tiny_world, tmp_path):
-        published, _ = Anonymizer().publish(tiny_world.dataset)
+        published = Anonymizer().publish(tiny_world.dataset).dataset
         path = tmp_path / "published.csv"
         write_csv(path, published)
         loaded = read_csv(path)
@@ -119,6 +119,6 @@ class TestFigureOneScenario:
 class TestScalabilitySmoke:
     def test_pipeline_handles_more_users(self):
         world = generate_world(n_users=25, n_days=2, seed=13)
-        published, report = Anonymizer().publish(world.dataset)
+        report = Anonymizer().publish(world.dataset).report
         assert report.published_users > 0
         assert report.published_points > 0

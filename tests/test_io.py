@@ -57,6 +57,30 @@ class TestPlt:
         loaded = read_plt_file(path, "u")
         assert len(loaded) == 1
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "garbage",
+            "nan,116.3,0,0,0,2008-10-23,02:53:05",
+            "inf,116.3,0,0,0,2008-10-23,02:53:05",
+            "39.9,-inf,0,0,0,2008-10-23,02:53:05",
+            "95.0,116.3,0,0,0,2008-10-23,02:53:05",
+            "39.9,181.0,0,0,0,2008-10-23,02:53:05",
+        ],
+    )
+    def test_bad_fix_skipped_not_fatal(self, tmp_path, bad_line):
+        """A non-finite or out-of-range fix drops its line, not the whole file."""
+        path = tmp_path / "bad.plt"
+        path.write_text(
+            "h\n" * 6
+            + "39.9,116.3,0,0,0,2008-10-23,02:53:04\n"
+            + bad_line
+            + "\n39.9,116.4,0,0,0,2008-10-23,02:53:06\n"
+        )
+        loaded = read_plt_file(path, "u")
+        assert len(loaded) == 2
+        np.testing.assert_array_equal(loaded.lons, [116.3, 116.4])
+
     def test_directory_round_trip(self, tmp_path, dataset):
         root = tmp_path / "geolife"
         write_geolife_directory(root, dataset)

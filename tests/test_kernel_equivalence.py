@@ -485,10 +485,10 @@ class TestWait4MeEquivalence:
     def test_publication_identical_to_reference(self, seed, n_users, k, delta_m, mech_seed):
         dataset = _random_dataset(seed, n_users, n_points=25, span_s=3600.0)
         base = dict(k=k, delta_m=delta_m, time_step_s=120.0, seed=mech_seed)
-        vectorized = Wait4MeMechanism(Wait4MeConfig(**base)).publish(dataset)
+        vectorized = Wait4MeMechanism(Wait4MeConfig(**base)).publish(dataset).dataset
         reference = Wait4MeMechanism(
             Wait4MeConfig(engine="reference", **base)
-        ).publish(dataset)
+        ).publish(dataset).dataset
         assert set(vectorized.user_ids) == set(reference.user_ids)
         assert vectorized == reference  # bitwise: both paths share the edit phase
 
@@ -498,7 +498,7 @@ class TestWait4MeEquivalence:
         dataset = _random_dataset(seed, n_users=8, n_points=20, span_s=1800.0)
         mechanism = Wait4MeMechanism(Wait4MeConfig(k=3, delta_m=400.0, time_step_s=120.0))
         trajectories = [t for t in dataset if len(t) >= 2]
-        _, xs, ys, _ = mechanism._synchronize(trajectories)
+        _, xs, ys, _, _ = mechanism._synchronize(trajectories)
         clusters_v, trashed_v = mechanism._cluster(xs, ys)
         clusters_r, trashed_r = mechanism._cluster_reference(xs, ys)
         assert clusters_v == clusters_r

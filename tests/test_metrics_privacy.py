@@ -111,7 +111,7 @@ class TestTrackingMetrics:
 
     def test_entropy_positive_on_real_records(self, crossing_world):
         anonymizer = Anonymizer(AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0)))
-        _, report = anonymizer.publish(crossing_world.dataset)
+        report = anonymizer.publish(crossing_world.dataset).report
         assert empirical_mixing_entropy_bits(report.swap_records) >= 1.0
 
     def test_zone_link_truth_identity_without_swap(self, crossing_world):

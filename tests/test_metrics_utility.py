@@ -69,7 +69,7 @@ class TestDatasetDistortion:
         assert summary.median < 50.0
 
     def test_noise_has_high_distortion(self, small_dataset):
-        noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(small_dataset)
+        noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(small_dataset).dataset
         noisy_summary = dataset_spatial_distortion(small_dataset, noisy)
         smooth_summary = dataset_spatial_distortion(small_dataset, smooth_dataset(small_dataset))
         assert noisy_summary.median > smooth_summary.median
@@ -220,7 +220,7 @@ class TestOtherMetrics:
         assert error == 0.0
 
     def test_range_query_distortion_positive_for_noise(self, small_dataset):
-        noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(small_dataset)
+        noisy = GeoIndistinguishabilityMechanism(GeoIndConfig(seed=0)).publish(small_dataset).dataset
         error = range_query_distortion(small_dataset, noisy, n_queries=50, seed=1)
         assert error > 0.0
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig, anonymize
+from repro.core.pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig
 from repro.core.speed_smoothing import SpeedSmoothingConfig
 from repro.core.trajectory import MobilityDataset
 from repro.mixzones.swapping import SwapConfig, SwapPolicy
@@ -20,7 +18,7 @@ class TestReport:
         assert empty.point_retention == 0.0
 
     def test_summary_mentions_key_figures(self, crossing_world):
-        _, report = Anonymizer().publish(crossing_world.dataset)
+        report = Anonymizer().publish(crossing_world.dataset).report
         summary = report.summary()
         assert str(report.input_users) in summary
         assert "mix-zones" in summary
@@ -28,7 +26,8 @@ class TestReport:
 
 class TestPipeline:
     def test_default_pipeline_protects_and_reports(self, crossing_world):
-        published, report = anonymize(crossing_world.dataset)
+        result = Anonymizer().publish(crossing_world.dataset)
+        published, report = result.dataset, result.report
         assert report.input_points == crossing_world.dataset.n_points
         assert report.published_points == published.n_points
         assert report.n_zones > 0
@@ -38,7 +37,8 @@ class TestPipeline:
 
     def test_smoothing_only(self, crossing_world):
         config = AnonymizerConfig(enable_swapping=False)
-        published, report = Anonymizer(config).publish(crossing_world.dataset)
+        result = Anonymizer(config).publish(crossing_world.dataset)
+        published, report = result.dataset, result.report
         assert report.n_zones == 0
         assert report.swap_records == []
         # Identifiers are kept when swapping (and its pseudonymisation) is off.
@@ -49,14 +49,16 @@ class TestPipeline:
             enable_smoothing=False,
             swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0),
         )
-        published, report = Anonymizer(config).publish(crossing_world.dataset)
+        result = Anonymizer(config).publish(crossing_world.dataset)
+        published, report = result.dataset, result.report
         assert report.n_zones > 0
         assert report.n_swaps > 0
         assert report.published_points == crossing_world.dataset.n_points - report.suppressed_points
 
     def test_everything_disabled_is_identity(self, crossing_world):
         config = AnonymizerConfig(enable_smoothing=False, enable_swapping=False)
-        published, report = Anonymizer(config).publish(crossing_world.dataset)
+        result = Anonymizer(config).publish(crossing_world.dataset)
+        published, report = result.dataset, result.report
         assert published == crossing_world.dataset
         assert report.point_retention == 1.0
         assert set(report.segment_ownership) == set(crossing_world.dataset.user_ids)
@@ -64,14 +66,14 @@ class TestPipeline:
     def test_custom_smoothing_spacing_changes_output_size(self, crossing_world):
         fine = Anonymizer(AnonymizerConfig(smoothing=SpeedSmoothingConfig(epsilon_m=50.0)))
         coarse = Anonymizer(AnonymizerConfig(smoothing=SpeedSmoothingConfig(epsilon_m=400.0)))
-        fine_pub, _ = fine.publish(crossing_world.dataset)
-        coarse_pub, _ = coarse.publish(crossing_world.dataset)
+        fine_pub = fine.publish(crossing_world.dataset).dataset
+        coarse_pub = coarse.publish(crossing_world.dataset).dataset
         assert fine_pub.n_points > coarse_pub.n_points
 
     def test_deterministic_given_seed(self, crossing_world):
         config = AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=11))
-        first, _ = Anonymizer(config).publish(crossing_world.dataset)
-        second, _ = Anonymizer(config).publish(crossing_world.dataset)
+        first = Anonymizer(config).publish(crossing_world.dataset).dataset
+        second = Anonymizer(config).publish(crossing_world.dataset).dataset
         assert first == second
 
     def test_original_dataset_untouched(self, crossing_world):
@@ -82,15 +84,17 @@ class TestPipeline:
         assert crossing_world.dataset.user_ids == before_users
 
     def test_empty_dataset(self):
-        published, report = Anonymizer().publish(MobilityDataset())
+        result = Anonymizer().publish(MobilityDataset())
+        published, report = result.dataset, result.report
         assert len(published) == 0
         assert report.input_users == 0
         assert report.n_zones == 0
 
     def test_segment_ownership_timespans_within_published_data(self, crossing_world):
-        published, report = Anonymizer(
+        result = Anonymizer(
             AnonymizerConfig(swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0))
         ).publish(crossing_world.dataset)
+        published, report = result.dataset, result.report
         for label, segments in report.segment_ownership.items():
             traj = published[label]
             assert segments[0][0] >= traj.first.timestamp - 1e-6
