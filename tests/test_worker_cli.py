@@ -91,11 +91,23 @@ class TestWorkerArgs:
         assert worker.main([]) == 2
         assert "--connect" in capsys.readouterr().err
 
-    def test_legacy_address_flags_are_unrecognised(self, capsys):
+    @pytest.mark.parametrize("argv", [["--host", "127.0.0.1"], ["--port", "1"]])
+    def test_half_a_legacy_address_is_exit_2(self, argv, capsys):
+        """The removed --host/--port flags are unrecognised arguments."""
         with pytest.raises(SystemExit) as excinfo:
-            worker.main(["--host", "127.0.0.1", "--port", "1"])
+            worker.main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --host 127.0.0.1 --port 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+    def test_non_integer_port_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            worker.main(["--host", "h", "--port", "not-a-number"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --host h --port not-a-number" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            worker.main(["--connect", "h:not-a-number"])
+        assert excinfo.value.code == 2
+        assert "HOST:PORT" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "value", ["no-port", "host:", ":123", "host:notaport", ""]
