@@ -15,6 +15,7 @@ from .backends import (
     make_backend,
 )
 from .cache import (
+    CellCacheError,
     CellCacheStore,
     InMemoryCellCache,
     SqliteCellCache,
@@ -69,6 +70,7 @@ __all__ = [
     "WorkQueueBackend",
     "WorkQueueError",
     "make_backend",
+    "CellCacheError",
     "CellCacheStore",
     "InMemoryCellCache",
     "SqliteCellCache",

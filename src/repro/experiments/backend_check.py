@@ -1,78 +1,228 @@
-"""Backend-equivalence and cache-persistence checks (the CI gate's teeth).
+"""Equivalence and cache-persistence checks (the CI gate's teeth).
 
-``python -m repro.experiments.backend_check`` runs one small
-:class:`~repro.experiments.engine.ExperimentSpec` under every scheduler
-backend and asserts the rows are identical — including a killed-worker run
-where the work-queue backend must requeue the crashed worker's cell group
-onto a replacement and still produce the same rows::
+Every route to a row — another scheduler backend, a memmapped store world,
+a fleet of out-of-process workers, the streaming tier — must reproduce the
+reference rows bitwise.  ``equivalence`` runs the table of such routes
+(:func:`legs`) through one loop (:func:`check_legs`)::
 
-    python -m repro.experiments.backend_check equivalence --workers 2
+    python -m repro.experiments.backend_check equivalence --artifact-dir out/
 
-``cache`` mode runs the same spec against a persistent
-:class:`~repro.experiments.cache.SqliteCellCache` file and asserts the
-expected hit pattern, so CI can prove cold→warm persistence across *separate
-processes* (two invocations, one file)::
+Each :class:`Leg` is data: a label, an
+:class:`~repro.experiments.engine.ExperimentSpec`, the reference it must
+equal (the same spec, or its ``mode="batch"`` / in-memory twin, evaluated
+serially without a cache), a backend spec string, a cache spec string and
+the expectations its facts must meet.  The facts are the backend's
+``last_stats``, the engine's cache counters and the check world's store
+facts, so a leg that silently bypassed the path it claims to exercise fails
+even with identical rows.  The legs pin:
+
+* the multiprocessing and work-queue backends, including a killed worker
+  whose cells are requeued onto a replacement;
+* a memmapped :class:`~repro.io.world_store.WorldStore` world under every
+  backend: the same fingerprint as in memory, pickled as a path;
+* the fleet path: bind ``0.0.0.0`` / advertise ``127.0.0.1`` with batched
+  pulls, a frozen worker evicted by heartbeat, workers writing a shared
+  sqlite cache (zero row payloads shipped back, then a 100 %-hit warm
+  rerun), and sharded scatter-gather;
+* ``mode="stream"`` against ``mode="batch"`` for every streaming attack.
+
+``cache`` runs the check spec against one persistent
+:class:`~repro.experiments.cache.SqliteCellCache` file and asserts the hit
+pattern, so CI can prove cold→warm persistence across *separate processes*
+(two invocations, one file)::
 
     python -m repro.experiments.backend_check cache --cache-file cells.sqlite --expect cold
     python -m repro.experiments.backend_check cache --cache-file cells.sqlite --expect warm
 
-``stream`` mode runs real attack cells — stay-point and DJ-Cluster POI
-retrieval, the mix-zone census and the re-identification pair — under
-``mode="batch"`` and ``mode="stream"`` and asserts the rows are
-bitwise-identical, which is the streaming tier's equivalence contract (the
-incremental attacks must finalize to exactly the batch results)::
-
-    python -m repro.experiments.backend_check stream --scale small
-
-``store`` mode writes the check world to an on-disk
-:class:`~repro.io.world_store.WorldStore` artifact and asserts that the
-memmap-backed world produces rows bitwise-identical to the in-memory world
-under every backend, that both worlds share one cache-key fingerprint, and
-that the store-backed payloads cross process boundaries as a path (a few
-hundred bytes) rather than a pickled dataset::
-
-    python -m repro.experiments.backend_check store --workers 2
-
-``fleet`` mode is the multi-host gate: out-of-process workers bootstrap
-through the non-loopback bind/advertise path (bind ``0.0.0.0``, advertise
-``127.0.0.1``), pull tasks in batches, lose one worker mid-run to a frozen
-host that only heartbeat eviction can detect, write rows directly into a
-shared :class:`~repro.experiments.cache.SqliteCellCache` (cold run ships
-zero row payloads; a warm rerun is 100% hits), and scatter-gather a sharded
-store world — every leg bitwise-identical to serial::
-
-    python -m repro.experiments.backend_check fleet --workers 2 --artifact-dir out/
-
-Exit status is non-zero on any mismatch.  Modes taking ``--artifact-dir``
-dump each backend's ``last_stats`` as JSON and collect worker logs there,
-so a CI failure uploads the full post-mortem.
+Exit status is non-zero on any row mismatch or missed expectation.  With
+``--artifact-dir`` every leg's ``backend.last_stats`` is dumped as JSON and
+work-queue workers log there, so a CI failure uploads the full post-mortem.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pickle
 import sys
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backends import MultiprocessingBackend, SerialBackend, WorkQueueBackend
+from ..io.world_store import WorldStore
 from .cache import SqliteCellCache
-from .engine import EvaluationEngine, ExperimentSpec, _world_fingerprint
+from .engine import AxisEntry, EvaluationEngine, ExperimentSpec, _world_fingerprint
 from .worlds import make_world, shard_world_specs
 
+#: The budget every leg runs on: two workers per parallel backend, five
+#: minutes per work-queue task, the ``tiny`` check world (streaming legs use
+#: ``small`` worlds so the mix-zone census sees real crossings).
+WORKERS = 2
+TIMEOUT_S = 300.0
+CHECK_WORLD = "standard:scale=tiny,seed=5"
+STREAM_WORLDS = ["standard:scale=small,seed=5", "crossing:scale=small,seed=5"]
 
-def check_spec(scale: str = "tiny", seed: int = 5) -> ExperimentSpec:
-    """The small but non-trivial spec both checks run (12 cells, 6 groups)."""
+#: What must hold, and the predicate over a leg's facts that decides it.
+Expect = Tuple[str, Callable[[Dict[str, Any]], bool]]
+
+
+def _at_least(key: str, n: int) -> Expect:
+    return (f"{key} >= {n}", lambda facts: facts.get(key, 0) >= n)
+
+
+CRASHED: List[Expect] = [_at_least("workers_crashed", 1), _at_least("requeues", 1)]
+FLEET: List[Expect] = [
+    ("server bound to 0.0.0.0", lambda f: f.get("address", {}).get("bind") == "0.0.0.0"),
+    _at_least("workers_seen", WORKERS),
+]
+FROZEN: List[Expect] = [
+    _at_least("heartbeat_evictions", 1),
+    _at_least("requeues", 1),
+    (
+        "an eviction detected by heartbeat, not by process exit or timeout",
+        lambda f: any(e.get("detected") == "heartbeat" for e in f.get("evictions", [])),
+    ),
+]
+SHARED_CACHE: List[Expect] = [
+    (
+        "rows_shipped == 0 (workers write the cache, ship acks)",
+        lambda f: f.get("rows_shipped") == 0,
+    ),
+    (
+        "cache_rows_written == reference rows",
+        lambda f: f.get("cache_rows_written") == f["reference_rows"],
+    ),
+]
+COLD: List[Expect] = [("0 cache hits", lambda f: f["cache_hits"] == 0)]
+WARM: List[Expect] = [
+    (
+        "100% cache hits",
+        lambda f: f["cache_misses"] == 0 and f["cache_hits"] == f["reference_rows"],
+    )
+]
+STORE: List[Expect] = [
+    (
+        "store fingerprint == in-memory fingerprint",
+        lambda f: f["store_fingerprint"] == f["memory_fingerprint"],
+    ),
+    (
+        "store world pickles smaller than min(2048, dataset bytes)",
+        lambda f: f["store_world_bytes"] < min(2048, f["dataset_bytes"]),
+    ),
+]
+
+
+@dataclasses.dataclass(frozen=True)
+class Leg:
+    """One route to the reference rows, and what its run must show."""
+
+    label: str
+    spec: ExperimentSpec
+    #: Evaluated serially without a cache; ``None`` means ``spec`` itself.
+    reference: Optional[ExperimentSpec] = None
+    backend: str = "serial"
+    cache: str = "off"
+    expect: Sequence[Expect] = ()
+
+
+def check_spec(
+    worlds: Sequence[AxisEntry] = (CHECK_WORLD,), seeds: Sequence[int] = (0, 1)
+) -> ExperimentSpec:
+    """The small but non-trivial spec the legs run (12 cells, 6 groups)."""
     return ExperimentSpec(
         name="backend-check",
         mechanisms=["identity", "downsampling:factor=5", "pseudonyms:seed=1"],
         metrics=["point-retention", ("spatial-distortion", "area-coverage:cell_size_m=400.0")],
-        worlds=[f"standard:scale={scale},seed={seed}"],
-        seeds=[0, 1],
+        worlds=list(worlds),
+        seeds=list(seeds),
     )
+
+
+def legs(work_dir: str, log_dir: Optional[str] = None) -> List[Leg]:
+    """The equivalence table: every route to a row, in run order.
+
+    ``work_dir`` holds the store world (see :func:`_write_store`) and the
+    shared cache file; ``log_dir`` collects work-queue worker logs.  The two
+    shared-cache legs run in order against one file: cold, then warm.
+    """
+    store = f"store:path={os.path.join(work_dir, 'world')}"
+    pool = f"multiprocessing:workers={WORKERS}"
+    queue = f"work-queue:workers={WORKERS},timeout_s={TIMEOUT_S}"
+    if log_dir:
+        queue += f",log_dir={log_dir}"
+    fleet = (
+        f"{queue},bind=0.0.0.0,advertise=127.0.0.1,batch=2,"
+        "heartbeat_s=0.2,heartbeat_timeout_s=2.0"
+    )
+    shared_cache = f"sqlite:path={os.path.join(work_dir, 'cells.sqlite')}"
+    spec = check_spec()
+    in_memory = check_spec([("check-world", CHECK_WORLD)])
+    mapped = check_spec([("check-world", store)])
+    table = [
+        Leg("multiprocessing", spec, backend=pool),
+        Leg("work-queue", spec, backend=queue),
+        Leg(
+            "work-queue+crash",
+            spec,
+            backend=f"{queue},fault_injection=crash-once",
+            expect=CRASHED,
+        ),
+        Leg("store+serial", mapped, in_memory, expect=STORE),
+        Leg("store+multiprocessing", mapped, in_memory, backend=pool),
+        Leg("store+work-queue", mapped, in_memory, backend=queue),
+        Leg("fleet bind/advertise", spec, backend=fleet, expect=FLEET),
+        Leg(
+            "fleet+frozen-worker",
+            spec,
+            backend=f"{fleet},fault_injection=freeze-once",
+            expect=FROZEN,
+        ),
+        Leg("fleet+shared-cache", spec, backend=fleet, cache=shared_cache, expect=SHARED_CACHE),
+        Leg("fleet+warm-cache", spec, backend=fleet, cache=shared_cache, expect=WARM),
+        # Scatter-gather: the store world as two disjoint user shards, the
+        # spec-string form a fleet coordinator scatters across hosts.
+        Leg("fleet+shards", check_spec(shard_world_specs(store, 2), seeds=[0]), backend=fleet),
+    ]
+    mechanisms = ["identity", "downsampling:factor=5"]
+    for name, attack in [
+        ("stay-point", "poi-retrieval:algorithm=staypoint"),
+        ("dj-cluster", "poi-retrieval:algorithm=djcluster"),
+        ("zone-census", "zone-census:radius_m=100"),
+    ]:
+        batch = ExperimentSpec(
+            name="stream-check", mechanisms=mechanisms, attacks=[attack], worlds=STREAM_WORLDS
+        )
+        table.append(Leg(f"stream {name}", dataclasses.replace(batch, mode="stream"), batch))
+    # Re-identification in its E4 setting: the first half is attacker knowledge.
+    reident = ExperimentSpec(
+        name="stream-check",
+        mechanisms=["identity", "pseudonyms:seed=1"],
+        attacks=["reident:train_fraction=0.5"],
+        worlds=STREAM_WORLDS[:1],
+        input="publish-half:train_fraction=0.5",
+    )
+    table.append(Leg("stream reident", dataclasses.replace(reident, mode="stream"), reident))
+    return table
+
+
+def _write_store(path: str) -> Dict[str, Any]:
+    """Write the check world as a store at ``path``; return the store facts."""
+    world = make_world(CHECK_WORLD)
+    store = WorldStore.write(world.dataset, path)
+    mapped = make_world(f"store:path={path}")
+    facts = {
+        "memory_fingerprint": _world_fingerprint(world),
+        "store_fingerprint": _world_fingerprint(mapped),
+        "store_world_bytes": len(pickle.dumps(mapped)),
+        "dataset_bytes": len(pickle.dumps(world.dataset)),
+    }
+    print(
+        f"store: {store.n_users} users / {store.n_points} points memmapped from "
+        f"{store.path}; pickles to {facts['store_world_bytes']} bytes "
+        f"(in-memory dataset: {facts['dataset_bytes']})"
+    )
+    return facts
 
 
 def _rows_identical(
@@ -98,10 +248,6 @@ def _rows_identical(
     return False
 
 
-def _worker_log_dir(artifact_dir: Optional[str]) -> Optional[str]:
-    return os.path.join(artifact_dir, "worker-logs") if artifact_dir else None
-
-
 def _dump_stats(artifact_dir: Optional[str], stats_by_leg: Dict[str, Any]) -> None:
     """Write every leg's ``backend.last_stats`` as JSON for CI artifact upload."""
     if not artifact_dir:
@@ -113,351 +259,63 @@ def _dump_stats(artifact_dir: Optional[str], stats_by_leg: Dict[str, Any]) -> No
     print(f"     stats written to {path}")
 
 
-def run_equivalence(
-    scale: str, workers: int, timeout_s: float, artifact_dir: Optional[str] = None
+def check_legs(
+    table: Sequence[Leg],
+    artifact_dir: Optional[str] = None,
+    world_facts: Optional[Dict[str, Any]] = None,
 ) -> int:
-    spec = check_spec(scale)
-    log_dir = _worker_log_dir(artifact_dir)
-    reference = EvaluationEngine(backend=SerialBackend(), cache=False).run(spec)
-    print(f"serial: {len(reference)} rows")
-    failures = 0
-    stats_by_leg: Dict[str, Any] = {}
+    """Run every leg against its reference; non-zero if any check failed.
 
-    mp_rows = EvaluationEngine(
-        backend=MultiprocessingBackend(workers=workers), cache=False
-    ).run(spec)
-    failures += not _rows_identical(reference, mp_rows, "multiprocessing")
-
-    wq_backend = WorkQueueBackend(workers=workers, timeout_s=timeout_s, log_dir=log_dir)
-    wq_rows = EvaluationEngine(backend=wq_backend, cache=False).run(spec)
-    failures += not _rows_identical(reference, wq_rows, "work-queue")
-    print(f"     work-queue stats: {wq_backend.last_stats}")
-    stats_by_leg["work-queue"] = wq_backend.last_stats
-
-    crash_backend = WorkQueueBackend(
-        workers=workers, timeout_s=timeout_s, fault_injection="crash-once", log_dir=log_dir
-    )
-    crash_rows = EvaluationEngine(backend=crash_backend, cache=False).run(spec)
-    failures += not _rows_identical(reference, crash_rows, "work-queue+crash")
-    stats = crash_backend.last_stats
-    print(f"     killed-worker stats: {stats}")
-    stats_by_leg["work-queue+crash"] = stats
-    if stats.get("workers_crashed", 0) < 1 or stats.get("requeues", 0) < 1:
-        print("FAIL work-queue+crash: expected at least one crash and one requeue")
-        failures += 1
-
-    _dump_stats(artifact_dir, stats_by_leg)
-    print(
-        f"{3 - min(failures, 3)}/3 backends produced identical rows"
-        + (" (with killed-worker requeue exercised)" if not failures else "")
-    )
-    return 1 if failures else 0
-
-
-def run_fleet_check(
-    scale: str, workers: int, timeout_s: float, artifact_dir: Optional[str] = None
-) -> int:
-    """The multi-host gate: every fleet feature, each leg bitwise vs serial.
-
-    Five legs: (1) serial reference; (2) a plain fleet run through the
-    non-loopback bind/advertise path with batched pulls; (3) a frozen worker
-    — claims a batch, stops heartbeating, hangs with its process alive — that
-    must be evicted by heartbeat (not by process exit, not by waiting out
-    ``timeout_s``) and its tasks requeued; (4) a shared sqlite cell cache the
-    workers write into directly (the cold run ships zero row payloads back;
-    a warm rerun against the same file is 100% hits without touching the
-    queue); (5) a sharded store world scattered as ``shard=k/n`` spec strings
-    and gathered back — rows identical to serial evaluating the same shards.
+    Each distinct reference is evaluated once.  A leg passes when its rows
+    equal the reference's bitwise and every expectation holds over its
+    facts: ``world_facts``, the backend's ``last_stats``, the engine's
+    ``cache_hits`` / ``cache_misses`` and the ``reference_rows`` count.
     """
-    spec = check_spec(scale)
-    fleet_kwargs: Dict[str, Any] = dict(
-        workers=workers,
-        timeout_s=timeout_s,
-        bind_host="0.0.0.0",
-        advertise_host="127.0.0.1",
-        batch=2,
-        heartbeat_s=0.2,
-        heartbeat_timeout_s=2.0,
-        log_dir=_worker_log_dir(artifact_dir),
-    )
-    failures = 0
+    references: Dict[str, List[Dict[str, Any]]] = {}
     stats_by_leg: Dict[str, Any] = {}
-
-    reference = EvaluationEngine(backend=SerialBackend(), cache=False).run(spec)
-    print(f"serial: {len(reference)} rows")
-
-    fleet_backend = WorkQueueBackend(**fleet_kwargs)
-    fleet_rows = EvaluationEngine(backend=fleet_backend, cache=False).run(spec)
-    failures += not _rows_identical(reference, fleet_rows, "fleet bind/advertise")
-    stats = fleet_backend.last_stats
-    stats_by_leg["fleet"] = stats
-    print(f"     fleet stats: {stats}")
-    if stats.get("address", {}).get("bind") != "0.0.0.0":
-        print("FAIL fleet: expected the server bound to 0.0.0.0")
-        failures += 1
-    if stats.get("workers_seen", 0) < min(workers, 2):
-        print(
-            f"FAIL fleet: expected >= {min(workers, 2)} out-of-process workers, "
-            f"saw {stats.get('workers_seen', 0)}"
-        )
-        failures += 1
-
-    frozen_backend = WorkQueueBackend(**fleet_kwargs, fault_injection="freeze-once")
-    frozen_rows = EvaluationEngine(backend=frozen_backend, cache=False).run(spec)
-    failures += not _rows_identical(reference, frozen_rows, "fleet+frozen-worker")
-    stats = frozen_backend.last_stats
-    stats_by_leg["fleet+frozen-worker"] = stats
-    print(f"     frozen-worker stats: {stats}")
-    if stats.get("heartbeat_evictions", 0) < 1 or stats.get("requeues", 0) < 1:
-        print(
-            "FAIL fleet+frozen-worker: expected at least one heartbeat "
-            "eviction and one requeue"
-        )
-        failures += 1
-    if not any(e.get("detected") == "heartbeat" for e in stats.get("evictions", [])):
-        print(
-            "FAIL fleet+frozen-worker: the dead worker must be detected by "
-            "heartbeat, not by process exit or timeout"
-        )
-        failures += 1
-
-    with tempfile.TemporaryDirectory(prefix="backend-check-fleet-") as tmp_dir:
-        cache = SqliteCellCache(os.path.join(tmp_dir, "cells.sqlite"))
+    failed: List[str] = []
+    for leg in table:
+        reference_spec = leg.reference or leg.spec
+        key = repr(reference_spec)
+        if key not in references:
+            references[key] = EvaluationEngine(backend="serial", cache=False).run(
+                reference_spec
+            )
+        reference = references[key]
+        engine = EvaluationEngine(backend=leg.backend, cache=leg.cache)
         try:
-            cold_backend = WorkQueueBackend(**fleet_kwargs)
-            cold_engine = EvaluationEngine(backend=cold_backend, cache=cache)
-            cold_rows = cold_engine.run(spec)
-            failures += not _rows_identical(reference, cold_rows, "fleet+shared-cache")
-            stats = cold_backend.last_stats
-            stats_by_leg["fleet+shared-cache"] = stats
-            print(f"     shared-cache stats: {stats}")
-            if stats.get("rows_shipped", 0) != 0:
-                print(
-                    f"FAIL fleet+shared-cache: {stats.get('rows_shipped')} row "
-                    "payloads shipped back — expected workers to write the "
-                    "shared cache and ship only acks"
-                )
-                failures += 1
-            if stats.get("cache_rows_written", 0) != len(reference):
-                print(
-                    f"FAIL fleet+shared-cache: workers wrote "
-                    f"{stats.get('cache_rows_written')} rows, expected {len(reference)}"
-                )
-                failures += 1
-
-            warm_backend = WorkQueueBackend(**fleet_kwargs)
-            warm_engine = EvaluationEngine(backend=warm_backend, cache=cache)
-            warm_rows = warm_engine.run(spec)
-            failures += not _rows_identical(reference, warm_rows, "fleet+warm-cache")
-            total = warm_engine.cache_hits + warm_engine.cache_misses
-            print(
-                f"     warm run: {warm_engine.cache_hits}/{total} hits, "
-                f"{warm_engine.cache_misses} misses"
-            )
-            if warm_engine.cache_misses != 0 or warm_engine.cache_hits != total:
-                print(
-                    "FAIL fleet+warm-cache: expected 100% hits from the rows "
-                    "the workers wrote"
-                )
-                failures += 1
+            rows = engine.run(leg.spec)
         finally:
-            cache.close()
-
-        # Scatter-gather: one store artifact, evaluated as two disjoint
-        # user shards — the spec-string form a fleet coordinator would
-        # scatter across hosts.
-        world = make_world(f"standard:scale={scale},seed=5")
-        from ..io.world_store import WorldStore
-
-        WorldStore.write(world.dataset, os.path.join(tmp_dir, "world"), overwrite=True)
-        shard_specs = shard_world_specs(
-            f"store:path={os.path.join(tmp_dir, 'world')}", 2
-        )
-        shard_spec = ExperimentSpec(
-            name="fleet-shards",
-            mechanisms=spec.mechanisms,
-            metrics=spec.metrics,
-            worlds=shard_specs,
-            seeds=[0],
-        )
-        shard_reference = EvaluationEngine(backend=SerialBackend(), cache=False).run(
-            shard_spec
-        )
-        shard_backend = WorkQueueBackend(**fleet_kwargs)
-        shard_rows = EvaluationEngine(backend=shard_backend, cache=False).run(shard_spec)
-        failures += not _rows_identical(shard_reference, shard_rows, "fleet+shards")
-        stats_by_leg["fleet+shards"] = shard_backend.last_stats
-        print(f"     sharded scatter-gather: {len(shard_specs)} store shards")
-
+            if isinstance(engine.cache_store, SqliteCellCache):
+                engine.cache_store.close()
+        baseline = "serial" if reference_spec.mode == leg.spec.mode else reference_spec.mode
+        ok = _rows_identical(reference, rows, leg.label, baseline)
+        stats = getattr(engine.backend, "last_stats", {})
+        if stats:
+            stats_by_leg[leg.label] = stats
+            print(f"     stats: {stats}")
+        if leg.cache != "off":
+            print(f"     cache: {engine.cache_hits} hits / {engine.cache_misses} misses")
+        facts = {
+            **(world_facts or {}),
+            **stats,
+            "cache_hits": engine.cache_hits,
+            "cache_misses": engine.cache_misses,
+            "reference_rows": len(reference),
+        }
+        for what, holds in leg.expect:
+            if holds(facts):
+                print(f"ok   {leg.label}: {what}")
+            else:
+                print(f"FAIL {leg.label}: expected {what}")
+                ok = False
+        if not ok:
+            failed.append(leg.label)
     _dump_stats(artifact_dir, stats_by_leg)
-    print(
-        "fleet path matched serial bitwise on every leg"
-        if not failures
-        else f"{failures} fleet check(s) failed"
-    )
-    return 1 if failures else 0
-
-
-def run_store_check(
-    scale: str, workers: int, timeout_s: float, store_dir: Optional[str] = None
-) -> int:
-    """In-memory vs memmap-backed world: identical rows under every backend.
-
-    This is the correctness contract of the out-of-core path: an engine run
-    over a ``store:path=...`` world must be bitwise-indistinguishable from
-    the same run over the in-memory world it was written from, whichever
-    scheduler backend evaluates it — and the store world must cross process
-    boundaries as a path, not as a pickled dataset.
-    """
-    seed = 5
-    world = make_world(f"standard:scale={scale},seed={seed}")
-    directory = store_dir or tempfile.mkdtemp(prefix="backend-check-store-")
-    from ..io.world_store import WorldStore
-
-    store = WorldStore.write(world.dataset, f"{directory}/world", overwrite=True)
-    mapped_world = make_world(f"store:path={directory}/world")
-    print(
-        f"store: {store.n_users} users / {store.n_points} points "
-        f"memmapped from {store.path}"
-    )
-    failures = 0
-
-    memory_fp = _world_fingerprint(world)
-    mapped_fp = _world_fingerprint(mapped_world)
-    if memory_fp != mapped_fp:
-        print(f"FAIL fingerprint: in-memory {memory_fp} != store header {mapped_fp}")
-        failures += 1
-    else:
-        print("ok   fingerprint: store header matches the in-memory computation")
-
-    world_bytes = len(pickle.dumps(mapped_world))
-    dataset_bytes = len(pickle.dumps(world.dataset))
-    if world_bytes >= min(2048, dataset_bytes):
-        print(
-            f"FAIL payload: store world pickles to {world_bytes} bytes "
-            f"(in-memory dataset: {dataset_bytes}) — expected path-only pickling"
-        )
-        failures += 1
-    else:
-        print(
-            f"ok   payload: store world pickles to {world_bytes} bytes "
-            f"(in-memory dataset: {dataset_bytes})"
-        )
-
-    base = check_spec(scale, seed=seed)
-    spec = ExperimentSpec(
-        name="backend-check-store",
-        mechanisms=base.mechanisms,
-        metrics=base.metrics,
-        worlds=["check-world"],
-        seeds=base.seeds,
-    )
-    reference = EvaluationEngine(backend=SerialBackend(), cache=False).run(
-        spec, worlds={"check-world": world}
-    )
-    print(f"serial in-memory: {len(reference)} rows")
-    checks = [
-        ("store+serial", SerialBackend()),
-        ("store+multiprocessing", MultiprocessingBackend(workers=workers)),
-        ("store+work-queue", WorkQueueBackend(workers=workers, timeout_s=timeout_s)),
-    ]
-    for label, backend in checks:
-        rows = EvaluationEngine(backend=backend, cache=False).run(
-            spec, worlds={"check-world": mapped_world}
-        )
-        failures += not _rows_identical(reference, rows, label)
-
-    print(
-        f"{3 - min(failures, 3)}/3 backends matched the in-memory rows "
-        "from the memmapped artifact"
-    )
-    return 1 if failures else 0
-
-
-def run_stream_check(scale: str) -> int:
-    """Batch vs streaming rows: identical for every streaming-capable attack.
-
-    Two specs cover the four incremental attacks: a full-input spec for the
-    POI extractors and the zone census (over a standard and a crossing-rich
-    world, so the mix-zone path sees real crossings), and a publish-half
-    spec for the re-identification pair (the E4 setting).  Both run once
-    with ``mode="batch"`` and once with ``mode="stream"``; any differing
-    row is a broken bitwise pin in :mod:`repro.streaming`.
-    """
-    import dataclasses
-
-    seed = 5
-    specs = [
-        ExperimentSpec(
-            name="stream-check-full",
-            mechanisms=["identity", "downsampling:factor=5"],
-            attacks=[
-                "poi-retrieval:algorithm=staypoint",
-                "poi-retrieval:algorithm=djcluster",
-                "zone-census:radius_m=100",
-            ],
-            worlds=[
-                f"standard:scale={scale},seed={seed}",
-                f"crossing:scale={scale},seed={seed}",
-            ],
-            seeds=[0],
-        ),
-        ExperimentSpec(
-            name="stream-check-reident",
-            mechanisms=["identity", "pseudonyms:seed=1"],
-            attacks=["reident:train_fraction=0.5"],
-            worlds=[f"standard:scale={scale},seed={seed}"],
-            seeds=[0],
-            input="publish-half:train_fraction=0.5",
-        ),
-    ]
-    failures = 0
-    for spec in specs:
-        batch = EvaluationEngine(cache=False).run(spec)
-        stream = EvaluationEngine(cache=False).run(
-            dataclasses.replace(spec, mode="stream")
-        )
-        print(f"{spec.name}: {len(batch)} batch rows")
-        by_attack: Dict[str, List[Dict[str, Any]]] = {}
-        for ref, cand in zip(batch, stream):
-            by_attack.setdefault(str(ref["attack"]), []).append(ref)
-        for attack in by_attack:
-            ref_rows = [r for r in batch if str(r["attack"]) == attack]
-            cand_rows = [r for r in stream if str(r["attack"]) == attack]
-            failures += not _rows_identical(
-                ref_rows, cand_rows, f"stream {attack}", baseline="batch"
-            )
-        if len(batch) != len(stream):
-            print(f"FAIL {spec.name}: {len(batch)} batch vs {len(stream)} stream rows")
-            failures += 1
-    print(
-        "streaming tier matched batch bitwise"
-        if not failures
-        else f"{failures} streaming attack(s) diverged from batch"
-    )
-    return 1 if failures else 0
-
-
-def run_cache_check(scale: str, cache_file: str, expect: str) -> int:
-    spec = check_spec(scale)
-    engine = EvaluationEngine(cache=f"sqlite:path={cache_file}")
-    rows = engine.run(spec)
-    total = engine.cache_hits + engine.cache_misses
-    print(
-        f"{expect} run: {len(rows)} rows, {engine.cache_hits} hits / "
-        f"{engine.cache_misses} misses against {cache_file}"
-    )
-    if expect == "cold" and engine.cache_hits != 0:
-        print(f"FAIL: cold run expected 0 hits, got {engine.cache_hits}")
-        return 1
-    if expect == "warm" and (engine.cache_misses != 0 or engine.cache_hits != total):
-        print(
-            f"FAIL: warm run expected 100% hits, got {engine.cache_hits}/{total} "
-            f"({engine.cache_misses} misses) — the persistent cell cache missed"
-        )
-        return 1
-    print(f"ok   {expect} run matched the expected hit pattern")
-    return 0
+    print(f"{len(table) - len(failed)}/{len(table)} legs passed")
+    if failed:
+        print(f"failed: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -465,26 +323,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     subparsers = parser.add_subparsers(dest="mode", required=True)
 
     equivalence = subparsers.add_parser(
-        "equivalence", help="identical rows under serial/multiprocessing/work-queue"
+        "equivalence", help="every leg of the equivalence table against its reference"
     )
-    equivalence.add_argument("--scale", default="tiny", help="workload scale (default tiny)")
-    equivalence.add_argument("--workers", type=int, default=2)
-    equivalence.add_argument("--timeout-s", type=float, default=300.0)
     equivalence.add_argument(
-        "--artifact-dir",
-        default=None,
-        help="dump backend stats JSON + worker logs here (CI uploads on failure)",
-    )
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="multi-host path: bind/advertise workers, heartbeat eviction, "
-        "shared-cache direct writes, sharded scatter-gather — all vs serial",
-    )
-    fleet.add_argument("--scale", default="tiny", help="workload scale (default tiny)")
-    fleet.add_argument("--workers", type=int, default=2)
-    fleet.add_argument("--timeout-s", type=float, default=300.0)
-    fleet.add_argument(
         "--artifact-dir",
         default=None,
         help="dump backend stats JSON + worker logs here (CI uploads on failure)",
@@ -493,35 +334,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache = subparsers.add_parser(
         "cache", help="cold→warm persistence against one SqliteCellCache file"
     )
-    cache.add_argument("--scale", default="tiny")
     cache.add_argument("--cache-file", required=True)
     cache.add_argument("--expect", choices=("cold", "warm"), required=True)
 
-    stream = subparsers.add_parser(
-        "stream", help="batch vs streaming rows identical for every streaming attack"
-    )
-    stream.add_argument("--scale", default="small", help="workload scale (default small)")
-
-    store = subparsers.add_parser(
-        "store", help="in-memory vs memmap-backed world rows identical under every backend"
-    )
-    store.add_argument("--scale", default="tiny", help="workload scale (default tiny)")
-    store.add_argument("--workers", type=int, default=2)
-    store.add_argument("--timeout-s", type=float, default=300.0)
-    store.add_argument(
-        "--store-dir", default=None, help="write the artifact here (default: a tempdir)"
-    )
-
     args = parser.parse_args(argv)
-    if args.mode == "equivalence":
-        return run_equivalence(args.scale, args.workers, args.timeout_s, args.artifact_dir)
-    if args.mode == "fleet":
-        return run_fleet_check(args.scale, args.workers, args.timeout_s, args.artifact_dir)
-    if args.mode == "stream":
-        return run_stream_check(args.scale)
-    if args.mode == "store":
-        return run_store_check(args.scale, args.workers, args.timeout_s, args.store_dir)
-    return run_cache_check(args.scale, args.cache_file, args.expect)
+    if args.mode == "cache":
+        leg = Leg(
+            f"cache {args.expect}",
+            check_spec(),
+            cache=f"sqlite:path={args.cache_file}",
+            expect=COLD if args.expect == "cold" else WARM,
+        )
+        return check_legs([leg])
+    log_dir = os.path.join(args.artifact_dir, "worker-logs") if args.artifact_dir else None
+    with tempfile.TemporaryDirectory(prefix="backend-check-") as work_dir:
+        world_facts = _write_store(os.path.join(work_dir, "world"))
+        return check_legs(legs(work_dir, log_dir), args.artifact_dir, world_facts)
 
 
 if __name__ == "__main__":

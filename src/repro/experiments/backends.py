@@ -20,7 +20,7 @@ list of picklable *group payloads* (one per (world, seed, mechanism) — see
 
 All backends return results in payload order and execute the exact same
 ``_evaluate_group`` code, so rows are bitwise-identical across backends (the
-backend-equivalence and fleet-equivalence CI jobs and
+backend, store and fleet legs of the ``equivalence`` CI job and
 ``tests/test_backends.py`` pin this).
 
 Backends are selectable by spec string wherever the engine is constructed::
@@ -76,7 +76,7 @@ AUTHKEY_ENV = "REPRO_WORKQUEUE_AUTHKEY"
 #: claiming it (the lost-in-claim-window case), ``"freeze"`` stops
 #: heartbeating and hangs forever while the process stays alive (the frozen
 #: remote host only heartbeat eviction can catch).  How the CI equivalence
-#: jobs and the tests exercise the recovery paths.
+#: job and the tests exercise the recovery paths.
 CRASH_ENV = "REPRO_WORKQUEUE_CRASH_ON_CLAIM"
 
 #: When set, spawned workers write stdout/stderr to ``<dir>/worker-<id>.log``

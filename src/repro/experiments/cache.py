@@ -37,6 +37,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
+    "CellCacheError",
     "CellCacheStore",
     "NullCellCache",
     "InMemoryCellCache",
@@ -93,6 +94,10 @@ def _canonical(value: Any) -> str:
 def serialize_cell_key(key: Tuple) -> str:
     """The canonical, process-stable text form of an engine cell key."""
     return f"v{CELL_KEY_FORMAT_VERSION}:" + _canonical(key)
+
+
+class CellCacheError(RuntimeError):
+    """A stored row that cannot be read back; names the cache file and key."""
 
 
 class CellCacheStore:
@@ -221,7 +226,20 @@ class SqliteCellCache(CellCacheStore):
             "SELECT row FROM cells WHERE key = ?", (key_text,)
         )
         hit = cursor.fetchone()
-        return pickle.loads(hit[0]) if hit is not None else None
+        if hit is None:
+            return None
+        try:
+            row = pickle.loads(hit[0])
+        except Exception as exc:  # any damaged blob: truncated, edited, foreign
+            raise CellCacheError(
+                f"{self.path}: the row under key {key_text} does not unpickle: {exc!r}"
+            ) from exc
+        if not isinstance(row, dict):
+            raise CellCacheError(
+                f"{self.path}: the row under key {key_text} is a "
+                f"{type(row).__name__}, not a dict"
+            )
+        return row
 
     def put_serialized(self, key_text: str, row: Dict[str, Any]) -> None:
         """Like :meth:`put`, keyed by an already-serialized key text."""

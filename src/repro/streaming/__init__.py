@@ -5,8 +5,8 @@ a time (replayed from a dataset / ``WorldStore`` world or synthesised live),
 every component exposes ``update(point) -> events`` with per-point cost
 bounded by its sliding window — never by the stream's history — and every
 ``finalize()`` is pinned bitwise-identical to the corresponding batch attack
-on the same data.  The CI job ``stream-equivalence`` holds that pin through
-``python -m repro.experiments.backend_check stream``.
+on the same data.  The stream legs of the CI ``equivalence`` job hold that
+pin through ``python -m repro.experiments.backend_check equivalence``.
 
 Components:
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pickle
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from repro.experiments.cache import (
+    CellCacheError,
     InMemoryCellCache,
     NullCellCache,
     SqliteCellCache,
@@ -101,6 +104,38 @@ class TestStoreBasics:
         assert pickle.dumps(back) == pickle.dumps(row)
         assert isinstance(back["f64"], np.float64)
         assert np.isnan(back["nan"]) and back["inf"] == float("inf")
+
+
+class TestDamagedRows:
+    """A stored row that does not read back as a row raises a named error
+    carrying the cache file and the key, never a bare unpickling error or a
+    non-dict "row"."""
+
+    def _damage(self, path, blob: bytes) -> str:
+        store = SqliteCellCache(path)
+        key_text = serialize_cell_key(KEY)
+        store.put_serialized(key_text, {"value": 1.0})
+        store.close()
+        with closing(sqlite3.connect(path)) as db:
+            db.execute("UPDATE cells SET row = ? WHERE key = ?", (blob, key_text))
+            db.commit()
+        return key_text
+
+    @pytest.mark.parametrize(
+        "blob",
+        [pickle.dumps([1, 2]), pickle.dumps({"value": 1.0})[:-3]],
+        ids=["not-a-dict", "truncated"],
+    )
+    def test_damaged_row_names_file_and_key(self, tmp_path, blob):
+        path = tmp_path / "cells.sqlite"
+        key_text = self._damage(path, blob)
+        store = SqliteCellCache(path)
+        for read in (lambda: store.get(KEY), lambda: store.get_serialized(key_text)):
+            with pytest.raises(CellCacheError) as excinfo:
+                read()
+            assert str(path) in str(excinfo.value)
+            assert key_text in str(excinfo.value)
+        store.close()
 
 
 class TestEngineIntegration:

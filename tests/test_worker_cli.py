@@ -2,7 +2,7 @@
 
 The happy paths — real worker subprocesses evaluating real payloads — are
 covered end-to-end by ``tests/test_backends.py`` and the CI equivalence
-jobs.  This module pins the edges around them: the worker's argparse
+job.  This module pins the edges around them: the worker's argparse
 surface, the missing-authkey exit, every connect-failure exit (bad host,
 refused port, wrong authkey, coordinator death mid-run), the
 hello/claim/done/error queue protocol (against a manager server hosted in a
@@ -17,18 +17,14 @@ import queue
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
+import types
 
 import pytest
 
 from repro.experiments import backend_check, worker
-from repro.experiments.backends import (
-    AUTHKEY_ENV,
-    CRASH_ENV,
-    MultiprocessingBackend,
-    SerialBackend,
-    WorkQueueBackend,
-)
+from repro.experiments.backends import AUTHKEY_ENV, CRASH_ENV
 from repro.experiments.cache import SqliteCellCache
 
 _AUTHKEY = "test-worker-authkey"
@@ -406,6 +402,24 @@ class TestBackendCheckArgs:
                 backend_check.main(argv)
             assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store"],
+            ["fleet"],
+            ["stream"],
+            ["equivalence", "--workers", "2"],
+            ["equivalence", "--scale", "tiny"],
+            ["cache", "--cache-file", "x.sqlite", "--expect", "cold", "--scale", "tiny"],
+        ],
+    )
+    def test_folded_modes_and_options_are_unrecognised(self, argv, capsys):
+        """The legs carry their own scale, workers and timeout; the old
+        per-mode subcommands are legs of ``equivalence`` now."""
+        with pytest.raises(SystemExit) as excinfo:
+            backend_check.main(argv)
+        assert excinfo.value.code == 2
+
     def test_check_spec_shape(self):
         spec = backend_check.check_spec()
         assert len(spec.mechanisms) == 3
@@ -430,69 +444,125 @@ class TestRowsIdentical:
         assert "row counts differ: serial 2 vs wq 1" in capsys.readouterr().out
 
 
-class _FakeEngine:
-    """Stands in for EvaluationEngine: rows per backend, no processes."""
+_ROWS = [{"cell": 0}, {"cell": 1}]
 
-    rows_for = {}
+#: Backend stats that meet every expectation in the table at once.
+_PASSING_STATS = {
+    "workers_crashed": 1,
+    "requeues": 1,
+    "address": {"bind": "0.0.0.0"},
+    "workers_seen": 2,
+    "heartbeat_evictions": 1,
+    "evictions": [{"detected": "heartbeat"}],
+    "rows_shipped": 0,
+    "cache_rows_written": len(_ROWS),
+}
 
-    def __init__(self, backend=None, cache=None):
-        self.backend = backend
+#: Store facts that miss both store expectations.
+_BAD_WORLD_FACTS = {
+    "memory_fingerprint": (1,),
+    "store_fingerprint": (2,),
+    "store_world_bytes": 4096,
+    "dataset_bytes": 4096,
+}
 
-    def run(self, spec):
-        backend = self.backend
-        if getattr(backend, "fault_injection", None) and _FakeEngine.crash_stats:
-            backend.last_stats = dict(_FakeEngine.crash_stats)
-        return list(_FakeEngine.rows_for[type(backend)])
+_TABLE = backend_check.legs("work-dir")
+
+
+def _stub_engine(
+    monkeypatch,
+    rows=lambda backend: _ROWS,
+    stats=lambda backend: _PASSING_STATS,
+    hits=len(_ROWS),
+    misses=0,
+):
+    """Replace EvaluationEngine with canned rows, ``last_stats`` and cache
+    counters per backend spec string — the loop's logic, no processes."""
+
+    class _FakeEngine:
+        def __init__(self, backend="serial", cache=False):
+            self.backend_spec = backend
+            self.backend = types.SimpleNamespace(last_stats=dict(stats(backend)))
+            self.cache_store = None
+            self.cache_hits, self.cache_misses = hits, misses
+
+        def run(self, spec):
+            return [dict(row) for row in rows(self.backend_spec)]
+
+    monkeypatch.setattr(backend_check, "EvaluationEngine", _FakeEngine)
 
 
 class TestEquivalenceFailurePaths:
-    """run_equivalence's counting logic, with the engine stubbed out — the
-    real multi-process happy path runs in test_backends.py and CI."""
-
-    def _patch(self, monkeypatch, wq_rows, crash_stats):
-        base = [{"cell": 0}, {"cell": 1}]
-        _FakeEngine.rows_for = {
-            SerialBackend: base,
-            MultiprocessingBackend: list(base),
-            WorkQueueBackend: wq_rows,
-        }
-        _FakeEngine.crash_stats = crash_stats
-        monkeypatch.setattr(backend_check, "EvaluationEngine", _FakeEngine)
+    """The leg loop's verdicts, with the engine stubbed out — the real
+    multi-process happy path runs in test_backends.py and CI."""
 
     def test_all_identical_with_crash_stats_passes(self, monkeypatch, capsys):
-        self._patch(
-            monkeypatch,
-            wq_rows=[{"cell": 0}, {"cell": 1}],
-            crash_stats={"workers_crashed": 1, "requeues": 1},
-        )
-        assert backend_check.run_equivalence("tiny", workers=2, timeout_s=1.0) == 0
+        _stub_engine(monkeypatch)
+        assert backend_check.main(["equivalence"]) == 0
         out = capsys.readouterr().out
-        assert "3/3 backends produced identical rows" in out
-        assert "killed-worker requeue exercised" in out
+        assert f"{len(_TABLE)}/{len(_TABLE)} legs passed" in out
+        assert "ok   work-queue+crash: workers_crashed >= 1" in out
+        assert "FAIL" not in out
 
     def test_row_mismatch_fails(self, monkeypatch, capsys):
-        self._patch(
+        _stub_engine(
             monkeypatch,
-            wq_rows=[{"cell": 0}, {"cell": 99}],
-            crash_stats={"workers_crashed": 1, "requeues": 1},
+            rows=lambda backend: [{"cell": 0}, {"cell": 99}]
+            if backend.startswith("work-queue")
+            else _ROWS,
         )
-        assert backend_check.run_equivalence("tiny", workers=2, timeout_s=1.0) == 1
+        assert backend_check.main(["equivalence"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL work-queue" in out
+        assert "FAIL work-queue: rows differ from serial" in out
+        assert "ok   multiprocessing: 2 rows identical to serial" in out
 
     def test_missing_crash_stats_fail_even_with_identical_rows(
         self, monkeypatch, capsys
     ):
         """Identical rows are not enough: the crash run must actually have
         crashed and requeued, else the recovery path went unexercised."""
-        self._patch(
+        _stub_engine(
             monkeypatch,
-            wq_rows=[{"cell": 0}, {"cell": 1}],
-            crash_stats=None,  # leaves last_stats = {}
+            stats=lambda backend: {} if "crash-once" in backend else _PASSING_STATS,
         )
-        assert backend_check.run_equivalence("tiny", workers=2, timeout_s=1.0) == 1
+        assert backend_check.main(["equivalence"]) == 1
         out = capsys.readouterr().out
-        assert "expected at least one crash and one requeue" in out
+        assert "FAIL work-queue+crash: expected workers_crashed >= 1" in out
+        assert "FAIL work-queue+crash: expected requeues >= 1" in out
+        assert f"{len(_TABLE) - 1}/{len(_TABLE)} legs passed" in out
+
+    @pytest.mark.parametrize(
+        "leg", [leg for leg in _TABLE if leg.expect], ids=lambda leg: leg.label
+    )
+    def test_missed_expectation_fails_with_the_leg_label(self, leg, monkeypatch, capsys):
+        """Every expectation of every leg has a failure branch: identical
+        rows with stats (and store facts) that miss it exit non-zero."""
+        _stub_engine(monkeypatch, stats=lambda backend: {}, hits=0, misses=0)
+        assert backend_check.check_legs([leg], world_facts=_BAD_WORLD_FACTS) == 1
+        out = capsys.readouterr().out
+        assert f"ok   {leg.label}: 2 rows identical" in out
+        for what, _ in leg.expect:
+            assert f"FAIL {leg.label}: expected {what}" in out
+
+
+class TestScratchDirectory:
+    def test_store_legs_leave_no_backend_check_directory(self, tmp_path, monkeypatch, capfd):
+        """The store world, its shards and the shared cache live in one
+        temporary directory, removed when the run ends."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        table = backend_check.legs
+        monkeypatch.setattr(
+            backend_check,
+            "legs",
+            lambda work_dir, log_dir=None: [
+                leg for leg in table(work_dir, log_dir) if leg.label.startswith("store+")
+            ],
+        )
+        assert backend_check.main(["equivalence"]) == 0
+        out = capfd.readouterr().out
+        assert f"memmapped from {tmp_path}" in out
+        assert "3/3 legs passed" in out
+        assert not list(tmp_path.glob("backend-check-*"))
 
 
 class TestCacheCheckPaths:
@@ -505,12 +575,12 @@ class TestCacheCheckPaths:
         assert backend_check.main(["cache", "--cache-file", cache_file, "--expect", "warm"]) == 0
         assert backend_check.main(["cache", "--cache-file", cache_file, "--expect", "cold"]) == 1
         out = capsys.readouterr().out
-        assert "ok   cold run matched" in out
-        assert "ok   warm run matched" in out
-        assert "FAIL: cold run expected 0 hits" in out
+        assert "ok   cache cold: 0 cache hits" in out
+        assert "ok   cache warm: 100% cache hits" in out
+        assert "FAIL cache cold: expected 0 cache hits" in out
 
     def test_warm_on_fresh_cache_fails(self, tmp_path, capsys):
         assert backend_check.main(
             ["cache", "--cache-file", str(tmp_path / "fresh.sqlite"), "--expect", "warm"]
         ) == 1
-        assert "FAIL: warm run expected 100% hits" in capsys.readouterr().out
+        assert "FAIL cache warm: expected 100% cache hits" in capsys.readouterr().out
