@@ -8,16 +8,16 @@ POI, Geo-Indistinguishability leaves the majority recoverable, the paper's
 mechanisms hide almost all of them.
 
 ``test_e1_poi_attack_engines`` additionally times the two attacks under both
-implementations (columnar kernels versus the scalar reference oracles) on the
-raw workload and records the comparison in ``BENCH_e1_poi.<scale>.json`` —
+implementations (the columnar ``extract_dataset`` versus the scalar
+``extract_dataset_reference`` oracle) on the raw workload and records the comparison in ``BENCH_e1_poi.<scale>.json`` —
 the artifact the CI benchmark-regression gate diffs against its committed
 baseline.
 """
 
 from __future__ import annotations
 
-from repro.attacks.djcluster import DjCluster, DjClusterConfig
-from repro.attacks.poi_extraction import PoiExtractionConfig, PoiExtractor
+from repro.attacks.djcluster import DjCluster
+from repro.attacks.poi_extraction import PoiExtractor
 from repro.experiments.formatting import format_table
 from repro.experiments.runner import run_poi_retrieval
 
@@ -71,20 +71,15 @@ def test_e1_poi_attack_engines(eval_world, bench_artifact, bench_timer, evaluati
     """Both POI attacks, columnar kernels versus the scalar reference oracles."""
     dataset = eval_world.dataset
     dataset.columnar()  # shared cache: time the attacks, not the flattening
-    attacks = {
-        "staypoint": lambda engine: PoiExtractor(
-            PoiExtractionConfig(engine=engine)
-        ).extract_dataset(dataset),
-        "djcluster": lambda engine: DjCluster(
-            DjClusterConfig(engine=engine)
-        ).extract_dataset(dataset),
-    }
+    attacks = {"staypoint": PoiExtractor(), "djcluster": DjCluster()}
 
     timings, rows = {}, []
-    for attack, run in attacks.items():
-        vec_out, vec_samples = bench_timer(lambda: run("vectorized"))
+    for attack, extractor in attacks.items():
+        vec_out, vec_samples = bench_timer(lambda: extractor.extract_dataset(dataset))
         # The reference oracles are quadratic-ish: one timed run is plenty.
-        ref_out, ref_samples = bench_timer(lambda: run("reference"), repeats=1)
+        ref_out, ref_samples = bench_timer(
+            lambda: extractor.extract_dataset_reference(dataset), repeats=1
+        )
         vec_s, ref_s = min(vec_samples), min(ref_samples)
         assert vec_out == ref_out, f"{attack}: engines must produce identical POIs"
         before = PRE_REFACTOR_S.get((attack, evaluation_scale))

@@ -15,8 +15,8 @@ the POI-matching linkage (:class:`~repro.attacks.reident.Reidentifier`), the
 spatial-footprint matcher
 (:class:`~repro.attacks.reident.FootprintReidentifier`) and the multi-target
 tracker (:class:`~repro.attacks.tracking.MultiTargetTracker`) — under both
-implementations (vectorized kernels versus the scalar ``engine="reference"``
-oracles), asserting identical outputs, and records the comparison in
+implementations (the vectorized methods versus their scalar ``*_reference``
+oracle entry points), asserting identical outputs, and records the comparison in
 ``BENCH_e4_reident.<scale>.json`` — an artifact the CI benchmark-regression
 gate diffs against its committed baseline.  The POI matcher is timed on its
 linkage stage (similarity matrix + assignment) with extraction precomputed:
@@ -27,12 +27,8 @@ both engines of this attack share it.  The end-to-end ``attack()`` wall
 
 from __future__ import annotations
 
-from repro.attacks.reident import (
-    FootprintReidentifier,
-    ReidentificationConfig,
-    Reidentifier,
-)
-from repro.attacks.tracking import MultiTargetTracker, TrackingConfig
+from repro.attacks.reident import FootprintReidentifier, Reidentifier
+from repro.attacks.tracking import MultiTargetTracker
 from repro.experiments.formatting import format_table
 from repro.experiments.runner import run_reidentification
 from repro.experiments.workloads import split_train_publish
@@ -129,32 +125,32 @@ def test_e4_attack_engines(
         )
 
     # -- POI-matching linkage (similarity matrix + assignment) -----------------
-    poi_v = Reidentifier()
-    poi_r = Reidentifier(ReidentificationConfig(engine="reference"))
-    knowledge = poi_v.knowledge_from_dataset(training)
-    extracted = poi_v._extractor.extract_dataset(publish)
-    out_v, vec_samples = bench_timer(lambda: poi_v.attack(publish, knowledge, extracted))
-    out_r, ref_samples = bench_timer(lambda: poi_r.attack(publish, knowledge, extracted))
+    poi = Reidentifier()
+    knowledge = poi.knowledge_from_dataset(training)
+    extracted = poi._extractor.extract_dataset(publish)
+    out_v, vec_samples = bench_timer(lambda: poi.attack(publish, knowledge, extracted))
+    out_r, ref_samples = bench_timer(
+        lambda: poi.attack_reference(publish, knowledge, extracted)
+    )
     assert _reident_results_equal(out_v, out_r), "reident engines must agree"
-    _, end_to_end = bench_timer(lambda: poi_v.attack(publish, knowledge))
+    _, end_to_end = bench_timer(lambda: poi.attack(publish, knowledge))
     record("reident_poi", vec_samples, ref_samples, extra_vec=end_to_end)
 
     # -- spatial-footprint matcher (footprints + Jaccard + assignment) ---------
-    fp_v = FootprintReidentifier()
-    fp_r = FootprintReidentifier(engine="reference")
-    fp_knowledge = fp_v.knowledge_from_dataset(training)
-    fp_r.knowledge_from_dataset(training)  # same deterministic grid
-    out_v, vec_samples = bench_timer(lambda: fp_v.attack(publish, fp_knowledge))
-    out_r, ref_samples = bench_timer(lambda: fp_r.attack(publish, fp_knowledge))
+    fp = FootprintReidentifier()
+    fp_knowledge = fp.knowledge_from_dataset(training)
+    out_v, vec_samples = bench_timer(lambda: fp.attack(publish, fp_knowledge))
+    out_r, ref_samples = bench_timer(lambda: fp.attack_reference(publish, fp_knowledge))
     assert _reident_results_equal(out_v, out_r), "footprint engines must agree"
     record("reident_footprint", vec_samples, ref_samples)
 
     # -- multi-target tracking over every detected zone ------------------------
     zones = detect_mix_zones(world.dataset, radius_m=100.0)
-    tracker_v = MultiTargetTracker()
-    tracker_r = MultiTargetTracker(TrackingConfig(engine="reference"))
-    links_v, vec_samples = bench_timer(lambda: tracker_v.link_zones(world.dataset, zones))
-    links_r, ref_samples = bench_timer(lambda: tracker_r.link_zones(world.dataset, zones))
+    tracker = MultiTargetTracker()
+    links_v, vec_samples = bench_timer(lambda: tracker.link_zones(world.dataset, zones))
+    links_r, ref_samples = bench_timer(
+        lambda: tracker.link_zones_reference(world.dataset, zones)
+    )
     assert len(links_v) == len(links_r)
     for linkage_v, linkage_r in zip(links_v, links_r):
         assert linkage_v.links == linkage_r.links, "tracking engines must agree"

@@ -3,7 +3,7 @@
 The evaluation engine rests on invariants that runtime tests can only probe
 after the fact — bitwise-identical rows across scheduler backends, stable
 versioned cell-cache keys, vectorized attacks pinned to scalar
-``engine="reference"`` oracles.  This package checks them *statically*, as a
+``*_reference`` oracles.  This package checks them *statically*, as a
 whole-program pass over the repository's parsed ASTs, so a violation is a
 lint error at review time instead of a silent drift discovered in production.
 
@@ -22,7 +22,7 @@ Nine project-specific rule families run over a shared
   is a lint error, not a silent always-miss.
 * **R3 columnar discipline** — per-point Python loops and scalar distance
   calls in hot-path modules are findings unless the enclosing function is
-  (reachable only from) an ``engine="reference"`` oracle or carries a
+  (reachable only from) a ``*_reference`` oracle or carries a
   waiver; the rule doubles as the inventory of scalar residuals.
 * **R4 registry integrity** — every ``register_*`` name is unique and
   parseable, and every spec string used by runners, tests and benchmarks

@@ -2,7 +2,7 @@
 
 Every attack and mechanism hot path was ported onto the columnar kernel
 layer (``repro.geo.kernels``); the scalar implementations survive only as
-``engine="reference"`` oracles.  This rule keeps it that way: in hot-path
+``*_reference`` oracle entry points.  This rule keeps it that way: in hot-path
 modules (``attacks/``, ``mixzones/``, ``baselines/``, ``metrics/``) it flags
 
 * ``for``/``while`` loops and comprehensions that iterate directly over
@@ -15,10 +15,10 @@ modules (``attacks/``, ``mixzones/``, ``baselines/``, ``metrics/``) it flags
   or ``repro.geo.kernels.polyline_distances`` for point-to-path distances),
 
 unless the code is oracle scope.  Oracle scope is computed per module as a
-fixpoint: functions whose name contains ``reference`` or ``scalar``, code
-inside an ``engine == "reference"`` branch, functions called from such a
-branch, and functions reachable *only* from oracle scope.  The surviving
-findings are exactly the inventory of scalar residuals.
+fixpoint: functions whose name contains ``reference`` or ``scalar``, and
+private functions reachable *only* from oracle scope.  A runtime branch on a
+setting never confers oracle scope: an oracle is a named entry point, not a
+knob.  The surviving findings are exactly the inventory of scalar residuals.
 """
 
 from __future__ import annotations
@@ -48,22 +48,13 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _LOOPS = (ast.For, ast.While, *_COMPREHENSIONS)
 
 
-def _is_reference_test(test: ast.AST) -> bool:
-    """Whether an if-test compares something to the string "reference"."""
-    for node in ast.walk(test):
-        if isinstance(node, ast.Constant) and node.value == "reference":
-            return True
-    return False
-
-
 class _ModuleOracle:
     """Oracle-scope resolution for one module (see the module docstring)."""
 
     def __init__(self, module: ParsedModule) -> None:
-        self.reference_ranges: List[Tuple[int, int]] = []
         functions: Dict[str, ast.AST] = {}
-        # every local call site: callee -> [(caller function name, line)]
-        call_sites: Dict[str, List[Tuple[Optional[str], int]]] = {}
+        # every local call site: callee -> [enclosing function name]
+        call_sites: Dict[str, List[Optional[str]]] = {}
         roots: Set[str] = set()
 
         for node, stack in iter_scoped_nodes(module.tree):
@@ -71,11 +62,6 @@ class _ModuleOracle:
                 functions.setdefault(node.name, node)
                 if "reference" in node.name.lower() or "scalar" in node.name.lower():
                     roots.add(node.name)
-            elif isinstance(node, ast.If) and _is_reference_test(node.test):
-                # The body (taken when engine == "reference") is oracle scope.
-                for stmt in node.body:
-                    end = getattr(stmt, "end_lineno", stmt.lineno)
-                    self.reference_ranges.append((stmt.lineno, end))
             elif isinstance(node, ast.Call):
                 func = node.func
                 callee = None
@@ -89,14 +75,14 @@ class _ModuleOracle:
                     callee = func.attr
                 if callee:
                     call_sites.setdefault(callee, []).append(
-                        (self._enclosing_function_name(stack), node.lineno)
+                        self._enclosing_function_name(stack)
                     )
 
         # Fixpoint: a *private* helper is oracle when every one of its (at
-        # least one) call sites sits in oracle scope — inside a reference
-        # branch or inside an oracle function.  Shared helpers called from
-        # both engines therefore stay hot, as do public entry points (callers
-        # outside the module are invisible to this pass).
+        # least one) call sites sits inside an oracle function.  Shared
+        # helpers called from both paths therefore stay hot, as do public
+        # entry points (callers outside the module are invisible to this
+        # pass).
         oracle = {name for name in roots if name in functions}
         changed = True
         while changed:
@@ -104,12 +90,8 @@ class _ModuleOracle:
             for name in functions:
                 if name in oracle or not name.startswith("_"):
                     continue
-                sites = call_sites.get(name, [])
-                if sites and all(
-                    caller in oracle
-                    or any(lo <= line <= hi for lo, hi in self.reference_ranges)
-                    for caller, line in sites
-                ):
+                callers = call_sites.get(name, [])
+                if callers and all(caller in oracle for caller in callers):
                     oracle.add(name)
                     changed = True
         self.oracle_functions = oracle
@@ -121,9 +103,7 @@ class _ModuleOracle:
                 return node.name
         return None
 
-    def covers(self, line: int, stack: Tuple[ast.AST, ...]) -> bool:
-        if any(lo <= line <= hi for lo, hi in self.reference_ranges):
-            return True
+    def covers(self, stack: Tuple[ast.AST, ...]) -> bool:
         name = self._enclosing_function_name(stack)
         return name is not None and name in self.oracle_functions
 
@@ -133,7 +113,7 @@ class ColumnarDisciplineRule(Rule):
     name = "columnar-discipline"
     description = (
         "hot-path modules must not walk points in Python: per-point loops and "
-        "scalar distance calls in loops are reserved for engine=\"reference\" oracles"
+        "scalar distance calls in loops are reserved for *_reference oracles"
     )
 
     def check(self, index: ModuleIndex) -> Iterator[Finding]:
@@ -151,7 +131,7 @@ class ColumnarDisciplineRule(Rule):
                     )
                     for it in iterables:
                         attr = self._point_attr(it)
-                        if attr and not oracle.covers(node.lineno, stack):
+                        if attr and not oracle.covers(stack):
                             yield Finding(
                                 rule=self.id,
                                 path=module.path,
@@ -163,7 +143,7 @@ class ColumnarDisciplineRule(Rule):
                                 hint=(
                                     "use the columnar kernels (repro.geo.kernels) "
                                     "over the dataset's flattened view, or keep the "
-                                    "loop in an engine=\"reference\" oracle"
+                                    "loop in a *_reference oracle"
                                 ),
                                 scope_line=enclosing_def_line(stack),
                             )
@@ -172,7 +152,7 @@ class ColumnarDisciplineRule(Rule):
                     isinstance(node, ast.Call)
                     and in_loop
                     and self._scalar_distance_name(node) is not None
-                    and not oracle.covers(node.lineno, stack)
+                    and not oracle.covers(stack)
                 ):
                     yield Finding(
                         rule=self.id,

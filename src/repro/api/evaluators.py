@@ -128,7 +128,6 @@ class PoiRetrievalEvaluator:
     min_stay_s: float = 900.0
     adaptive: bool = True
     base_diameter_m: float = 200.0
-    engine: str = "vectorized"
     execution: str = "batch"
     name: str = field(default="poi-retrieval", init=False)
 
@@ -136,10 +135,6 @@ class PoiRetrievalEvaluator:
         if self.algorithm not in ("staypoint", "djcluster"):
             raise RegistryError(
                 f"unknown attack {self.algorithm!r}; choose 'staypoint' or 'djcluster'"
-            )
-        if self.engine not in ("vectorized", "reference"):
-            raise RegistryError(
-                f"unknown engine {self.engine!r}; choose 'vectorized' or 'reference'"
             )
         if self.execution not in ("batch", "stream"):
             raise RegistryError(
@@ -168,16 +163,13 @@ class PoiRetrievalEvaluator:
                 min_duration_s=self.min_stay_s,
                 max_diameter_m=diameter,
                 merge_distance_m=diameter / 2.0,
-                engine=self.engine,
             )
             if self.execution == "stream":
                 from ..streaming import replay_extract_staypoints
 
                 return lambda dataset: replay_extract_staypoints(dataset, config)
             return PoiExtractor(config).extract_dataset
-        dj_config = DjClusterConfig(
-            eps_m=max(100.0, diameter / 2.0), engine=self.engine
-        )
+        dj_config = DjClusterConfig(eps_m=max(100.0, diameter / 2.0))
         if self.execution == "stream":
             from ..streaming import replay_extract_djclusters
 
@@ -214,9 +206,6 @@ class PoiRetrievalEvaluator:
 class ReidentEvaluator:
     """POI-matching and footprint linkage attacks with split-trained knowledge.
 
-    ``engine`` selects the implementation of both attackers:
-    ``"vectorized"`` (default) the columnar kernels, ``"reference"`` the
-    retained scalar oracles (spec form: ``reident:engine=reference``).
     ``execution="stream"`` replays the published dataset point by point
     through :class:`~repro.streaming.OnlineReidentifier` (knowledge is
     attacker training data and stays batch-built either way); the final
@@ -226,15 +215,10 @@ class ReidentEvaluator:
     train_fraction: float = 0.5
     match_distance_m: float = 250.0
     bbox_margin_m: float = 500.0
-    engine: str = "vectorized"
     execution: str = "batch"
     name: str = field(default="reident", init=False)
 
     def __post_init__(self) -> None:
-        if self.engine not in ("vectorized", "reference"):
-            raise RegistryError(
-                f"unknown engine {self.engine!r}; choose 'vectorized' or 'reference'"
-            )
         if self.execution not in ("batch", "stream"):
             raise RegistryError(
                 f"unknown execution {self.execution!r}; choose 'batch' or 'stream'"
@@ -248,24 +232,16 @@ class ReidentEvaluator:
         def build() -> Tuple[Reidentifier, Any, FootprintReidentifier, Any]:
             training, _ = split_train_publish(world, self.train_fraction)
             poi_attacker = Reidentifier(
-                ReidentificationConfig(
-                    match_distance_m=self.match_distance_m, engine=self.engine
-                )
+                ReidentificationConfig(match_distance_m=self.match_distance_m)
             )
             poi_knowledge = poi_attacker.knowledge_from_dataset(training)
-            footprint_attacker = FootprintReidentifier(engine=self.engine)
+            footprint_attacker = FootprintReidentifier()
             footprint_knowledge = footprint_attacker.knowledge_from_dataset(
                 training, bbox=world.dataset.bbox.expanded(self.bbox_margin_m)
             )
             return poi_attacker, poi_knowledge, footprint_attacker, footprint_knowledge
 
-        key = (
-            id(world),
-            self.train_fraction,
-            self.match_distance_m,
-            self.bbox_margin_m,
-            self.engine,
-        )
+        key = (id(world), self.train_fraction, self.match_distance_m, self.bbox_margin_m)
         return _world_cached(_KNOWLEDGE_CACHE, world, key, build)
 
     def run(
@@ -308,23 +284,11 @@ class ReidentEvaluator:
 @register_attack("tracking")
 @dataclass
 class TrackingEvaluator:
-    """Multi-target tracking of mix-zone traversals recorded in the report.
-
-    ``engine`` selects the tracker implementation (``"vectorized"`` columnar
-    default; ``"reference"`` the scalar oracle, spec form
-    ``tracking:engine=reference``).
-    """
+    """Multi-target tracking of mix-zone traversals recorded in the report."""
 
     search_radius_m: float = 500.0
     max_plausible_speed_mps: float = 40.0
-    engine: str = "vectorized"
     name: str = field(default="tracking", init=False)
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("vectorized", "reference"):
-            raise RegistryError(
-                f"unknown engine {self.engine!r}; choose 'vectorized' or 'reference'"
-            )
 
     def run(
         self, result: PublicationResult, context: Optional[EvaluationContext] = None
@@ -339,7 +303,6 @@ class TrackingEvaluator:
             TrackingConfig(
                 search_radius_m=self.search_radius_m,
                 max_plausible_speed_mps=self.max_plausible_speed_mps,
-                engine=self.engine,
             )
         )
         linkages = tracker.link_zones(

@@ -23,9 +23,10 @@ neighbourhood search the finer-grid radius join
 ``eps / sqrt(2)`` whose co-members are certified neighbours without any
 pairwise confirmation, so a dense stay contributes one cell instead of a
 materialised near-clique), and clusters the connected components of the
-core-point graph.  The original scalar DBSCAN
-is retained as ``engine="reference"`` — the correctness oracle the
-vectorized path is pinned against by property tests.  Both paths implement
+core-point graph.  The original scalar DBSCAN is retained as
+:meth:`DjCluster.extract_reference` / :meth:`DjCluster.extract_dataset_reference`
+— the correctness oracles the vectorized path is pinned against by property
+tests.  Both paths implement
 the same deterministic semantics: clusters are numbered by their smallest
 core fix, and a border fix joins the earliest-numbered adjacent cluster
 (exactly what the scalar BFS produces when seeds are scanned in index
@@ -54,16 +55,12 @@ class DjClusterConfig:
     ``eps_m`` is the neighbourhood radius, ``min_points`` the minimum number of
     fixes for a dense neighbourhood, and ``max_stationary_speed_mps`` the speed
     below which a fix is considered stationary (the pre-filtering step of the
-    original algorithm).  ``engine`` selects the implementation:
-    ``"vectorized"`` (default) runs the columnar bin-join kernels,
-    ``"reference"`` the retained scalar DBSCAN of the same semantics (the
-    equivalence oracle — quadratic, small inputs only).
+    original algorithm).
     """
 
     eps_m: float = 100.0
     min_points: int = 10
     max_stationary_speed_mps: float = 1.0
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.eps_m <= 0.0:
@@ -72,10 +69,6 @@ class DjClusterConfig:
             raise ValueError("min_points must be at least 2")
         if self.max_stationary_speed_mps <= 0.0:
             raise ValueError("max_stationary_speed_mps must be positive")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 class DjCluster:
@@ -86,8 +79,6 @@ class DjCluster:
 
     def extract(self, trajectory: Trajectory) -> List[ExtractedPoi]:
         """Clusters of stationary fixes, reported as :class:`ExtractedPoi`."""
-        if self.config.engine == "reference":
-            return self._extract_reference(trajectory)
         n = len(trajectory)
         if n < self.config.min_points:
             return []
@@ -102,14 +93,11 @@ class DjCluster:
     def extract_dataset(self, dataset: MobilityDataset) -> Dict[str, List[ExtractedPoi]]:
         """Run the attack on every user of a dataset.
 
-        The vectorized engine computes the stationary pre-filter as one
-        masked speed pass over the dataset's cached columnar view, then
-        clusters every user's stationary fixes in a single dataset-wide
-        clique pass keyed by ``(user, cell)``; the reference engine walks
-        trajectories one by one.
+        The stationary pre-filter is one masked speed pass over the dataset's
+        cached columnar view; every user's stationary fixes are then
+        clustered in a single dataset-wide clique pass keyed by
+        ``(user, cell)``.
         """
-        if self.config.engine == "reference":
-            return {traj.user_id: self.extract(traj) for traj in dataset}
         traces = dataset.columnar()
         out: Dict[str, List[ExtractedPoi]] = {uid: [] for uid in traces.user_ids}
         if traces.n_points == 0:
@@ -170,7 +158,7 @@ class DjCluster:
             )
         return out
 
-    # -- vectorized engine -------------------------------------------------------
+    # -- vectorized path ---------------------------------------------------------
 
     def _extract_vectorized(
         self,
@@ -188,7 +176,7 @@ class DjCluster:
             return []
 
         # Project to meters for Euclidean neighbourhood queries (identical
-        # arithmetic to the reference engine: offsets from the trace's first
+        # arithmetic to the scalar oracle: offsets from the trace's first
         # fix, scaled by the meters-per-degree at its latitude — an anchor
         # the streaming tier also knows at arrival time).
         lat_m, lon_m = meters_per_degree(float(lats[0]))
@@ -301,10 +289,16 @@ class DjCluster:
             )
         return pois
 
-    # -- reference engine --------------------------------------------------------
+    # -- scalar oracles ----------------------------------------------------------
 
-    def _extract_reference(self, trajectory: Trajectory) -> List[ExtractedPoi]:
-        """Scalar DBSCAN path (the equivalence oracle for the kernels)."""
+    def extract_dataset_reference(
+        self, dataset: MobilityDataset
+    ) -> Dict[str, List[ExtractedPoi]]:
+        """Scalar oracle of :meth:`extract_dataset`: trajectories one by one."""
+        return {traj.user_id: self.extract_reference(traj) for traj in dataset}
+
+    def extract_reference(self, trajectory: Trajectory) -> List[ExtractedPoi]:
+        """Scalar oracle of :meth:`extract`: the quadratic DBSCAN path."""
         cfg = self.config
         n = len(trajectory)
         if n < cfg.min_points:
@@ -320,7 +314,7 @@ class DjCluster:
             return []
 
         # Project to meters for Euclidean neighbourhood queries, anchored at
-        # the trace's first fix (same anchor as the vectorized engine).
+        # the trace's first fix (same anchor as the vectorized path).
         lat_m, lon_m = meters_per_degree(float(lats[0]))
         xs = (lons[idx] - float(lons[0])) * lon_m
         ys = (lats[idx] - float(lats[0])) * lat_m
@@ -375,7 +369,7 @@ class DjCluster:
         which stays small (thousands) for the workloads of this reproduction.
         Seeds are scanned in index order, so clusters are numbered by their
         smallest core and a border point joins the earliest-numbered
-        adjacent cluster — the deterministic semantics the vectorized engine
+        adjacent cluster — the deterministic semantics the vectorized path
         reproduces.
         """
         n = xs.size
@@ -422,7 +416,6 @@ def _djcluster_attack(
     eps_m: float = 100.0,
     min_points: int = 10,
     max_stationary_speed_mps: float = 1.0,
-    engine: str = "vectorized",
 ) -> DjCluster:
     """DJ-Cluster extraction, e.g. ``djcluster:eps_m=250``."""
     return DjCluster(
@@ -430,6 +423,5 @@ def _djcluster_attack(
             eps_m=eps_m,
             min_points=min_points,
             max_stationary_speed_mps=max_stationary_speed_mps,
-            engine=engine,
         )
     )

@@ -17,12 +17,12 @@ whenever
 * the two fixes are within ``max_reappear_distance_m`` of each other (the
   user reappears where she vanished).
 
-``engine`` selects the implementation: ``"vectorized"`` (default) resolves
-all gap candidates of a whole dataset in one batched pass over its cached
-columnar view (gaps never cross users, which the flattened form encodes in
-``user_index``), ``"reference"`` the retained scalar per-candidate scan —
-the correctness oracle the vectorized path is pinned against by property
-tests.
+All gap candidates of a whole dataset are resolved in one batched pass over
+its cached columnar view (gaps never cross users, which the flattened form
+encodes in ``user_index``).  The scalar per-candidate scan is retained as
+:meth:`GapInferenceAttack.extract_reference` /
+:meth:`GapInferenceAttack.extract_dataset_reference` — the correctness oracles
+the vectorized path is pinned against by property tests.
 
 Mitigations available in the library: trimming session extremities
 (``trim_start_m`` / ``trim_end_m`` in the smoothing configuration) moves the
@@ -51,15 +51,12 @@ class GapInferenceConfig:
     ``min_gap_s`` is the minimum silence treated as a potential stay;
     ``max_reappear_distance_m`` is how close the reappearance must be to the
     disappearance for the stay location to be considered known;
-    ``merge_distance_m`` merges repeated inferred stays at the same place;
-    ``engine`` selects the vectorized implementation or the scalar reference
-    oracle.
+    ``merge_distance_m`` merges repeated inferred stays at the same place.
     """
 
     min_gap_s: float = 3600.0
     max_reappear_distance_m: float = 300.0
     merge_distance_m: float = 150.0
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.min_gap_s <= 0.0:
@@ -68,10 +65,6 @@ class GapInferenceConfig:
             raise ValueError("max_reappear_distance_m must be positive")
         if self.merge_distance_m < 0.0:
             raise ValueError("merge_distance_m must be non-negative")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 class GapInferenceAttack:
@@ -82,8 +75,6 @@ class GapInferenceAttack:
 
     def extract(self, trajectory: Trajectory) -> List[ExtractedPoi]:
         """Inferred POIs of one published trace."""
-        if self.config.engine == "reference":
-            return self._merge_reference(self._extract_reference(trajectory))
         if len(trajectory) < 2:
             return []
         ts = np.asarray(trajectory.timestamps, dtype=float)
@@ -97,13 +88,10 @@ class GapInferenceAttack:
     def extract_dataset(self, dataset: MobilityDataset) -> Dict[str, List[ExtractedPoi]]:
         """Run the attack on every published trace of the dataset.
 
-        The vectorized engine screens every gap candidate of the whole
-        dataset in one batched pass over its cached columnar view, masking
-        out the candidates that straddle a user boundary; the reference
-        engine scans trajectories one by one.
+        Every gap candidate of the whole dataset is screened in one batched
+        pass over its cached columnar view, masking out the candidates that
+        straddle a user boundary.
         """
-        if self.config.engine == "reference":
-            return {traj.user_id: self.extract(traj) for traj in dataset}
         traces = dataset.columnar()
         candidates = np.nonzero(np.diff(traces.timestamps) >= self.config.min_gap_s)[0]
         # A diff at index i spans points (i, i + 1): keep within-user spans only.
@@ -156,7 +144,17 @@ class GapInferenceAttack:
             n_points=2,
         )
 
-    def _extract_reference(self, trajectory: Trajectory) -> List[ExtractedPoi]:
+    def extract_reference(self, trajectory: Trajectory) -> List[ExtractedPoi]:
+        """Scalar oracle of :meth:`extract`: per-candidate scan and greedy merge."""
+        return self._merge_reference(self._scan_reference(trajectory))
+
+    def extract_dataset_reference(
+        self, dataset: MobilityDataset
+    ) -> Dict[str, List[ExtractedPoi]]:
+        """Scalar oracle of :meth:`extract_dataset`: trajectories one by one."""
+        return {traj.user_id: self.extract_reference(traj) for traj in dataset}
+
+    def _scan_reference(self, trajectory: Trajectory) -> List[ExtractedPoi]:
         """Scalar per-candidate scan (the equivalence oracle)."""
         cfg = self.config
         if len(trajectory) < 2:
@@ -231,7 +229,7 @@ class GapInferenceAttack:
 
     @staticmethod
     def _collapse(groups: Sequence[Sequence[ExtractedPoi]]) -> List[ExtractedPoi]:
-        """Collapse merge groups into POIs (shared by both merge engines)."""
+        """Collapse merge groups into POIs (shared by both merge paths)."""
         return [
             ExtractedPoi(
                 user_id=group[0].user_id,
@@ -258,7 +256,6 @@ def _gap_inference_attack(
     min_gap_s: float = 3600.0,
     max_reappear_distance_m: float = 300.0,
     merge_distance_m: float = 150.0,
-    engine: str = "vectorized",
 ) -> GapInferenceAttack:
     """Recording-gap inference, e.g. ``gap-inference:min_gap_s=1800``."""
     return GapInferenceAttack(
@@ -266,6 +263,5 @@ def _gap_inference_attack(
             min_gap_s=min_gap_s,
             max_reappear_distance_m=max_reappear_distance_m,
             merge_distance_m=merge_distance_m,
-            engine=engine,
         )
     )

@@ -12,12 +12,14 @@ protected by the paper's speed-smoothing mechanism the user never appears
 stationary, so the attack should find (almost) nothing — that contrast is
 exactly what experiment E1 measures.
 
-The stay-point scan runs on the columnar kernel layer by default
+The stay-point scan runs on the columnar kernel layer
 (:func:`repro.geo.kernels.windowed_stay_spans` over the dataset's cached
 flattened view): window reaches are resolved in batched haversine probe
 rounds with cumulative-extent skipping, and no Python loop walks individual
-fixes.  The original scalar scan is retained as ``engine="reference"`` — the
-correctness oracle the vectorized path is pinned against by property tests.
+fixes.  The original scalar scan is retained as
+:meth:`PoiExtractor.extract_reference` /
+:meth:`PoiExtractor.extract_dataset_reference` — the correctness oracles the
+vectorized path is pinned against by property tests.
 """
 
 from __future__ import annotations
@@ -74,17 +76,12 @@ class PoiExtractionConfig:
     the gap.  Without this bound, any recording interruption (device asleep
     indoors, battery out) would count as an arbitrarily long "stay", turning
     signal loss into evidence of presence.
-
-    ``engine`` selects the scan implementation: ``"vectorized"`` (default)
-    runs the columnar windowed-extent kernel, ``"reference"`` the retained
-    scalar two-pointer scan of the same semantics (the equivalence oracle).
     """
 
     max_diameter_m: float = 200.0
     min_duration_s: float = 900.0
     merge_distance_m: float = 100.0
     max_gap_s: float = 1800.0
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.max_diameter_m <= 0.0:
@@ -95,10 +92,6 @@ class PoiExtractionConfig:
             raise ValueError("merge_distance_m must be non-negative")
         if self.max_gap_s <= 0.0:
             raise ValueError("max_gap_s must be positive")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 class PoiExtractor:
@@ -117,8 +110,6 @@ class PoiExtractor:
         of fix ``i``; if the spanned duration reaches ``min_duration_s`` a
         stay point is emitted and the scan restarts after ``j``.
         """
-        if self.config.engine == "reference":
-            return self._merge(self._scan_reference(trajectory))
         traces = ColumnarTraces.from_trajectories([trajectory])
         return self._merge(self._scan_columnar(traces))
 
@@ -127,18 +118,27 @@ class PoiExtractor:
     def extract_dataset(self, dataset: MobilityDataset) -> Dict[str, List[ExtractedPoi]]:
         """Stay points of every user of the dataset, keyed by user identifier.
 
-        The vectorized engine resolves every user's scan in one batched pass
-        over the dataset's cached columnar view (windows never cross users);
-        the reference engine scans trajectories one by one.
+        Every user's scan is resolved in one batched pass over the dataset's
+        cached columnar view (windows never cross users).
         """
-        if self.config.engine == "reference":
-            return {traj.user_id: self.extract(traj) for traj in dataset}
         traces = dataset.columnar()
         stays = self._scan_columnar(traces)
         per_user: Dict[str, List[ExtractedPoi]] = {uid: [] for uid in traces.user_ids}
         for stay in stays:
             per_user[stay.user_id].append(stay)
         return {uid: self._merge(found) for uid, found in per_user.items()}
+
+    # -- scalar oracles -------------------------------------------------------------
+
+    def extract_reference(self, trajectory: Trajectory) -> List[ExtractedPoi]:
+        """Scalar oracle of :meth:`extract`: two-pointer scan and greedy merge."""
+        return self._merge_reference(self._scan_reference(trajectory))
+
+    def extract_dataset_reference(
+        self, dataset: MobilityDataset
+    ) -> Dict[str, List[ExtractedPoi]]:
+        """Scalar oracle of :meth:`extract_dataset`: trajectories one by one."""
+        return {traj.user_id: self.extract_reference(traj) for traj in dataset}
 
     # -- internals ----------------------------------------------------------------
 
@@ -147,7 +147,7 @@ class PoiExtractor:
 
         Span discovery is fully vectorized; only the emitted stays (orders of
         magnitude fewer than fixes) are materialised in Python, with the same
-        per-slice centroid arithmetic as the scalar scan so both engines
+        per-slice centroid arithmetic as the scalar scan so both paths
         produce bitwise-identical POIs.
         """
         cfg = self.config
@@ -220,15 +220,13 @@ class PoiExtractor:
         existing group whose centroid is close enough or starts a new group.
         Group centroids are the plain mean of their members, maintained as
         running sums — the centroid only steers the grouping; the emitted POI
-        uses point-count weighted sums (see :meth:`_collapse`).  The
-        vectorized engine batches each stay's distances to all group
-        centroids with :func:`haversine_array`; the reference engine probes
-        groups one by one.
+        uses point-count weighted sums (see :meth:`_collapse`).  Each stay's
+        distances to all group centroids are batched with
+        :func:`haversine_array`; :meth:`_merge_reference` probes groups one
+        by one.
         """
         if self.config.merge_distance_m <= 0.0 or len(stays) <= 1:
             return list(stays)
-        if self.config.engine == "reference":
-            return self._merge_reference(stays)
         lat_sums = np.empty(len(stays))
         lon_sums = np.empty(len(stays))
         counts = np.empty(len(stays))
@@ -255,6 +253,8 @@ class PoiExtractor:
 
     def _merge_reference(self, stays: Sequence[ExtractedPoi]) -> List[ExtractedPoi]:
         """Scalar greedy merge of the same semantics (the equivalence oracle)."""
+        if self.config.merge_distance_m <= 0.0 or len(stays) <= 1:
+            return list(stays)
         # Per group: [members, lat_sum, lon_sum].
         groups: List[list] = []
         for stay in stays:
@@ -275,7 +275,7 @@ class PoiExtractor:
 
     @staticmethod
     def _collapse(groups: Sequence[Sequence[ExtractedPoi]]) -> List[ExtractedPoi]:
-        """Collapse merge groups into POIs (shared by both merge engines)."""
+        """Collapse merge groups into POIs (shared by both merge paths)."""
         merged: List[ExtractedPoi] = []
         for group in groups:
             weight = float(sum(s.n_points for s in group))
@@ -314,7 +314,6 @@ def _staypoint_attack(
     min_duration_s: float = 900.0,
     merge_distance_m: float = 100.0,
     max_gap_s: float = 1800.0,
-    engine: str = "vectorized",
 ) -> PoiExtractor:
     """Stay-point extraction, e.g. ``staypoint:max_diameter_m=400``."""
     return PoiExtractor(
@@ -323,6 +322,5 @@ def _staypoint_attack(
             min_duration_s=min_duration_s,
             merge_distance_m=merge_distance_m,
             max_gap_s=max_gap_s,
-            engine=engine,
         )
     )

@@ -29,23 +29,24 @@ trace still matches its owner almost perfectly — only the trajectory swapping
 step, which mixes segments of different users under one pseudonym, degrades
 this attacker.  Experiment E4 reports both adversaries for that reason.
 
-Both attackers run on the columnar kernel layer by default: the POI matcher
+Both attackers run on the columnar kernel layer: the POI matcher
 builds each pseudonym's row of the pseudonym × candidate similarity matrix
 with *one* batched haversine pass against the stacked POIs of every candidate
 (instead of nested Python loops over POI pairs), and the footprint matcher
 summarises traces as sorted unique grid-cell ID arrays scored with
 ``np.intersect1d`` over the dataset's flattened view.  The scalar
-per-POI-pair / per-cell paths are retained as ``engine="reference"`` — the
-correctness oracles the vectorized paths are pinned against by property
-tests.  Both engines of each attacker share the score-finalisation
+per-POI-pair / per-cell pipelines are retained as the
+``knowledge_from_dataset_reference`` / ``attack_reference`` methods of each
+attacker — the correctness oracles the vectorized paths are pinned against
+by property tests.  Both paths of each attacker share the score-finalisation
 arithmetic, so similarity matrices (and therefore assignments) are
-bitwise-identical across engines.
+bitwise-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -82,27 +83,18 @@ class ReidentificationConfig:
     are mapped to candidates: ``"optimal"`` (one-to-one, Hungarian) or
     ``"greedy"`` (each pseudonym independently takes its best candidate,
     allowing collisions).  ``extraction`` configures the embedded stay-point
-    extractor used on the published data.  ``engine`` selects the similarity
-    implementation: ``"vectorized"`` (default) computes each pseudonym's
-    candidate scores with one batched haversine pass over the stacked
-    candidate POIs, ``"reference"`` the retained per-POI-pair scalar loop of
-    the same semantics (the equivalence oracle).
+    extractor used on the published data.
     """
 
     match_distance_m: float = 250.0
     assignment: str = "optimal"
     extraction: PoiExtractionConfig = field(default_factory=PoiExtractionConfig)
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.match_distance_m <= 0.0:
             raise ValueError("match_distance_m must be positive")
         if self.assignment not in ("optimal", "greedy"):
             raise ValueError(f"assignment must be 'optimal' or 'greedy', got {self.assignment!r}")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 @dataclass
@@ -146,12 +138,22 @@ class Reidentifier:
         POIs are extracted per user with the stay-point attack; weights are
         the number of supporting fixes (frequently visited places count more).
         """
-        knowledge: Dict[str, List[KnownPoi]] = {}
-        for user_id, pois in self._extractor.extract_dataset(training).items():
-            knowledge[user_id] = [
-                KnownPoi(lat=p.lat, lon=p.lon, weight=float(p.n_points)) for p in pois
-            ]
-        return knowledge
+        return self._knowledge(self._extractor.extract_dataset(training))
+
+    def knowledge_from_dataset_reference(
+        self, training: MobilityDataset
+    ) -> Dict[str, List[KnownPoi]]:
+        """Scalar oracle of :meth:`knowledge_from_dataset` (scalar stay-point scan)."""
+        return self._knowledge(self._extractor.extract_dataset_reference(training))
+
+    @staticmethod
+    def _knowledge(
+        extracted: Mapping[str, Sequence[ExtractedPoi]]
+    ) -> Dict[str, List[KnownPoi]]:
+        return {
+            user_id: [KnownPoi(lat=p.lat, lon=p.lon, weight=float(p.n_points)) for p in pois]
+            for user_id, pois in extracted.items()
+        }
 
     # -- attack ----------------------------------------------------------------------
 
@@ -172,23 +174,28 @@ class Reidentifier:
         pseudonyms = [t.user_id for t in published]
         if extracted is None:
             extracted = self._extractor.extract_dataset(published)
+        scores = self._scores_vectorized(pseudonyms, extracted, candidates, knowledge)
+        return self._assign(scores, pseudonyms, candidates, self.config.assignment)
 
-        if self.config.engine == "reference":
-            scores = {
-                pseudonym: {
-                    candidate: self._similarity(extracted[pseudonym], knowledge[candidate])
-                    for candidate in candidates
-                }
-                for pseudonym in pseudonyms
+    def attack_reference(
+        self,
+        published: MobilityDataset,
+        knowledge: Mapping[str, Sequence[KnownPoi]],
+        extracted: Optional[Mapping[str, Sequence[ExtractedPoi]]] = None,
+    ) -> ReidentificationResult:
+        """Scalar oracle of :meth:`attack`: scalar extraction and per-POI-pair scores."""
+        candidates = list(knowledge.keys())
+        pseudonyms = [t.user_id for t in published]
+        if extracted is None:
+            extracted = self._extractor.extract_dataset_reference(published)
+        scores = {
+            pseudonym: {
+                candidate: self._similarity(extracted[pseudonym], knowledge[candidate])
+                for candidate in candidates
             }
-        else:
-            scores = self._scores_vectorized(pseudonyms, extracted, candidates, knowledge)
-
-        if self.config.assignment == "greedy" or not candidates or not pseudonyms:
-            predicted = self._assign_greedy(scores)
-        else:
-            predicted = self._assign_optimal(scores, pseudonyms, candidates)
-        return ReidentificationResult(predicted=predicted, scores=scores)
+            for pseudonym in pseudonyms
+        }
+        return self._assign(scores, pseudonyms, candidates, self.config.assignment)
 
     # -- internals --------------------------------------------------------------------
 
@@ -288,10 +295,10 @@ class Reidentifier:
     ) -> float:
         """Finalise one (pseudonym, candidate) score from match counts.
 
-        Shared by both engines so the recall / precision / F arithmetic —
+        Shared by both paths so the recall / precision / F arithmetic —
         including the float summation order over the candidate's weights —
         is literally the same code, making the similarity matrices
-        bitwise-identical across engines.
+        bitwise-identical.
         """
         total_known_weight = float(np.sum(weights))
         matched_known_weight = float(np.sum(np.where(matched_known, weights, 0.0)))
@@ -300,6 +307,21 @@ class Reidentifier:
         if precision + recall == 0.0:
             return 0.0
         return 2.0 * precision * recall / (precision + recall)
+
+    @classmethod
+    def _assign(
+        cls,
+        scores: Dict[str, Dict[str, float]],
+        pseudonyms: List[str],
+        candidates: List[str],
+        assignment: str,
+    ) -> ReidentificationResult:
+        """Assign pseudonyms from a similarity matrix (shared by both attackers)."""
+        if assignment == "greedy" or not candidates or not pseudonyms:
+            predicted = cls._assign_greedy(scores)
+        else:
+            predicted = cls._assign_optimal(scores, pseudonyms, candidates)
+        return ReidentificationResult(predicted=predicted, scores=scores)
 
     @staticmethod
     def _assign_greedy(scores: Dict[str, Dict[str, float]]) -> Dict[str, Optional[str]]:
@@ -312,8 +334,9 @@ class Reidentifier:
             predicted[pseudonym] = best_candidate if best_score > 0.0 else None
         return predicted
 
+    @classmethod
     def _assign_optimal(
-        self,
+        cls,
         scores: Dict[str, Dict[str, float]],
         pseudonyms: List[str],
         candidates: List[str],
@@ -327,7 +350,7 @@ class Reidentifier:
         try:
             from scipy.optimize import linear_sum_assignment
         except ImportError:  # pragma: no cover - scipy is present in CI
-            return self._assign_greedy(scores)
+            return cls._assign_greedy(scores)
 
         cost = np.zeros((len(pseudonyms), len(candidates)))
         for i, pseudonym in enumerate(pseudonyms):
@@ -353,29 +376,20 @@ class FootprintReidentifier:
     mechanisms leave it intact; only mechanisms that move locations or mix
     users' segments degrade it.
 
-    The default ``"vectorized"`` engine computes every footprint in one pass
-    over the dataset's columnar view (cell IDs of all fixes at once, unique
-    per user slice) and scores candidate pairs with ``np.intersect1d``; the
-    ``"reference"`` engine walks fixes and Python sets with the same
-    semantics.  Intersection and union sizes are integers, so both engines
-    produce bitwise-identical scores.
+    Every footprint is computed in one pass over the dataset's columnar view
+    (cell IDs of all fixes at once, unique per user slice) and candidate
+    pairs are scored with ``np.intersect1d``; the ``*_reference`` oracles
+    walk fixes and Python sets with the same semantics.  Intersection and
+    union sizes are integers, so both paths produce bitwise-identical scores.
     """
 
-    def __init__(
-        self,
-        cell_size_m: float = 300.0,
-        assignment: str = "optimal",
-        engine: str = "vectorized",
-    ) -> None:
+    def __init__(self, cell_size_m: float = 300.0, assignment: str = "optimal") -> None:
         if cell_size_m <= 0.0:
             raise ValueError("cell_size_m must be positive")
         if assignment not in ("optimal", "greedy"):
             raise ValueError(f"assignment must be 'optimal' or 'greedy', got {assignment!r}")
-        if engine not in ("vectorized", "reference"):
-            raise ValueError(f"engine must be 'vectorized' or 'reference', got {engine!r}")
         self.cell_size_m = cell_size_m
         self.assignment = assignment
-        self.engine = engine
 
     # -- background knowledge -------------------------------------------------------
 
@@ -383,10 +397,15 @@ class FootprintReidentifier:
         self, training: MobilityDataset, bbox: Optional[BoundingBox] = None
     ) -> Dict[str, np.ndarray]:
         """Per-candidate footprints (sorted unique cell-ID arrays) from raw training data."""
-        grid = self._grid(training, bbox)
-        knowledge = self._footprints(grid, training)
-        self._knowledge_grid = grid
-        return knowledge
+        self._knowledge_grid = self._grid(training, bbox)
+        return self._footprints(self._knowledge_grid, training)
+
+    def knowledge_from_dataset_reference(
+        self, training: MobilityDataset, bbox: Optional[BoundingBox] = None
+    ) -> Dict[str, np.ndarray]:
+        """Scalar oracle of :meth:`knowledge_from_dataset` (footprints fix by fix)."""
+        self._knowledge_grid = self._grid(training, bbox)
+        return self._footprints_reference(self._knowledge_grid, training)
 
     # -- attack ------------------------------------------------------------------------
 
@@ -403,22 +422,19 @@ class FootprintReidentifier:
         incrementally-maintained caller skip the batch construction.
         """
         if footprints is None:
-            grid = getattr(self, "_knowledge_grid", None) or self._grid(published, None)
-            footprints = self._footprints(grid, published)
-        scores: Dict[str, Dict[str, float]] = {}
-        for pseudonym, footprint in footprints.items():
-            scores[pseudonym] = {
-                candidate: self._jaccard(footprint, np.asarray(reference))
-                for candidate, reference in knowledge.items()
-            }
-        pseudonyms = [t.user_id for t in published]
-        candidates = list(knowledge.keys())
-        helper = Reidentifier()
-        if self.assignment == "greedy" or not candidates or not pseudonyms:
-            predicted = helper._assign_greedy(scores)
-        else:
-            predicted = helper._assign_optimal(scores, pseudonyms, candidates)
-        return ReidentificationResult(predicted=predicted, scores=scores)
+            footprints = self._footprints(self._attack_grid(published), published)
+        return self._result(published, knowledge, footprints, self._jaccard)
+
+    def attack_reference(
+        self,
+        published: MobilityDataset,
+        knowledge: Mapping[str, np.ndarray],
+        footprints: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> ReidentificationResult:
+        """Scalar oracle of :meth:`attack`: footprints fix by fix, set-based Jaccard."""
+        if footprints is None:
+            footprints = self._footprints_reference(self._attack_grid(published), published)
+        return self._result(published, knowledge, footprints, self._jaccard_reference)
 
     # -- internals ----------------------------------------------------------------------
 
@@ -426,12 +442,31 @@ class FootprintReidentifier:
         reference_bbox = bbox or dataset.bbox.expanded(self.cell_size_m)
         return Grid.covering(reference_bbox, self.cell_size_m)
 
-    def _footprints(self, grid: Grid, dataset: MobilityDataset) -> Dict[str, np.ndarray]:
-        """Sorted unique cell-ID arrays per user (engine-dependent construction)."""
-        if self.engine == "reference":
-            return {
-                traj.user_id: self._footprint_reference(grid, traj) for traj in dataset
+    def _attack_grid(self, published: MobilityDataset) -> Grid:
+        """The knowledge grid, or one covering ``published`` when none was built."""
+        return getattr(self, "_knowledge_grid", None) or self._grid(published, None)
+
+    def _result(
+        self,
+        published: MobilityDataset,
+        knowledge: Mapping[str, np.ndarray],
+        footprints: Mapping[str, np.ndarray],
+        similarity: Callable[[np.ndarray, np.ndarray], float],
+    ) -> ReidentificationResult:
+        """Score every (pseudonym, candidate) footprint pair, then assign."""
+        scores = {
+            pseudonym: {
+                candidate: similarity(footprint, np.asarray(reference))
+                for candidate, reference in knowledge.items()
             }
+            for pseudonym, footprint in footprints.items()
+        }
+        return Reidentifier._assign(
+            scores, [t.user_id for t in published], list(knowledge.keys()), self.assignment
+        )
+
+    def _footprints(self, grid: Grid, dataset: MobilityDataset) -> Dict[str, np.ndarray]:
+        """Sorted unique cell-ID arrays per user, from the columnar view."""
         traces = dataset.columnar()
         if traces.n_points == 0:
             return {uid: np.zeros(0, dtype=np.int64) for uid in traces.user_ids}
@@ -441,6 +476,12 @@ class FootprintReidentifier:
             out[user_id] = np.unique(cell_ids[traces.user_slice(k)])
         return out
 
+    def _footprints_reference(
+        self, grid: Grid, dataset: MobilityDataset
+    ) -> Dict[str, np.ndarray]:
+        """Scalar oracle of :meth:`_footprints`: one trajectory at a time."""
+        return {traj.user_id: self._footprint_reference(grid, traj) for traj in dataset}
+
     def _footprint_reference(self, grid: Grid, trajectory: Trajectory) -> np.ndarray:
         """Scalar footprint construction (the equivalence oracle)."""
         cells = set()
@@ -449,17 +490,25 @@ class FootprintReidentifier:
             cells.add(row * grid.n_cols + col)
         return np.array(sorted(cells), dtype=np.int64)
 
-    def _jaccard(self, a: np.ndarray, b: np.ndarray) -> float:
+    @staticmethod
+    def _jaccard(a: np.ndarray, b: np.ndarray) -> float:
         """Jaccard index of two sorted unique cell-ID arrays."""
         if a.size == 0 or b.size == 0:
             return 0.0
-        if self.engine == "reference":
-            sa, sb = set(a.tolist()), set(b.tolist())
-            intersection = len(sa & sb)
-            union = len(sa | sb)
-        else:
-            intersection = int(np.intersect1d(a, b, assume_unique=True).size)
-            union = int(a.size + b.size) - intersection
+        intersection = int(np.intersect1d(a, b, assume_unique=True).size)
+        union = int(a.size + b.size) - intersection
+        if union == 0:
+            return 0.0
+        return intersection / union
+
+    @staticmethod
+    def _jaccard_reference(a: np.ndarray, b: np.ndarray) -> float:
+        """Scalar oracle of :meth:`_jaccard` over Python sets."""
+        if a.size == 0 or b.size == 0:
+            return 0.0
+        sa, sb = set(a.tolist()), set(b.tolist())
+        intersection = len(sa & sb)
+        union = len(sa | sb)
         if union == 0:
             return 0.0
         return intersection / union
@@ -472,13 +521,10 @@ from ..api.registry import register_attack
 def _poi_reidentifier(
     match_distance_m: float = 250.0,
     assignment: str = "optimal",
-    engine: str = "vectorized",
 ) -> Reidentifier:
     """POI-matching linkage, e.g. ``reident-poi:match_distance_m=500``."""
     return Reidentifier(
-        ReidentificationConfig(
-            match_distance_m=match_distance_m, assignment=assignment, engine=engine
-        )
+        ReidentificationConfig(match_distance_m=match_distance_m, assignment=assignment)
     )
 
 
@@ -486,9 +532,6 @@ def _poi_reidentifier(
 def _footprint_reidentifier(
     cell_size_m: float = 300.0,
     assignment: str = "optimal",
-    engine: str = "vectorized",
 ) -> FootprintReidentifier:
     """Spatial-footprint linkage, e.g. ``reident-footprint:cell_size_m=150``."""
-    return FootprintReidentifier(
-        cell_size_m=cell_size_m, assignment=assignment, engine=engine
-    )
+    return FootprintReidentifier(cell_size_m=cell_size_m, assignment=assignment)

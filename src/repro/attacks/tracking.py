@@ -23,17 +23,17 @@ mix-zone:
 The attack is scored (in :mod:`repro.metrics.privacy`) by the fraction of
 zones in which it reconstructs the true incoming→outgoing correspondence.
 
-By default the attack runs on the columnar kernel layer: the boundary states
+The attack runs on the columnar kernel layer: the boundary states
 of *every* (user, zone) combination are resolved in one pass over
 ``MobilityDataset.columnar()`` — per-user ``searchsorted`` against the zone
 window edges (:func:`repro.geo.kernels.segmented_searchsorted`), batched
 haversine radius filtering, and vectorized velocity estimation — and each
 zone's cost matrix is filled with one broadcast prediction-error +
 implied-speed expression instead of nested Python loops.  The original
-per-trajectory walk is retained as ``engine="reference"`` — the correctness
-oracle the vectorized path is pinned against by property tests.  Both
-engines evaluate the same IEEE expressions, so cost matrices, and therefore
-linkages, are bitwise-identical.
+per-trajectory walk is retained as :meth:`MultiTargetTracker.link_zones_reference`
+— the correctness oracle the vectorized path is pinned against by property
+tests.  Both paths evaluate the same IEEE expressions, so cost matrices, and
+therefore linkages, are bitwise-identical.
 """
 
 from __future__ import annotations
@@ -67,26 +67,17 @@ class TrackingConfig:
 
     ``search_radius_m`` bounds how far from the zone boundary entry/exit fixes
     are searched; ``max_plausible_speed_mps`` is the speed above which a
-    candidate link is considered impossible and heavily penalised.  ``engine``
-    selects the implementation: ``"vectorized"`` (default) resolves all
-    boundary states on the columnar view and fills cost matrices in batched
-    numpy expressions, ``"reference"`` the retained per-trajectory walk of
-    the same semantics (the equivalence oracle).
+    candidate link is considered impossible and heavily penalised.
     """
 
     search_radius_m: float = 500.0
     max_plausible_speed_mps: float = 40.0
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.search_radius_m <= 0.0:
             raise ValueError("search_radius_m must be positive")
         if self.max_plausible_speed_mps <= 0.0:
             raise ValueError("max_plausible_speed_mps must be positive")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 @dataclass
@@ -137,8 +128,6 @@ class MultiTargetTracker:
         zones = list(zones)
         if not zones:
             return []
-        if self.config.engine == "reference":
-            return [self._link_zone_reference(published, zone) for zone in zones]
         # Zones are independent: chunk them so the (n_users, n_zones) state
         # matrices stay bounded (~8 MB per plane) however many zones and
         # session pseudo-users a workload multiplies out to.
@@ -151,7 +140,13 @@ class MultiTargetTracker:
             )
         return linkages
 
-    # -- vectorized engine -------------------------------------------------------------
+    def link_zones_reference(
+        self, published: MobilityDataset, zones: Sequence[MixZone]
+    ) -> List[ZoneLinkage]:
+        """Scalar oracle of :meth:`link_zones`: one per-trajectory walk per zone."""
+        return [self._link_zone_reference(published, zone) for zone in zones]
+
+    # -- vectorized path ---------------------------------------------------------------
 
     def _link_zones_vectorized(
         self, published: MobilityDataset, zones: List[MixZone]
@@ -163,7 +158,7 @@ class MultiTargetTracker:
         finds the candidate entry/exit fixes, and batched haversine +
         velocity arithmetic reduces them to valid boundary states.  Stage 2
         fills each zone's cost matrix with one broadcast expression and
-        solves the assignment exactly like the reference engine.
+        solves the assignment exactly like the scalar oracle.
         """
         traces = published.columnar()
         if traces.n_points == 0:
@@ -303,7 +298,7 @@ class MultiTargetTracker:
         )
         return np.where(possible, cost, _IMPOSSIBLE_COST)
 
-    # -- reference engine --------------------------------------------------------------
+    # -- scalar oracle -----------------------------------------------------------------
 
     def _link_zone_reference(self, published: MobilityDataset, zone: MixZone) -> ZoneLinkage:
         """The scalar per-trajectory walk (the equivalence oracle)."""
@@ -436,13 +431,11 @@ from ..api.registry import register_attack
 def _multi_target_tracker(
     search_radius_m: float = 500.0,
     max_plausible_speed_mps: float = 40.0,
-    engine: str = "vectorized",
 ) -> MultiTargetTracker:
     """Mix-zone linking tracker, e.g. ``multi-target-tracker:search_radius_m=800``."""
     return MultiTargetTracker(
         TrackingConfig(
             search_radius_m=search_radius_m,
             max_plausible_speed_mps=max_plausible_speed_mps,
-            engine=engine,
         )
     )

@@ -31,14 +31,14 @@ grid and projected as contiguous ``(n_users, n_steps)`` coordinate planes,
 and each greedy round scores *every* remaining candidate with one batched
 masked-distance query against a
 :class:`~repro.geo.kernels.SyncedDistances` workspace instead of a Python
-loop of per-pair reductions.  The scalar implementation is retained
-(``engine="reference"``) as the equivalence oracle.
+loop of per-pair reductions.  The scalar implementation is retained as
+:meth:`Wait4MeMechanism.publish_reference`, the equivalence oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,10 +91,6 @@ class Wait4MeConfig:
         bounding the worst-case distortion as in the original paper.
     seed:
         Seed used to pick cluster seeds (ordering only; no noise is added).
-    engine:
-        ``"vectorized"`` (default) scores candidates with the batched
-        columnar kernels; ``"reference"`` runs the retained scalar greedy
-        loop of identical semantics (the equivalence oracle).
     """
 
     k: int = 4
@@ -102,7 +98,6 @@ class Wait4MeConfig:
     time_step_s: float = 300.0
     max_cluster_radius_m: float = 4000.0
     seed: Optional[int] = 0
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -113,10 +108,6 @@ class Wait4MeConfig:
             raise ValueError("time_step_s must be positive")
         if self.max_cluster_radius_m <= 0.0:
             raise ValueError("max_cluster_radius_m must be positive")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 class Wait4MeMechanism(PublicationMechanism):
@@ -131,6 +122,17 @@ class Wait4MeMechanism(PublicationMechanism):
 
     def publish(self, dataset: MobilityDataset) -> PublicationResult:
         """Anonymize the dataset; users sent to the trash bin are dropped."""
+        return self._publish(dataset, self._cluster)
+
+    def publish_reference(self, dataset: MobilityDataset) -> PublicationResult:
+        """Scalar oracle of :meth:`publish`, clustering with :meth:`_cluster_reference`."""
+        return self._publish(dataset, self._cluster_reference)
+
+    def _publish(
+        self,
+        dataset: MobilityDataset,
+        cluster: Callable[[np.ndarray, np.ndarray], Tuple[List[List[int]], List[int]]],
+    ) -> PublicationResult:
         non_empty = [t for t in dataset if len(t) >= 2]
         if len(non_empty) < self.config.k:
             # Not enough users to form a single anonymity group: nothing can
@@ -138,9 +140,6 @@ class Wait4MeMechanism(PublicationMechanism):
             return PublicationResult(MobilityDataset(), mechanism=self.name)
 
         grid, xs, ys, users, projection = self._synchronize(non_empty)
-        cluster = (
-            self._cluster_reference if self.config.engine == "reference" else self._cluster
-        )
         clusters, trashed = cluster(xs, ys)
         published = self._space_translate(grid, xs, ys, users, clusters, projection)
         return PublicationResult(MobilityDataset(published), mechanism=self.name)
@@ -308,7 +307,7 @@ class Wait4MeMechanism(PublicationMechanism):
         but its ~1.2e-7 relative quantization is only harmless while planar
         coordinates stay within ~100 km of the projection origin (centimeter
         scale).  Continental extents — real GeoLife users travel abroad —
-        fall back to float64.  Both clustering engines share this choice.
+        fall back to float64.  Both clustering paths share this choice.
         """
         with np.errstate(invalid="ignore"):
             extent = max(
@@ -322,7 +321,7 @@ class Wait4MeMechanism(PublicationMechanism):
         """Mean planar distance over the time steps where both users exist.
 
         The plain-formula statement of the synchronized distance, on an
-        ``(n_grid, 2)`` stack.  Not used by either clustering engine (both
+        ``(n_grid, 2)`` stack.  Not used by either clustering path (both
         query :class:`~repro.geo.kernels.SyncedDistances`); kept as the
         independent oracle the kernel unit tests compare against.
         """

@@ -200,6 +200,24 @@ def _make_queue_manager(
     return _QueueManager
 
 
+def _accept_until_stopped(server: Any) -> None:
+    """The manager server's accept loop, ending once the server is stopped.
+
+    Stands in for the stdlib ``Server.accepter``, which retries ``accept()``
+    on every ``OSError``: after :meth:`WorkQueueBackend._shutdown` closes the
+    listener that retry spins at full CPU for the life of the process,
+    holding the interpreter lock against everything the process runs next.
+    """
+    while True:
+        try:
+            conn = server.listener.accept()
+        except OSError:
+            if server.stop_event.is_set():
+                return
+            continue
+        threading.Thread(target=server.handle_request, args=(conn,), daemon=True).start()
+
+
 #: One task entry on the wire: ``(task_id, pickled_payload, cache_directive)``
 #: where the directive is ``None`` (ship rows back) or ``(sqlite_path,
 #: (key_text_per_cell, ...))`` (write rows into the shared cache, ship an
@@ -431,6 +449,7 @@ class WorkQueueBackend(SchedulerBackend):
         )
         # Any: the Server type (and its stop_event/listener) is not in typeshed.
         server: Any = manager.get_server()
+        server.accepter = lambda: _accept_until_stopped(server)
 
         def _serve() -> None:
             try:

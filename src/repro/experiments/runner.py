@@ -218,16 +218,13 @@ def run_poi_retrieval(
     min_stay_s: float = 900.0,
     adaptive_attacker: bool = True,
     seeds: Sequence[int] = (0,),
-    engine: str = "vectorized",
     scheduler: Optional[Any] = None,
     cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E1: POI retrieval precision / recall / F-score per mechanism.
 
     ``attack`` selects the extraction algorithm (``"staypoint"`` or
-    ``"djcluster"``) and ``engine`` its implementation (``"vectorized"``
-    columnar kernels by default; ``"reference"`` the scalar oracles).  POIs
-    are pooled across users before scoring because published identifiers may
+    ``"djcluster"``).  POIs are pooled across users before scoring because published identifiers may
     be pseudonymous or swapped.
 
     When ``adaptive_attacker`` is true (default), the attack parameters are
@@ -242,8 +239,7 @@ def run_poi_retrieval(
         raise ValueError(f"unknown attack {attack!r}; choose 'staypoint' or 'djcluster'")
     attack_spec = (
         f"poi-retrieval:algorithm={attack},match_distance_m={match_distance_m!r},"
-        f"min_stay_s={min_stay_s!r},adaptive={str(bool(adaptive_attacker)).lower()},"
-        f"engine={engine}"
+        f"min_stay_s={min_stay_s!r},adaptive={str(bool(adaptive_attacker)).lower()}"
     )
     spec = ExperimentSpec(
         name="e1-poi-retrieval",
@@ -361,7 +357,6 @@ def run_reidentification(
     train_fraction: float = 0.5,
     match_distance_m: float = 250.0,
     seed: int = 0,
-    engine: str = "vectorized",
     scheduler: Optional[Any] = None,
     cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
@@ -374,9 +369,7 @@ def run_reidentification(
 
     Two attackers are reported: the POI-matching attacker (defeated as soon as
     POIs are hidden) and the spatial-footprint attacker (only defeated when
-    user segments are actually mixed by the swapping step).  ``engine``
-    selects their implementation (``"vectorized"`` columnar kernels by
-    default; ``"reference"`` the scalar oracles).
+    user segments are actually mixed by the swapping step).
     """
     variants: List[Tuple[str, str]] = [
         ("pseudonyms-only", f"pseudonyms:seed={seed}"),
@@ -391,7 +384,7 @@ def run_reidentification(
         )
     attack_spec = (
         f"reident:train_fraction={train_fraction!r},"
-        f"match_distance_m={match_distance_m!r},engine={engine}"
+        f"match_distance_m={match_distance_m!r}"
     )
     spec = ExperimentSpec(
         name="e4-reidentification",
@@ -424,15 +417,10 @@ def run_tracking(
     zone_radii_m: Sequence[float] = (50.0, 100.0, 200.0),
     policy: SwapPolicy = SwapPolicy.ALWAYS,
     seed: int = 0,
-    engine: str = "vectorized",
     scheduler: Optional[Any] = None,
     cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
-    """Experiment E5: multi-target tracking success versus mix-zone radius.
-
-    ``engine`` selects the tracker implementation (``"vectorized"`` columnar
-    default; ``"reference"`` the scalar oracle).
-    """
+    """Experiment E5: multi-target tracking success versus mix-zone radius."""
     radii = [float(radius) for radius in zone_radii_m]
     spec = ExperimentSpec(
         name="e5-tracking",
@@ -443,7 +431,7 @@ def run_tracking(
             )
             for radius in radii
         ],
-        attacks=[("tracking", f"tracking:engine={engine}")],
+        attacks=[("tracking", "tracking")],
         metrics=[("swap-stats", "mixing-entropy")],
         worlds=["world"],
     )

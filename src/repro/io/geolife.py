@@ -14,6 +14,7 @@ exported for external tools.  Timestamps are converted to POSIX seconds (UTC).
 
 from __future__ import annotations
 
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional
@@ -78,7 +79,9 @@ def _parse_plt_line(line: str) -> Optional[tuple]:
 def read_plt_file(path: str | Path, user_id: str) -> Trajectory:
     """Read a single PLT file into a :class:`Trajectory`.
 
-    Malformed lines are skipped (real GeoLife files contain a few).
+    Malformed lines are skipped (real GeoLife files contain a few).  A file
+    with no usable fix at all emits a :class:`UserWarning` naming it, so a
+    user whose every file is unreadable does not vanish without a word.
     """
     path = Path(path)
     timestamps: List[float] = []
@@ -95,6 +98,8 @@ def read_plt_file(path: str | Path, user_id: str) -> Trajectory:
             timestamps.append(timestamp)
             lats.append(lat)
             lons.append(lon)
+    if not timestamps:
+        warnings.warn(f"GeoLife file {path} has no usable fix", UserWarning, stacklevel=2)
     return Trajectory(user_id, timestamps, lats, lons)
 
 

@@ -26,9 +26,11 @@ The candidate search and confirmation run entirely on the columnar kernel
 layer (:mod:`repro.geo.kernels`): the dataset's cached flattened view is
 bin-joined with numpy index arrays, distances are confirmed with one batched
 haversine call per bin neighborhood, and deduplication is a single lexsort —
-no Python loop ever touches individual fixes.  A scalar reference
-implementation of the exact same semantics is retained
-(``engine="reference"``) as the correctness oracle for the vectorized path.
+no Python loop ever touches individual fixes.  A scalar implementation of
+the exact same semantics is retained as
+:meth:`MixZoneDetector.detect_reference` /
+:meth:`MixZoneDetector.find_crossings_reference`, the correctness oracles for
+the vectorized path.
 
 Zones with fewer than ``min_users`` participants are dropped (a single user
 cannot be mixed with anyone).
@@ -82,17 +84,12 @@ class MixZoneDetectionConfig:
         ``merge_gap_s`` in time are merged into the same zone.
     min_users:
         Minimum number of distinct participants for a zone to be kept.
-    engine:
-        ``"vectorized"`` (default) runs the columnar bin-join kernels;
-        ``"reference"`` runs the retained scalar implementation of the same
-        semantics (the equivalence oracle — quadratic, small inputs only).
     """
 
     radius_m: float = 100.0
     max_time_gap_s: float = 120.0
     merge_gap_s: float = 600.0
     min_users: int = 2
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.radius_m <= 0.0:
@@ -103,10 +100,6 @@ class MixZoneDetectionConfig:
             raise ValueError(f"merge_gap_s must be non-negative, got {self.merge_gap_s}")
         if self.min_users < 2:
             raise ValueError(f"min_users must be at least 2, got {self.min_users}")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'reference', got {self.engine!r}"
-            )
 
 
 class MixZoneDetector:
@@ -119,7 +112,14 @@ class MixZoneDetector:
 
     def detect(self, dataset: MobilityDataset) -> List[MixZone]:
         """Return the mix-zones of ``dataset``, ordered chronologically."""
-        events = self.find_crossings(dataset)
+        return self.zones_from_crossings(self.find_crossings(dataset))
+
+    def detect_reference(self, dataset: MobilityDataset) -> List[MixZone]:
+        """Scalar oracle of :meth:`detect`, built on :meth:`find_crossings_reference`."""
+        return self.zones_from_crossings(self.find_crossings_reference(dataset))
+
+    def zones_from_crossings(self, events: List[CrossingEvent]) -> List[MixZone]:
+        """Cluster crossing events into the kept zones, ordered chronologically."""
         zones = self._cluster_events(events)
         zones = [z for z in zones if z.n_participants >= self.config.min_users]
         return sorted(zones, key=lambda z: z.midpoint_time)
@@ -131,8 +131,6 @@ class MixZoneDetector:
         canonically keeping the co-location with the smallest point-index
         pair in the dataset's flattened (columnar) order.
         """
-        if self.config.engine == "reference":
-            return self.find_crossings_reference(dataset)
         traces = dataset.columnar()
         cfg = self.config
         i, j, mid_lat, mid_lon, mid_ts = colocation_events(
@@ -224,7 +222,7 @@ class MixZoneDetector:
             return []
         # Canonical event order: clustering arithmetic (centroid sums) is then
         # independent of the order the crossing search emitted the events in,
-        # so both detection engines produce bitwise-identical zones.
+        # so both crossing searches produce bitwise-identical zones.
         events = sorted(
             events, key=lambda e: (e.timestamp, e.lat, e.lon, e.user_a, e.user_b)
         )

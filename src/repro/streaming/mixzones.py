@@ -158,10 +158,7 @@ class StreamingMixZoneDetector:
 
     def finalize(self) -> List[MixZone]:
         """The stream's mix-zones, bitwise-identical to the batch detector."""
-        events = self.crossings.finalize()
-        zones = self._detector._cluster_events(events)
-        zones = [z for z in zones if z.n_participants >= self.config.min_users]
-        return sorted(zones, key=lambda z: z.midpoint_time)
+        return self._detector.zones_from_crossings(self.crossings.finalize())
 
 
 def replay_find_crossings(

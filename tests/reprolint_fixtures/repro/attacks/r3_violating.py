@@ -19,3 +19,19 @@ def pairwise(trajectory, lat0, lon0):
 
 def span_sum(trajectory):
     return sum(t for t in trajectory.timestamps)  # per-point comprehension
+
+
+def _walk(trajectory):
+    # Called only from a runtime branch on a setting: a branch is not oracle
+    # scope, so the comprehension and its scalar haversine are both flagged.
+    return [haversine(a, b, 0.0, 0.0) for a, b in zip(trajectory.lats, trajectory.lons)]
+
+
+class Extractor:
+    def __init__(self, engine):
+        self.engine = engine
+
+    def extract(self, trajectory):
+        if self.engine == "reference":
+            return _walk(trajectory)
+        return centroid(trajectory)

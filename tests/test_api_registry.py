@@ -18,15 +18,28 @@ from repro.api import (
     parse_spec,
     register_mechanism,
 )
+from repro.api.evaluators import PoiRetrievalEvaluator, ReidentEvaluator, TrackingEvaluator
 from repro.api.registry import MECHANISMS, format_spec
-from repro.attacks.djcluster import DjCluster
-from repro.attacks.poi_extraction import PoiExtractor
-from repro.attacks.reident import FootprintReidentifier, Reidentifier
-from repro.attacks.tracking import MultiTargetTracker
+from repro.attacks.djcluster import DjCluster, DjClusterConfig, dj_cluster
+from repro.attacks.gap_inference import GapInferenceConfig, infer_pois_from_gaps
+from repro.attacks.poi_extraction import PoiExtractionConfig, PoiExtractor, extract_pois
+from repro.attacks.reident import (
+    FootprintReidentifier,
+    ReidentificationConfig,
+    Reidentifier,
+)
+from repro.attacks.tracking import MultiTargetTracker, TrackingConfig
 from repro.baselines.geo_indistinguishability import GeoIndistinguishabilityMechanism
 from repro.baselines.trivial import IdentityMechanism
+from repro.baselines.wait4me import Wait4MeConfig
 from repro.core.pipeline import Anonymizer
-from repro.experiments.runner import DEFAULT_MECHANISM_SPECS
+from repro.experiments.runner import (
+    DEFAULT_MECHANISM_SPECS,
+    run_poi_retrieval,
+    run_reidentification,
+    run_tracking,
+)
+from repro.mixzones.detection import MixZoneDetectionConfig, detect_mix_zones
 
 
 class TestSpecParsing:
@@ -146,6 +159,58 @@ class TestRegistries:
         strong = make_mechanism(DEFAULT_MECHANISM_SPECS["geo-ind-strong"], defaults={"seed": 0})
         assert strong.config.epsilon_per_m == pytest.approx(np.log(2.0) / 200.0)
         assert strong.config.seed == 0
+
+
+#: Every registered attack that once took an ``engine`` implementation selector.
+ENGINE_SPECS = [
+    "staypoint:engine=reference",
+    "djcluster:engine=reference",
+    "gap-inference:engine=reference",
+    "reident-poi:engine=reference",
+    "reident-footprint:engine=reference",
+    "multi-target-tracker:engine=reference",
+    "poi-retrieval:engine=vectorized",
+    "reident:engine=reference",
+    "tracking:engine=reference",
+]
+
+#: Every config, class, evaluator, runner and helper that once took ``engine``.
+ENGINE_CALLS = {
+    "PoiExtractionConfig": lambda world: PoiExtractionConfig(engine="reference"),
+    "DjClusterConfig": lambda world: DjClusterConfig(engine="reference"),
+    "GapInferenceConfig": lambda world: GapInferenceConfig(engine="reference"),
+    "ReidentificationConfig": lambda world: ReidentificationConfig(engine="reference"),
+    "TrackingConfig": lambda world: TrackingConfig(engine="reference"),
+    "MixZoneDetectionConfig": lambda world: MixZoneDetectionConfig(engine="reference"),
+    "Wait4MeConfig": lambda world: Wait4MeConfig(engine="reference"),
+    "FootprintReidentifier": lambda world: FootprintReidentifier(engine="reference"),
+    "PoiRetrievalEvaluator": lambda world: PoiRetrievalEvaluator(engine="reference"),
+    "ReidentEvaluator": lambda world: ReidentEvaluator(engine="reference"),
+    "TrackingEvaluator": lambda world: TrackingEvaluator(engine="reference"),
+    "run_poi_retrieval": lambda world: run_poi_retrieval(world, engine="reference"),
+    "run_reidentification": lambda world: run_reidentification(world, engine="reference"),
+    "run_tracking": lambda world: run_tracking(world, engine="reference"),
+    "extract_pois": lambda world: extract_pois(next(iter(world.dataset)), engine="reference"),
+    "dj_cluster": lambda world: dj_cluster(next(iter(world.dataset)), engine="reference"),
+    "infer_pois_from_gaps": lambda world: infer_pois_from_gaps(
+        next(iter(world.dataset)), engine="reference"
+    ),
+    "detect_mix_zones": lambda world: detect_mix_zones(world.dataset, engine="reference"),
+}
+
+
+class TestNoImplementationSelector:
+    """Scalar oracles are ``*_reference`` entry points, never a setting."""
+
+    @pytest.mark.parametrize("spec", ENGINE_SPECS)
+    def test_engine_spec_parameter_is_unknown(self, spec):
+        with pytest.raises(RegistryError, match="invalid parameters.*engine"):
+            make_attack(spec)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_CALLS))
+    def test_engine_argument_is_unknown(self, name, tiny_world):
+        with pytest.raises(TypeError, match="engine"):
+            ENGINE_CALLS[name](tiny_world)
 
 
 class TestPublicationResult:

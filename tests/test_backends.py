@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+from multiprocessing.connection import Listener
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.backends import (
@@ -10,6 +14,7 @@ from repro.experiments.backends import (
     SerialBackend,
     WorkQueueBackend,
     WorkQueueError,
+    _accept_until_stopped,
     make_backend,
 )
 from repro.experiments.cache import SqliteCellCache
@@ -113,6 +118,21 @@ class TestWorkQueueFaults:
         backend = WorkQueueBackend(workers=1, timeout_s=300.0)
         with pytest.raises(RuntimeError, match="work-queue worker"):
             EvaluationEngine(backend=backend, cache=False).run(spec, worlds={"world": world})
+
+    def test_accept_loop_ends_when_the_stopped_listener_is_closed(self):
+        # The stdlib accept loop retries every OSError, so a listener closed
+        # by the coordinator's shutdown left a thread spinning at full CPU
+        # (and holding the interpreter lock) for the rest of the process.
+        listener = Listener(("127.0.0.1", 0))
+        server = SimpleNamespace(
+            listener=listener, stop_event=threading.Event(), handle_request=None
+        )
+        server.stop_event.set()
+        listener.close()
+        thread = threading.Thread(target=_accept_until_stopped, args=(server,), daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 class TestFleetPath:

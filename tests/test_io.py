@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ class TestPlt:
         loaded = read_plt_file(path, "u")
         assert len(loaded) == 2
         np.testing.assert_array_equal(loaded.lons, [116.3, 116.4])
+
+    def test_file_without_usable_fix_warns_with_its_path(self, tmp_path):
+        path = tmp_path / "Trajectory" / "20081023025304.plt"
+        path.parent.mkdir()
+        path.write_text("h\n" * 6 + "garbage\nnan,116.3,0,0,0,2008-10-23,02:53:05\n")
+        with pytest.warns(UserWarning, match="no usable fix") as caught:
+            loaded = read_plt_file(path, "u")
+        assert len(loaded) == 0
+        assert str(path) in str(caught[0].message)
+
+    def test_clean_file_emits_no_warning(self, tmp_path, dataset):
+        path = tmp_path / "trace.plt"
+        write_plt_file(path, dataset["alice"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_plt_file(path, "alice")
+        assert len(loaded) == len(dataset["alice"])
 
     def test_directory_round_trip(self, tmp_path, dataset):
         root = tmp_path / "geolife"

@@ -1,11 +1,12 @@
 """Property-based equivalence: vectorized kernels versus scalar references.
 
 The columnar rewrites of mix-zone detection, Wait-For-Me clustering, POI
-(stay-point) extraction and DJ-Cluster must be *refactors*, not behaviour
-changes.  Each hypothesis property generates a small randomized dataset and
-asserts the vectorized path produces identical results to the retained
-scalar reference implementation (``engine="reference"``) of the same
-semantics.
+(stay-point) extraction, DJ-Cluster, gap inference, re-identification and
+tracking must be *refactors*, not behaviour changes.  Each hypothesis
+property generates a small randomized dataset and asserts the public
+vectorized method produces identical results to the retained scalar oracle
+of the same semantics — the ``*_reference`` entry point beside it
+(``extract_reference``, ``attack_reference``, ``link_zones_reference``, ...).
 """
 
 from __future__ import annotations
@@ -65,11 +66,7 @@ class TestMixZoneEquivalence:
         dataset = _random_dataset(seed, n_users, n_points, span_s=3600.0)
         config = MixZoneDetectionConfig(radius_m=radius_m, max_time_gap_s=max_gap_s)
         vectorized = MixZoneDetector(config).find_crossings(dataset)
-        reference = MixZoneDetector(
-            MixZoneDetectionConfig(
-                radius_m=radius_m, max_time_gap_s=max_gap_s, engine="reference"
-            )
-        ).find_crossings(dataset)
+        reference = MixZoneDetector(config).find_crossings_reference(dataset)
         assert sorted(map(_event_key, vectorized)) == sorted(map(_event_key, reference))
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -77,9 +74,7 @@ class TestMixZoneEquivalence:
     def test_zones_identical_to_reference(self, seed):
         dataset = _random_dataset(seed, n_users=4, n_points=30, span_s=1800.0)
         vectorized = MixZoneDetector().detect(dataset)
-        reference = MixZoneDetector(
-            MixZoneDetectionConfig(engine="reference")
-        ).detect(dataset)
+        reference = MixZoneDetector().detect_reference(dataset)
         assert len(vectorized) == len(reference)
         for zone_v, zone_r in zip(vectorized, reference):
             assert zone_v.participants == zone_r.participants
@@ -186,10 +181,9 @@ class TestPoiExtractionEquivalence:
             min_duration_s=min_duration_s,
             merge_distance_m=diameter_m / 2.0,
         )
-        vectorized = PoiExtractor(PoiExtractionConfig(**base)).extract_dataset(dataset)
-        reference = PoiExtractor(
-            PoiExtractionConfig(engine="reference", **base)
-        ).extract_dataset(dataset)
+        extractor = PoiExtractor(PoiExtractionConfig(**base))
+        vectorized = extractor.extract_dataset(dataset)
+        reference = extractor.extract_dataset_reference(dataset)
         assert vectorized == reference  # exact: POIs are frozen dataclasses
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -197,16 +191,13 @@ class TestPoiExtractionEquivalence:
     def test_single_trajectory_identical(self, seed):
         dataset = _dwell_and_move_dataset(seed, n_users=1, n_segments=6, interval_s=45.0)
         trajectory = next(iter(dataset))
-        assert PoiExtractor().extract(trajectory) == PoiExtractor(
-            PoiExtractionConfig(engine="reference")
-        ).extract(trajectory)
+        extractor = PoiExtractor()
+        assert extractor.extract(trajectory) == extractor.extract_reference(trajectory)
 
     def test_degenerate_traces_identical(self):
         for name, dataset in _degenerate_datasets().items():
             vectorized = PoiExtractor().extract_dataset(dataset)
-            reference = PoiExtractor(
-                PoiExtractionConfig(engine="reference")
-            ).extract_dataset(dataset)
+            reference = PoiExtractor().extract_dataset_reference(dataset)
             assert vectorized == reference, f"mismatch on {name}"
         parked = _degenerate_datasets()["all-stationary"]["parked"]
         assert len(PoiExtractor().extract(parked)) == 1
@@ -233,10 +224,9 @@ class TestGapInferenceEquivalence:
             max_reappear_distance_m=reappear_m,
             merge_distance_m=merge_m,
         )
-        vectorized = GapInferenceAttack(GapInferenceConfig(**base)).extract_dataset(dataset)
-        reference = GapInferenceAttack(
-            GapInferenceConfig(engine="reference", **base)
-        ).extract_dataset(dataset)
+        attack = GapInferenceAttack(GapInferenceConfig(**base))
+        vectorized = attack.extract_dataset(dataset)
+        reference = attack.extract_dataset_reference(dataset)
         assert vectorized == reference  # exact: POIs are frozen dataclasses
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -244,19 +234,15 @@ class TestGapInferenceEquivalence:
     def test_single_trajectory_identical(self, seed):
         dataset = _dwell_and_move_dataset(seed, n_users=1, n_segments=8, interval_s=45.0)
         trajectory = next(iter(dataset))
-        assert GapInferenceAttack().extract(trajectory) == GapInferenceAttack(
-            GapInferenceConfig(engine="reference")
-        ).extract(trajectory)
+        attack = GapInferenceAttack()
+        assert attack.extract(trajectory) == attack.extract_reference(trajectory)
 
     def test_degenerate_traces_identical(self):
         config = dict(min_gap_s=60.0, max_reappear_distance_m=500.0)
         for name, dataset in _degenerate_datasets().items():
-            vectorized = GapInferenceAttack(
-                GapInferenceConfig(**config)
-            ).extract_dataset(dataset)
-            reference = GapInferenceAttack(
-                GapInferenceConfig(engine="reference", **config)
-            ).extract_dataset(dataset)
+            attack = GapInferenceAttack(GapInferenceConfig(**config))
+            vectorized = attack.extract_dataset(dataset)
+            reference = attack.extract_dataset_reference(dataset)
             assert vectorized == reference, f"mismatch on {name}"
 
 
@@ -274,10 +260,9 @@ class TestDjClusterEquivalence:
     ):
         dataset = _dwell_and_move_dataset(seed, n_users, n_segments, interval_s=40.0)
         base = dict(eps_m=eps_m, min_points=min_points)
-        vectorized = DjCluster(DjClusterConfig(**base)).extract_dataset(dataset)
-        reference = DjCluster(
-            DjClusterConfig(engine="reference", **base)
-        ).extract_dataset(dataset)
+        attack = DjCluster(DjClusterConfig(**base))
+        vectorized = attack.extract_dataset(dataset)
+        reference = attack.extract_dataset_reference(dataset)
         assert vectorized == reference
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -285,16 +270,12 @@ class TestDjClusterEquivalence:
     def test_single_trajectory_identical(self, seed):
         dataset = _dwell_and_move_dataset(seed, n_users=1, n_segments=6, interval_s=40.0)
         trajectory = next(iter(dataset))
-        assert DjCluster().extract(trajectory) == DjCluster(
-            DjClusterConfig(engine="reference")
-        ).extract(trajectory)
+        assert DjCluster().extract(trajectory) == DjCluster().extract_reference(trajectory)
 
     def test_degenerate_traces_identical(self):
         for name, dataset in _degenerate_datasets().items():
             vectorized = DjCluster().extract_dataset(dataset)
-            reference = DjCluster(
-                DjClusterConfig(engine="reference")
-            ).extract_dataset(dataset)
+            reference = DjCluster().extract_dataset_reference(dataset)
             assert vectorized == reference, f"mismatch on {name}"
         moving = _degenerate_datasets()["all-moving"]["runner"]
         assert DjCluster().extract(moving) == []
@@ -325,13 +306,17 @@ class TestReidentEquivalence:
     ):
         training = _dwell_and_move_dataset(seed, n_users, n_segments, interval_s=45.0)
         published = _dwell_and_move_dataset(seed + 1, n_users, n_segments, interval_s=45.0)
-        base = dict(match_distance_m=match_m, assignment=assignment)
-        vectorized = Reidentifier(ReidentificationConfig(**base))
-        reference = Reidentifier(ReidentificationConfig(engine="reference", **base))
-        knowledge = vectorized.knowledge_from_dataset(training)
+        attacker = Reidentifier(
+            ReidentificationConfig(match_distance_m=match_m, assignment=assignment)
+        )
+        # The oracle is the whole pipeline: scalar stay-point knowledge,
+        # scalar extraction of the publication and per-POI-pair scores.
+        knowledge = attacker.knowledge_from_dataset(training)
+        knowledge_r = attacker.knowledge_from_dataset_reference(training)
+        assert knowledge == knowledge_r
         _assert_reident_identical(
-            vectorized.attack(published, knowledge),
-            reference.attack(published, knowledge),
+            attacker.attack(published, knowledge),
+            attacker.attack_reference(published, knowledge_r),
         )
 
     @given(
@@ -347,43 +332,44 @@ class TestReidentEquivalence:
         training = _dwell_and_move_dataset(seed, n_users, 5, interval_s=40.0)
         published = _dwell_and_move_dataset(seed + 1, n_users, 5, interval_s=40.0)
         vectorized = FootprintReidentifier(cell_size_m=cell_m, assignment=assignment)
-        reference = FootprintReidentifier(
-            cell_size_m=cell_m, assignment=assignment, engine="reference"
-        )
+        reference = FootprintReidentifier(cell_size_m=cell_m, assignment=assignment)
         knowledge_v = vectorized.knowledge_from_dataset(training)
-        knowledge_r = reference.knowledge_from_dataset(training)
+        knowledge_r = reference.knowledge_from_dataset_reference(training)
         assert set(knowledge_v) == set(knowledge_r)
         for user, footprint in knowledge_v.items():
             np.testing.assert_array_equal(footprint, knowledge_r[user])
         _assert_reident_identical(
             vectorized.attack(published, knowledge_v),
-            reference.attack(published, knowledge_v),
+            reference.attack_reference(published, knowledge_r),
         )
 
     def test_degenerate_traces_identical(self):
         datasets = _degenerate_datasets()
         training = datasets["all-stationary"]
         for name, published in datasets.items():
-            vectorized = Reidentifier()
-            reference = Reidentifier(ReidentificationConfig(engine="reference"))
-            knowledge = vectorized.knowledge_from_dataset(training)
+            attacker = Reidentifier()
+            knowledge = attacker.knowledge_from_dataset(training)
+            knowledge_r = attacker.knowledge_from_dataset_reference(training)
+            assert knowledge == knowledge_r
             _assert_reident_identical(
-                vectorized.attack(published, knowledge),
-                reference.attack(published, knowledge),
+                attacker.attack(published, knowledge),
+                attacker.attack_reference(published, knowledge_r),
             )
             fp_v = FootprintReidentifier()
-            fp_r = FootprintReidentifier(engine="reference")
+            fp_r = FootprintReidentifier()
             fp_knowledge = fp_v.knowledge_from_dataset(training)
-            fp_knowledge_r = fp_r.knowledge_from_dataset(training)
+            fp_knowledge_r = fp_r.knowledge_from_dataset_reference(training)
             for user, footprint in fp_knowledge.items():
                 np.testing.assert_array_equal(footprint, fp_knowledge_r[user])
             _assert_reident_identical(
                 fp_v.attack(published, fp_knowledge),
-                fp_r.attack(published, fp_knowledge),
+                fp_r.attack_reference(published, fp_knowledge_r),
             )
-        # No knowledge at all: every prediction must be None on both engines.
+        # No knowledge at all: every prediction must be None on both paths.
         empty_v = Reidentifier().attack(datasets["single-fix"], {})
         assert all(v is None for v in empty_v.predicted.values())
+        empty_r = Reidentifier().attack_reference(datasets["single-fix"], {})
+        assert all(v is None for v in empty_r.predicted.values())
 
 
 def _zone_grid(dataset: MobilityDataset, n_zones: int, seed: int) -> list:
@@ -428,11 +414,9 @@ class TestTrackingEquivalence:
     ):
         dataset = _random_dataset(seed, n_users, n_points, span_s=3600.0)
         zones = _zone_grid(dataset, n_zones, seed)
-        config = dict(search_radius_m=search_radius_m)
-        vectorized = MultiTargetTracker(TrackingConfig(**config)).link_zones(dataset, zones)
-        reference = MultiTargetTracker(
-            TrackingConfig(engine="reference", **config)
-        ).link_zones(dataset, zones)
+        tracker = MultiTargetTracker(TrackingConfig(search_radius_m=search_radius_m))
+        vectorized = tracker.link_zones(dataset, zones)
+        reference = tracker.link_zones_reference(dataset, zones)
         assert len(vectorized) == len(reference)
         for linkage_v, linkage_r in zip(vectorized, reference):
             assert linkage_v.incoming == linkage_r.incoming
@@ -443,9 +427,7 @@ class TestTrackingEquivalence:
         for name, dataset in _degenerate_datasets().items():
             zones = _zone_grid(dataset, 4, seed=13)
             vectorized = MultiTargetTracker().link_zones(dataset, zones)
-            reference = MultiTargetTracker(
-                TrackingConfig(engine="reference")
-            ).link_zones(dataset, zones)
+            reference = MultiTargetTracker().link_zones_reference(dataset, zones)
             for linkage_v, linkage_r in zip(vectorized, reference):
                 assert linkage_v.links == linkage_r.links, f"mismatch on {name}"
                 assert linkage_v.incoming == linkage_r.incoming
@@ -485,10 +467,9 @@ class TestWait4MeEquivalence:
     def test_publication_identical_to_reference(self, seed, n_users, k, delta_m, mech_seed):
         dataset = _random_dataset(seed, n_users, n_points=25, span_s=3600.0)
         base = dict(k=k, delta_m=delta_m, time_step_s=120.0, seed=mech_seed)
-        vectorized = Wait4MeMechanism(Wait4MeConfig(**base)).publish(dataset).dataset
-        reference = Wait4MeMechanism(
-            Wait4MeConfig(engine="reference", **base)
-        ).publish(dataset).dataset
+        mechanism = Wait4MeMechanism(Wait4MeConfig(**base))
+        vectorized = mechanism.publish(dataset).dataset
+        reference = mechanism.publish_reference(dataset).dataset
         assert set(vectorized.user_ids) == set(reference.user_ids)
         assert vectorized == reference  # bitwise: both paths share the edit phase
 

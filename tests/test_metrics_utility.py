@@ -144,16 +144,27 @@ class TestDistortionKernelEquivalence:
             np.concatenate(expected) if expected else np.zeros(0)
         )
 
-    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
-    def test_smoothed_world_matches_reference_bitwise(self, hide_scipy, small_dataset):
-        published = smooth_dataset(small_dataset, epsilon_m=100.0)
+    @pytest.fixture(scope="class")
+    def smoothed_world(self, small_world):
+        """The smoothed small world and its scalar-oracle distances.
+
+        The oracle is quadratic over the whole world, so it is computed once
+        and shared by every candidate path below.
+        """
+        original = small_world.dataset
+        published = smooth_dataset(original, epsilon_m=100.0)
         expected = np.concatenate([
-            trajectory_spatial_distortion_reference(small_dataset[t.user_id], t)
+            trajectory_spatial_distortion_reference(original[t.user_id], t)
             for t in published
             if len(t)
         ])
+        return original, published, expected
+
+    @pytest.mark.parametrize("hide_scipy", CANDIDATE_PATHS)
+    def test_smoothed_world_matches_reference_bitwise(self, hide_scipy, smoothed_world):
+        original, published, expected = smoothed_world
         with hidden_scipy(hide_scipy):
-            summary = dataset_spatial_distortion(small_dataset, published, match_by_user=True)
+            summary = dataset_spatial_distortion(original, published, match_by_user=True)
         assert summary == DistortionSummary.from_distances(expected)
 
 

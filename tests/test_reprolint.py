@@ -80,11 +80,23 @@ class TestColumnarRule:
         messages = [f.message for f in found]
         assert any("per-point loop" in m for m in messages)
         assert any("scalar haversine()" in m for m in messages)
-        assert len(found) == 3
+        assert len(found) == 5
+
+    def test_reference_branch_confers_no_oracle_scope(self):
+        # A helper reached only through ``if self.engine == "reference"`` is
+        # hot code: oracles are named ``*_reference`` entry points, not knobs.
+        path = fixture("repro", "attacks", "r3_violating.py")
+        with open(path) as fh:
+            walk_line = fh.read().splitlines().index("def _walk(trajectory):") + 1
+        found = [f for f in findings_for(path, "R3") if f.scope_line == walk_line]
+        messages = sorted(f.message for f in found)
+        assert len(messages) == 2
+        assert "per-point loop" in messages[0]
+        assert "scalar haversine()" in messages[1]
 
     def test_conforming_fixture_is_clean(self):
-        # Includes a named oracle, a private helper reachable only from a
-        # reference branch, and batched haversine_array calls.
+        # Includes named oracle functions, a private helper reachable only
+        # from them, and batched haversine_array calls.
         assert findings_for(fixture("repro", "attacks", "r3_conforming.py"), "R3") == []
 
     def test_def_line_waiver_suppresses_body_findings(self):
