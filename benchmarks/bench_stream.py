@@ -1,21 +1,27 @@
 """Streaming-tier benchmark: per-point update latency and resident state.
 
 Replays the evaluation workloads through the incremental attacks of
-``repro.streaming`` and records, per attack cell:
+``repro.streaming`` — chunk by chunk through ``update_many``, the path the
+``replay_*`` helpers and the engine's ``mode="stream"`` run — and records,
+per attack cell:
 
 * ``wall_s`` / ``wall_s_samples`` — best-of-k replay wall time and the raw
   repeat samples (the regression gate compares the minimum);
-* ``update_latency_us`` — mean per-point cost of ``update()`` (+ the final
+* ``update_latency_us`` — mean per-point cost of the replay (+ the final
   ``finalize()``), the number a live pipeline budgets against;
 * ``peak_resident_points`` — the largest point-derived state the streaming
   consumer held at any moment, versus the full dataset the batch attack
-  loads (``resident_fraction``).  Stay-point windows and the mix-zone deque
-  are O(window); DJ-Cluster retains the *stationary* fixes only (density
-  clusters are defined over the whole history).
+  loads (``resident_fraction``).  It is sampled after every per-point
+  ``update()`` of one extra pass: the chunked path ends each chunk in the
+  same state and holds at most one chunk more.  Stay-point windows and the
+  mix-zone deque are O(window); DJ-Cluster retains the *stationary* fixes
+  only (density clusters are defined over the whole history), and the
+  re-identifier holds the footprint cells of every pseudonym.
 * ``batch_wall_s`` — the batch attack on the same data, for context.
 
-``BENCH_stream.<scale>.json`` is committed at small scale and gated by
-``compare_artifacts.py`` like every other bench artifact.
+Every cell asserts that its streaming ``finalize()`` equals the batch
+attack.  ``BENCH_stream.<scale>.json`` is committed at small scale and gated
+by ``compare_artifacts.py`` like every other bench artifact.
 """
 
 from __future__ import annotations
@@ -24,10 +30,18 @@ import time
 
 from repro.attacks.djcluster import DjCluster, DjClusterConfig
 from repro.attacks.poi_extraction import PoiExtractionConfig, PoiExtractor
+from repro.attacks.reident import (
+    FootprintReidentifier,
+    ReidentificationConfig,
+    Reidentifier,
+)
+from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.experiments.formatting import format_table
+from repro.experiments.workloads import split_train_publish
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 from repro.streaming import (
     LiveSource,
+    OnlineReidentifier,
     ReplaySource,
     StreamingCrossingDetector,
     StreamingDjCluster,
@@ -36,22 +50,25 @@ from repro.streaming import (
 
 
 def _stream_timing(
-    source_factory, consumer_factory, peak_of, n_points: int, repeats: int = 3
+    source, consumer_factory, finish, peak_of, n_points: int, repeats: int = 3
 ) -> dict:
-    """Timed replay repeats plus one instrumented pass for peak state."""
+    """Timed chunked replays plus one per-point pass for peak state.
+
+    Returns the timings and the last replay's ``finish(consumer)`` result.
+    """
     samples = []
     for _ in range(repeats):
         consumer = consumer_factory()
         start = time.perf_counter()
-        for point in source_factory():
-            consumer.update(point)
-        consumer.finalize()
+        for chunk in source.chunks():
+            consumer.update_many(chunk)
+        result = finish(consumer)
         samples.append(time.perf_counter() - start)
     wall_s = min(samples)
 
     consumer = consumer_factory()
     peak = 0
-    for point in source_factory():
+    for point in source:
         consumer.update(point)
         peak = max(peak, peak_of(consumer))
     return {
@@ -61,7 +78,20 @@ def _stream_timing(
         "update_latency_us": 1e6 * wall_s / n_points if n_points else None,
         "peak_resident_points": peak,
         "resident_fraction": peak / n_points if n_points else None,
-    }
+    }, result
+
+
+def _live_dataset(source: LiveSource) -> MobilityDataset:
+    """The live stream's points as a dataset, for the batch comparison."""
+    per_user = {user_id: ([], [], []) for user_id in source.user_ids}
+    for point in source:
+        ts, lats, lons = per_user[point.user_id]
+        ts.append(point.timestamp)
+        lats.append(point.lat)
+        lons.append(point.lon)
+    return MobilityDataset(
+        [Trajectory(user_id, *columns) for user_id, columns in per_user.items()]
+    )
 
 
 def test_stream(
@@ -69,49 +99,90 @@ def test_stream(
 ):
     standard = eval_world.dataset
     crossing = crossing_eval_world.dataset
+    training, published = split_train_publish(crossing_eval_world, 0.5)
 
     poi_config = PoiExtractionConfig()
     dj_config = DjClusterConfig()
     zone_config = MixZoneDetectionConfig()
+    poi_attacker = Reidentifier(ReidentificationConfig(match_distance_m=250.0))
+    poi_knowledge = poi_attacker.knowledge_from_dataset(training)
+    fp_attacker = FootprintReidentifier()
+    fp_knowledge = fp_attacker.knowledge_from_dataset(
+        training, bbox=crossing.bbox.expanded(500.0)
+    )
     standard_source = ReplaySource(standard)
     crossing_source = ReplaySource(crossing)
+    published_source = ReplaySource(published)
     live = LiveSource(n_users=8, n_points=5000, seed=7)
 
-    timings = {
-        "stream_staypoints": _stream_timing(
-            lambda: standard_source,
+    def finalize(consumer):
+        return consumer.finalize()
+
+    cells = {
+        "stream_staypoints": (
+            standard_source,
             lambda: StreamingPoiExtractor(poi_config, user_ids=standard_source.user_ids),
+            finalize,
             lambda c: c.open_points,
             standard.n_points,
         ),
-        "stream_djcluster": _stream_timing(
-            lambda: standard_source,
+        "stream_djcluster": (
+            standard_source,
             lambda: StreamingDjCluster(dj_config, user_ids=standard_source.user_ids),
+            finalize,
             lambda c: c.stationary_points,
             standard.n_points,
         ),
-        "stream_mixzones": _stream_timing(
-            lambda: crossing_source,
+        "stream_mixzones": (
+            crossing_source,
             lambda: StreamingCrossingDetector(zone_config, user_ids=crossing_source.user_ids),
+            finalize,
             lambda c: c.window_points,
             crossing.n_points,
         ),
-        "live_staypoints": _stream_timing(
-            lambda: live,
+        "stream_reident": (
+            published_source,
+            lambda: OnlineReidentifier(
+                poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
+                user_ids=published_source.user_ids,
+            ),
+            lambda c: c.finalize(published),
+            lambda c: c.footprint_cells + c._extractor.open_points,
+            published.n_points,
+        ),
+        "live_staypoints": (
+            live,
             lambda: StreamingPoiExtractor(poi_config, user_ids=live.user_ids),
+            finalize,
             lambda c: c.open_points,
             live.n_points,
         ),
     }
-    timings["stream_staypoints"]["batch_wall_s"] = min(
-        bench_timer(lambda: PoiExtractor(poi_config).extract_dataset(standard))[1]
-    )
-    timings["stream_djcluster"]["batch_wall_s"] = min(
-        bench_timer(lambda: DjCluster(dj_config).extract_dataset(standard))[1]
-    )
-    timings["stream_mixzones"]["batch_wall_s"] = min(
-        bench_timer(lambda: MixZoneDetector(zone_config).find_crossings(crossing))[1]
-    )
+    timings = {}
+    results = {}
+    for cell, args in cells.items():
+        timings[cell], results[cell] = _stream_timing(*args)
+
+    batch = {
+        "stream_staypoints": lambda: PoiExtractor(poi_config).extract_dataset(standard),
+        "stream_djcluster": lambda: DjCluster(dj_config).extract_dataset(standard),
+        "stream_mixzones": lambda: MixZoneDetector(zone_config).find_crossings(crossing),
+        "stream_reident": lambda: (
+            poi_attacker.attack(published, poi_knowledge),
+            fp_attacker.attack(published, fp_knowledge),
+        ),
+    }
+    for cell, run in batch.items():
+        expected, samples = bench_timer(run)
+        timings[cell]["batch_wall_s"] = min(samples)
+        if cell == "stream_reident":
+            got = [(r.scores, r.predicted) for r in results[cell]]
+            expected = [(r.scores, r.predicted) for r in expected]
+        else:
+            got = results[cell]
+        assert got == expected, f"{cell}: streaming finalize() differs from batch"
+    live_batch = PoiExtractor(poi_config).extract_dataset(_live_dataset(live))
+    assert results["live_staypoints"] == live_batch, "live_staypoints differs from batch"
 
     rows = [
         {
@@ -132,6 +203,7 @@ def test_stream(
             "workload": {
                 "standard_points": standard.n_points,
                 "crossing_points": crossing.n_points,
+                "published_points": published.n_points,
                 "live_points": live.n_points,
             }
         },
@@ -149,7 +221,8 @@ def test_stream(
 
     # O(window), not O(history): the appendable stay window and the mix-zone
     # deque must stay far below the dataset they replayed.  (DJ-Cluster's
-    # state is all stationary fixes by construction — reported, not bounded.)
+    # state is all stationary fixes by construction, and the re-identifier's
+    # every footprint cell — reported, not bounded.)
     if evaluation_scale not in ("tiny",):
         for cell in ("stream_staypoints", "stream_mixzones", "live_staypoints"):
             fraction = timings[cell]["resident_fraction"]

@@ -32,6 +32,13 @@ speedup is one command::
 
     python benchmarks/compare_artifacts.py --candidate DIR --update-baselines
 
+Every compared cell also reports its *coefficient of variation* (sample
+standard deviation / mean of ``wall_s_samples``) on the baseline and the
+candidate side, and is marked ``noisy`` when either exceeds
+:data:`NOISY_CV`.  This is reporting only: the minimum sample still drives
+the verdict, so a noisy cell tells the reader which ratios to distrust
+without changing what passes.  Cells without samples report ``cv n/a``.
+
 Artifacts only present on one side are reported but never fail the gate:
 baselines are committed at specific scales, and a quick local run at another
 scale should not trip CI.  Median speedups are reported too, as a nudge to
@@ -46,8 +53,11 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from statistics import median
+from statistics import mean, median, stdev
 from typing import Dict, List, Optional, Tuple
+
+#: Coefficient of variation above which a cell's samples are called noisy.
+NOISY_CV = 0.25
 
 
 def _load_payload(path: Path) -> dict:
@@ -57,6 +67,41 @@ def _load_payload(path: Path) -> dict:
     except (OSError, ValueError):
         return {}
     return payload if isinstance(payload, dict) else {}
+
+
+def _valid_samples(values: dict) -> List[float]:
+    samples = values.get("wall_s_samples")
+    if not isinstance(samples, list):
+        return []
+    return [
+        float(s)
+        for s in samples
+        if isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0
+    ]
+
+
+def load_cvs(path: Path) -> Dict[str, float]:
+    """Map of timing cell -> coefficient of variation of its samples.
+
+    Cells with fewer than two valid ``wall_s_samples`` are left out.
+    """
+    timings = _load_payload(path).get("timings")
+    if not isinstance(timings, dict):
+        return {}
+    cvs: Dict[str, float] = {}
+    for cell, values in timings.items():
+        samples = _valid_samples(values) if isinstance(values, dict) else []
+        if len(samples) >= 2:
+            cvs[str(cell)] = stdev(samples) / mean(samples)
+    return cvs
+
+
+def _cv_note(base_cv: Optional[float], cand_cv: Optional[float]) -> str:
+    if base_cv is None and cand_cv is None:
+        return "cv n/a"
+    shown = "/".join("n/a" if cv is None else f"{cv:.2f}" for cv in (base_cv, cand_cv))
+    noisy = any(cv is not None and cv > NOISY_CV for cv in (base_cv, cand_cv))
+    return f"cv {shown}" + (" noisy" if noisy else "")
 
 
 def load_wall_times(path: Path) -> Dict[str, float]:
@@ -77,15 +122,9 @@ def load_wall_times(path: Path) -> Dict[str, float]:
         if not isinstance(values, dict):
             continue
         wall = values.get("wall_s")
-        samples = values.get("wall_s_samples")
-        if isinstance(samples, list):
-            valid = [
-                float(s)
-                for s in samples
-                if isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0
-            ]
-            if valid:
-                wall = min(valid)
+        valid = _valid_samples(values)
+        if valid:
+            wall = min(valid)
         if isinstance(wall, (int, float)) and not isinstance(wall, bool) and wall > 0:
             cells[str(cell)] = float(wall)
     return cells
@@ -103,6 +142,9 @@ def compare_artifact(
     baseline: Path, candidate: Path, calibrate: bool = False
 ) -> Tuple[Optional[float], List[str]]:
     """``(median ratio, per-cell lines)`` for one artifact pair.
+
+    Each cell line carries the baseline/candidate coefficients of variation
+    of its samples, marked ``noisy`` above :data:`NOISY_CV`.
 
     The ratio is ``None`` when the two files share no timed cell (schema
     drift or a renamed cell set — reported, not silently skipped).  With
@@ -129,13 +171,15 @@ def compare_artifact(
             lines.append(
                 f"    calibration: missing in {side} — raw (uncalibrated) ratios"
             )
+    base_cvs = load_cvs(baseline)
+    cand_cvs = load_cvs(candidate)
     ratios = []
     for cell in shared:
         ratio = cand_cells[cell] / base_cells[cell] / speed
         ratios.append(ratio)
         lines.append(
             f"    {cell}: {base_cells[cell]:.4f}s -> {cand_cells[cell]:.4f}s"
-            f"  (x{ratio:.2f})"
+            f"  (x{ratio:.2f})  {_cv_note(base_cvs.get(cell), cand_cvs.get(cell))}"
         )
     for cell in sorted(set(base_cells) ^ set(cand_cells)):
         side = "baseline" if cell in base_cells else "candidate"

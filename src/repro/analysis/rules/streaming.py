@@ -1,15 +1,16 @@
-"""R6 — streaming incrementality: ``update()`` must not rescan history.
+"""R6 — streaming incrementality: update paths must not rescan history.
 
 The streaming tier (``repro.streaming``) promises O(window) work per
 arriving point: every incremental consumer exposes ``update(point)`` and
-the state it scans on each call must be *pruned* — a sliding window, a
-closable bucket — never the full history.  This rule flags the canonical
-regression: a ``for`` loop or comprehension inside an ``update()`` method
-(or a private helper reachable from one) that iterates an instance
-buffer the class only ever grows (``append``/``add``/``extend``/item
-assignment) and never prunes (``pop``/``popleft``/``remove``/``clear``/
-``del``/reassignment).  Such a loop makes per-point cost O(history) and
-turns the streaming tier into a re-run of the batch attack.
+its chunked form ``update_many(chunk)``, and the state they scan on each
+call must be *pruned* — a sliding window, a closable bucket — never the
+full history.  This rule flags the canonical regression: a ``for`` loop or
+comprehension inside ``update()`` or ``update_many()`` (or a private helper
+reachable from either) that iterates an instance buffer the class only
+ever grows (``append``/``add``/``extend``/item assignment) and never prunes
+(``pop``/``popleft``/``remove``/``clear``/``del``/reassignment).  Such a
+loop makes per-point cost O(history) and turns the streaming tier into a
+re-run of the batch attack.
 
 Scope notes:
 
@@ -17,9 +18,22 @@ Scope notes:
   selects one cell of a spatial index, it does not walk the history.
 * Finalize paths are exempt: ``finalize()`` legitimately folds whatever
   state remains, and it runs once per stream, not once per point.
-* An append-only buffer that ``update()`` never *iterates* is legal too
+* An append-only buffer that the update paths never *iterate* is legal too
   (DJ-Cluster retains all stationary fixes by construction; it probes
   them through its eps-grid, never by scanning).
+
+What R6 cannot see:
+
+* Resident state.  A buffer that is probed, not iterated, passes however
+  large it grows: streaming DJ-Cluster keeps every stationary fix
+  (``BENCH_stream.small.json`` records 77 % of the stream's points
+  resident at its peak), and R6 passes it because ``update()`` probes that
+  buffer through the grid and never iterates it.
+* Vectorized scans.  ``np.asarray(self._history)`` or a numpy reduction
+  over a grown buffer walks it in C, not in a Python loop, and is not
+  flagged.
+* Buffers reached through a local (``st = self._users[u]; for x in
+  st.xs``): subscripts end the attribute chain, as bucket access should.
 
 Genuinely intrinsic full-history scans can be waived with
 ``# repro: allow=R6 -- reason`` on the loop or the enclosing ``def``.
@@ -37,6 +51,9 @@ from .base import Rule
 __all__ = ["StreamingIncrementalityRule"]
 
 _TARGETS = ("repro/streaming/",)
+
+#: The per-arrival entry points: the per-point ``update`` and its chunked form.
+_UPDATE_ROOTS = ("update", "update_many")
 
 #: Method calls on an instance buffer that grow it.
 _GROW_METHODS = {"append", "appendleft", "add", "extend", "insert", "setdefault", "update"}
@@ -119,9 +136,9 @@ class _ClassProfile:
                             if attr is not None:
                                 self.pruned.add(attr)
 
-        # Fixpoint: update() itself plus every method transitively called
-        # from it via self/cls — those all run once per arriving point.
-        reachable = {name for name in self.methods if name == "update"}
+        # Fixpoint: update()/update_many() plus every method transitively
+        # called from them via self/cls — those all run once per arrival.
+        reachable = {name for name in self.methods if name in _UPDATE_ROOTS}
         frontier = list(reachable)
         while frontier:
             for callee in calls.get(frontier.pop(), ()):
@@ -138,8 +155,8 @@ class StreamingIncrementalityRule(Rule):
     id = "R6"
     name = "streaming-incrementality"
     description = (
-        "streaming update() paths must stay O(window): iterating an instance "
-        "buffer that only ever grows makes per-point cost O(history)"
+        "streaming update()/update_many() paths must stay O(window): iterating "
+        "an instance buffer that only ever grows makes per-point cost O(history)"
     )
 
     def check(self, index: ModuleIndex) -> Iterator[Finding]:
@@ -167,7 +184,7 @@ class StreamingIncrementalityRule(Rule):
                             path=path,
                             line=sub.lineno,
                             message=(
-                                f"update() path {profile.node.name}.{name} iterates "
+                                f"update path {profile.node.name}.{name} iterates "
                                 f"self.{attr}, which is grown but never pruned — "
                                 "per-point cost is O(history), not O(window)"
                             ),

@@ -40,7 +40,12 @@ rebuilt on:
 * :func:`polyline_distances` — exact planar distance from every point to
   the polyline of its segment (per-user spatial distortion: each published
   fix against its own user's original path), evaluated only on a candidate
-  set of polyline edges that provably holds each point's nearest one.
+  set of polyline edges that provably holds each point's nearest one;
+* :func:`haversine_above`, :func:`trailing_window_pairs`,
+  :func:`cell_probe_pairs` and :func:`clique_cells` — the chunk joins of the
+  streaming tier's ``update_many`` paths: threshold tests decided bitwise as
+  the scalar :func:`~repro.geo.distance.haversine` decides them, the pairs of
+  a sliding time window, and the 3x3 cell probe of an incremental grid.
 
 Kernels operate on plain numpy arrays (no trajectory types), which keeps this
 module importable from anywhere in the library without cycles.
@@ -60,7 +65,7 @@ try:  # numpy >= 1.20 ships typing; fall back for exotic builds
 except ImportError:  # pragma: no cover
     DTypeLike = Any  # type: ignore[assignment, misc]
 
-from .distance import haversine_array, meters_per_degree
+from .distance import haversine, haversine_array, meters_per_degree
 
 __all__ = [
     "ColumnarTraces",
@@ -75,6 +80,10 @@ __all__ = [
     "planar_radius_cliques",
     "segmented_searchsorted",
     "polyline_distances",
+    "haversine_above",
+    "trailing_window_pairs",
+    "cell_probe_pairs",
+    "clique_cells",
 ]
 
 
@@ -1093,3 +1102,118 @@ def polyline_distances(
     else:
         out[multi] = _polyline_distances_indexed(px, py, groups, edges, edge_offsets, cKDTree)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Chunk joins of the streaming tier
+# ---------------------------------------------------------------------------
+
+#: Relative band around a threshold inside which :func:`haversine_above`
+#: re-decides with the scalar :func:`haversine`.  The batched and scalar
+#: formulas agree to a few ulps (~1e-15 relative), so outside the band the
+#: batched value already decides exactly as the scalar would.
+_HAVERSINE_BAND = 1e-9
+
+
+def haversine_above(
+    lat1: Any, lon1: Any, lat2: Any, lon2: Any, threshold: float
+) -> np.ndarray:
+    """Elementwise ``haversine(lat1, lon1, lat2, lon2) > threshold``, bitwise.
+
+    Inputs broadcast like :func:`haversine_array`.  Distances farther than a
+    relative band of ``1e-9`` from ``threshold`` are decided on the batched
+    value; the few inside the band are re-evaluated with the scalar
+    :func:`haversine` (same argument order), so every decision is exactly
+    the one a per-point loop over the scalar function makes.
+    """
+    lat1, lon1, lat2, lon2 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (lat1, lon1, lat2, lon2))
+    )
+    d = np.asarray(haversine_array(lat1, lon1, lat2, lon2))
+    margin = _HAVERSINE_BAND * max(abs(threshold), 1.0)
+    above = np.array(d > threshold + margin)
+    for k in np.flatnonzero(~above & (d >= threshold - margin)).tolist():
+        above.flat[k] = haversine(
+            float(lat1.flat[k]), float(lon1.flat[k]), float(lat2.flat[k]), float(lon2.flat[k])
+        ) > threshold
+    return above
+
+
+def trailing_window_pairs(
+    timestamps: np.ndarray, start: int, horizon: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs of each point from ``start`` on with its sliding time window.
+
+    ``timestamps`` is non-decreasing (arrival order).  For every ``i >=
+    start`` the window is every earlier point ``j < i`` with
+    ``timestamps[j] >= timestamps[i] - horizon`` — the deque a per-point
+    consumer holds after evicting entries older than ``horizon``.  Returns
+    ``(i, j)`` int64 arrays ordered by ``i``, then ``j``: the order a
+    per-point loop visits its window.
+    """
+    ts = np.asarray(timestamps, dtype=float)
+    later = np.arange(start, ts.size, dtype=np.int64)
+    lo = np.searchsorted(ts, ts[start:] - horizon, side="left").astype(np.int64)
+    count = np.maximum(later - lo, 0)
+    return np.repeat(later, count), _concat_ranges(lo, count)
+
+
+def cell_probe_pairs(
+    query_cx: np.ndarray,
+    query_cy: np.ndarray,
+    cand_cx: np.ndarray,
+    cand_cy: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (query, candidate) pair whose integer cells are 3x3-adjacent.
+
+    The batched form of probing the nine cells around each query in a
+    ``(cx, cy) -> members`` grid: returns ``(q, c)`` index arrays into the
+    query and candidate arrays with ``|dcx| <= 1`` and ``|dcy| <= 1``, in no
+    particular order.
+    """
+    qx = np.asarray(query_cx, dtype=np.int64)
+    qy = np.asarray(query_cy, dtype=np.int64)
+    cx = np.asarray(cand_cx, dtype=np.int64)
+    cy = np.asarray(cand_cy, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    if qx.size == 0 or cx.size == 0:
+        return empty, empty.copy()
+    x0 = min(int(qx.min()), int(cx.min())) - 1
+    y0 = min(int(qy.min()), int(cy.min())) - 1
+    span = max(int(qy.max()), int(cy.max())) - y0 + 2
+    if (max(int(qx.max()), int(cx.max())) - x0 + 2) * span >= 2**63:
+        raise ValueError("cell key space too large to pack into int64")
+    keys = (cx - x0) * span + (cy - y0)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    base = (qx - x0) * span + (qy - y0)
+    queries = np.arange(qx.size, dtype=np.int64)
+    out_q: List[np.ndarray] = []
+    out_c: List[np.ndarray] = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            target = base + (dx * span + dy)
+            lo = np.searchsorted(sorted_keys, target, side="left")
+            count = np.searchsorted(sorted_keys, target, side="right") - lo
+            out_q.append(np.repeat(queries, count))
+            out_c.append(order[_concat_ranges(lo.astype(np.int64), count)])
+    return np.concatenate(out_q), np.concatenate(out_c)
+
+
+def clique_cells(
+    xs: np.ndarray, ys: np.ndarray, radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer cells of :func:`planar_radius_cliques`' certified grid.
+
+    Cells have side ``(radius - margin) / sqrt(2)``, so any two points that
+    share a cell pass the exact ``dx*dx + dy*dy <= radius*radius`` test.
+    The origin is the planar origin (not the data minimum), so cells stay
+    stable as points are appended.
+    """
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    cell = (radius - min(_CLIQUE_MARGIN_M, 0.01 * radius)) / np.sqrt(2.0)
+    return (
+        np.floor(np.asarray(xs, dtype=float) / cell).astype(np.int64),
+        np.floor(np.asarray(ys, dtype=float) / cell).astype(np.int64),
+    )

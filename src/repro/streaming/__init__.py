@@ -8,6 +8,15 @@ bounded by its sliding window — never by the stream's history — and every
 on the same data.  The stream legs of the CI ``equivalence`` job hold that
 pin through ``python -m repro.experiments.backend_check equivalence``.
 
+Every component also exposes ``update_many(chunk) -> events`` over a
+:class:`StreamChunk` of column arrays.  It returns exactly the concatenation
+of the events per-point ``update()`` would return over the chunk's rows, in
+the same order, and leaves the same state behind; ``update()`` stays the
+oracle it is tested against.  Sources yield chunks through ``chunks()`` in
+exactly their ``__iter__`` order, at most about :data:`CHUNK_POINTS` rows
+each, and the ``replay_*`` helpers — hence ``mode="stream"`` — replay chunk
+by chunk.  No setting selects between the two paths.
+
 Components:
 
 * :class:`ReplaySource` / :class:`LiveSource` — where points come from;
@@ -30,22 +39,30 @@ from .mixzones import (
     replay_find_crossings,
 )
 from .reident import OnlineReidentifier, ScoreEvent, replay_reidentify
-from .sources import LiveSource, ReplaySource, StreamPoint, StreamSource, replay
+from .sources import (
+    CHUNK_POINTS,
+    LiveSource,
+    ReplaySource,
+    StreamChunk,
+    StreamPoint,
+    StreamSource,
+)
 from .staypoints import StreamingPoiExtractor, replay_extract_staypoints
 
 __all__ = [
+    "CHUNK_POINTS",
     "ClusterEvent",
     "LiveSource",
     "OnlineReidentifier",
     "ReplaySource",
     "ScoreEvent",
+    "StreamChunk",
     "StreamPoint",
     "StreamSource",
     "StreamingCrossingDetector",
     "StreamingDjCluster",
     "StreamingMixZoneDetector",
     "StreamingPoiExtractor",
-    "replay",
     "replay_detect_mix_zones",
     "replay_extract_djclusters",
     "replay_extract_staypoints",

@@ -13,6 +13,17 @@ has advanced past the point where any future arrival could still contribute
 to it, so ``update()`` yields crossing events with bounded latency and the
 resident state is O(window) + O(open merge windows), never O(history).
 
+``update_many(chunk)`` consumes a :class:`~repro.streaming.sources.
+StreamChunk` and returns exactly the concatenation of the events per-point
+``update()`` would return over its rows.  It joins the chunk against (the
+window + the chunk's earlier rows) with one batched time-window pair list
+and one batched radius test (decided bitwise as the scalar ``haversine``
+decides it), folds the confirmed pairs into the open merge windows in
+per-point order, and closes the merge windows behind the chunk's last
+boundary: a merge window can only close after its last candidate arrived,
+so closing them at the end of the chunk yields the per-point events in the
+per-point order.
+
 ``finalize()`` returns the full crossing list in the batch kernel's order
 and :meth:`StreamingMixZoneDetector.zones` clusters it with the batch
 detector's own zone pass — both bitwise-identical to the batch attack.
@@ -23,11 +34,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.trajectory import MobilityDataset
 from ..geo.distance import haversine
+from ..geo.kernels import haversine_above, trailing_window_pairs
 from ..mixzones.detection import CrossingEvent, MixZoneDetectionConfig, MixZoneDetector
 from ..mixzones.zones import MixZone
-from .sources import ReplaySource, StreamPoint
+from .sources import ReplaySource, StreamChunk, StreamPoint
 
 __all__ = [
     "StreamingCrossingDetector",
@@ -119,6 +133,72 @@ class StreamingCrossingDetector:
             events.extend(self._close(win))
         return events
 
+    def update_many(self, chunk: StreamChunk) -> List[CrossingEvent]:
+        """Feed a chunk; the concatenated events of per-point ``update()``."""
+        cfg = self.config
+        n = len(chunk)
+        if n == 0:
+            return []
+        for user_id in chunk.users_in_order():
+            self.register_user(user_id)
+        window = self._window
+        w = len(window)
+        user = np.concatenate([[p.user_index for p in window], chunk.user_index]).astype(np.int64)
+        pos = np.concatenate([[p.pos for p in window], chunk.pos]).astype(np.int64)
+        ts = np.concatenate([[p.timestamp for p in window], chunk.timestamps])
+        lats = np.concatenate([[p.lat for p in window], chunk.lats])
+        lons = np.concatenate([[p.lon for p in window], chunk.lons])
+
+        # Row i is the arrival, row j < i a window entry it is tested against.
+        i, j = trailing_window_pairs(ts, w, cfg.max_time_gap_s)
+        keep = user[i] != user[j]
+        i, j = i[keep], j[keep]
+        keep = ~haversine_above(lats[j], lons[j], lats[i], lons[i], cfg.radius_m)
+        i, j = i[keep], j[keep]
+        divisor = max(cfg.merge_gap_s, 1.0)
+        if i.size:
+            lo = np.where(user[j] < user[i], j, i)
+            hi = np.where(user[j] < user[i], i, j)
+            rows = zip(
+                (ts[j] // divisor).tolist(),
+                user[lo].tolist(),
+                user[hi].tolist(),
+                pos[lo].tolist(),
+                pos[hi].tolist(),
+                ((lats[j] + lats[i]) / 2.0).tolist(),
+                ((lons[j] + lons[i]) / 2.0).tolist(),
+                ((ts[j] + ts[i]) / 2.0).tolist(),
+            )
+            pending = self._pending
+            for win, lo_user, hi_user, lo_pos, hi_pos, lat, lon, t in rows:
+                bucket = pending.setdefault(int(win), {})
+                key = (lo_user, hi_user)
+                held = bucket.get(key)
+                if held is None or (lo_pos, hi_pos) < held[:2]:
+                    bucket[key] = (lo_pos, hi_pos, lat, lon, t)
+
+        floor_ts = float(ts[-1]) - cfg.max_time_gap_s
+        while window and window[0].timestamp < floor_ts:
+            window.popleft()
+        first = w + int(np.searchsorted(ts[w:], floor_ts, side="left"))
+        window.extend(
+            StreamPoint(chunk.user_ids[k], k, p, t, lat, lon)
+            for k, p, t, lat, lon in zip(
+                user[first:].tolist(),
+                pos[first:].tolist(),
+                ts[first:].tolist(),
+                lats[first:].tolist(),
+                lons[first:].tolist(),
+            )
+        )
+        # As in update(): merge windows before the last row's boundary are
+        # final, and none of them can have closed earlier in the chunk.
+        boundary = int(floor_ts // divisor)
+        events: List[CrossingEvent] = []
+        for win in sorted(win for win in self._pending if win < boundary):
+            events.extend(self._close(win))
+        return events
+
     def finalize(self) -> List[CrossingEvent]:
         """All crossing events, in the batch kernel's canonical order."""
         for win in sorted(self._pending):
@@ -156,6 +236,9 @@ class StreamingMixZoneDetector:
     def update(self, point: StreamPoint) -> List[CrossingEvent]:
         return self.crossings.update(point)
 
+    def update_many(self, chunk: StreamChunk) -> List[CrossingEvent]:
+        return self.crossings.update_many(chunk)
+
     def finalize(self) -> List[MixZone]:
         """The stream's mix-zones, bitwise-identical to the batch detector."""
         return self._detector.zones_from_crossings(self.crossings.finalize())
@@ -167,8 +250,8 @@ def replay_find_crossings(
     """Replay ``dataset`` through the sliding-window detector (batch-identical)."""
     source = ReplaySource(dataset)
     detector = StreamingCrossingDetector(config, user_ids=source.user_ids)
-    for point in source:
-        detector.update(point)
+    for chunk in source.chunks():
+        detector.update_many(chunk)
     return detector.finalize()
 
 
@@ -178,6 +261,6 @@ def replay_detect_mix_zones(
     """Replay ``dataset`` through the streaming detector (batch-identical zones)."""
     source = ReplaySource(dataset)
     detector = StreamingMixZoneDetector(config, user_ids=source.user_ids)
-    for point in source:
-        detector.update(point)
+    for chunk in source.chunks():
+        detector.update_many(chunk)
     return detector.finalize()

@@ -34,3 +34,19 @@ class BucketProber:
     def finalize(self):
         # finalize() runs once per stream — folding all state here is legal.
         return [p for p in self._seen]
+
+
+class ChunkWindow:
+    """A chunked consumer that evicts its window before joining a chunk to it."""
+
+    def __init__(self, horizon_s):
+        self.horizon_s = horizon_s
+        self._window = deque()
+
+    def update_many(self, chunk):
+        floor = chunk[-1].timestamp - self.horizon_s
+        while self._window and self._window[0].timestamp < floor:
+            self._window.popleft()
+        hits = [(p, q) for q in chunk for p in self._window if p.user_id != q.user_id]
+        self._window.extend(chunk)
+        return hits

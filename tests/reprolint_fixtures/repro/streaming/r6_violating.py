@@ -37,3 +37,17 @@ class AliasedScanner:
             if event.timestamp > point.timestamp:
                 return event
         return None
+
+
+class ChunkScanner:
+    """The chunked entry point rescans the history it keeps growing."""
+
+    def __init__(self):
+        self._seen = []
+
+    def update_many(self, chunk):
+        self._seen.extend(chunk)
+        return self._match(chunk)
+
+    def _match(self, chunk):
+        return [p for p in self._seen if p.user_id in chunk]  # rescans all

@@ -23,16 +23,24 @@ COMMITTED = REPO_ROOT / "benchmarks" / "artifacts"
 
 
 def _write_artifact(
-    directory: Path, name: str, scale: str, cells: dict, calibration: float = None
+    directory: Path,
+    name: str,
+    scale: str,
+    cells: dict,
+    calibration: float = None,
+    samples: dict = None,
 ) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.{scale}.json"
+    timings = {cell: {"wall_s": wall} for cell, wall in cells.items()}
+    for cell, values in (samples or {}).items():
+        timings[cell]["wall_s_samples"] = values
     payload = {
         "schema_version": 1,
         "name": name,
         "scale": scale,
         "python": "3.11.0",
-        "timings": {cell: {"wall_s": wall} for cell, wall in cells.items()},
+        "timings": timings,
         "rows": [],
     }
     if calibration is not None:
@@ -170,6 +178,62 @@ class TestCalibration:
             ["--baseline", str(baseline_dir), "--candidate", str(candidate), "--calibrate"]
         ) == 0
         assert "missing" in capsys.readouterr().out
+
+
+class TestNoiseReport:
+    """Per-cell coefficients of variation are reported; verdicts do not move."""
+
+    def _lines(self, tmp_path, capsys, samples):
+        baseline = tmp_path / "baseline"
+        _write_artifact(baseline, "hot", "small", {"detect": 1.0, "extract": 2.0})
+        candidate = tmp_path / "candidate"
+        _write_artifact(
+            candidate, "hot", "small", {"detect": 1.0, "extract": 2.0}, samples=samples
+        )
+        code = compare_artifacts.main(
+            ["--baseline", str(baseline), "--candidate", str(candidate)]
+        )
+        out = capsys.readouterr().out
+        return code, {
+            cell: next(line for line in out.splitlines() if line.strip().startswith(cell + ":"))
+            for cell in ("detect", "extract")
+        }
+
+    def test_noisy_cell_is_flagged(self, tmp_path, capsys):
+        # 0.022 s .. 0.416 s: the spread BENCH_hotpaths recorded for one cell.
+        code, lines = self._lines(
+            tmp_path, capsys,
+            {"detect": [1.0, 19.0, 1.2], "extract": [2.0, 2.02, 2.01]},
+        )
+        assert code == 0, "noise is reported, never a failure"
+        assert lines["detect"].endswith("noisy")
+        assert "cv n/a/" in lines["detect"]
+
+    def test_quiet_cell_is_not_flagged(self, tmp_path, capsys):
+        code, lines = self._lines(
+            tmp_path, capsys, {"detect": [1.0, 1.01, 1.02], "extract": [2.0, 2.02, 2.01]}
+        )
+        assert code == 0
+        assert "noisy" not in lines["detect"] and "noisy" not in lines["extract"]
+        cv = float(lines["detect"].split("cv n/a/")[1])
+        assert cv == pytest.approx(0.01, abs=0.005)
+
+    def test_artifact_without_samples_reports_na(self, tmp_path, capsys):
+        code, lines = self._lines(tmp_path, capsys, None)
+        assert code == 0
+        assert lines["detect"].endswith("cv n/a")
+
+    def test_noise_does_not_change_the_verdict(self, tmp_path):
+        baseline = tmp_path / "baseline"
+        _write_artifact(baseline, "hot", "small", {"detect": 1.0})
+        candidate = tmp_path / "candidate"
+        _write_artifact(
+            candidate, "hot", "small", {"detect": 3.0}, samples={"detect": [3.0, 60.0]}
+        )
+        assert compare_artifacts.main(
+            ["--baseline", str(baseline), "--candidate", str(candidate)]
+        ) != 0
+        assert compare_artifacts.load_cvs(candidate / "BENCH_hot.small.json")["detect"] > 1.0
 
 
 class TestUpdateBaselines:

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 
 from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.geo.geometry import point_to_polyline_distance_m
+from repro.geo.distance import haversine
 from repro.geo.kernels import (
     ColumnarTraces,
     SyncedDistances,
+    cell_probe_pairs,
+    clique_cells,
     colocation_events,
     connected_components,
+    haversine_above,
+    trailing_window_pairs,
     iter_neighbor_pairs,
     masked_mean_distances,
     planar_radius_cliques,
@@ -33,6 +38,91 @@ def small_dataset_trio() -> MobilityDataset:
     b = make_line_trajectory(user_id="b", n_points=3, start_time=100.0)
     c = Trajectory.empty("c")
     return MobilityDataset([a, b, c])
+
+
+class TestStreamingChunkJoins:
+    """The chunk joins of the streaming tier against their per-point loops."""
+
+    @given(seed=st.integers(0, 10_000), threshold=st.sampled_from([0.0, 1.0, 100.0, 250.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_haversine_above_decides_as_the_scalar(self, seed, threshold):
+        rng = np.random.default_rng(seed)
+        n = 200
+        lat1 = 45.76 + rng.normal(0.0, 2e-3, n)
+        lon1 = 4.84 + rng.normal(0.0, 2e-3, n)
+        lat2 = lat1 + rng.normal(0.0, 1e-3, n)
+        lon2 = lon1 + rng.normal(0.0, 1e-3, n)
+        lat2[:10] = lat1[:10]  # identical points: distance exactly zero
+        lon2[:10] = lon1[:10]
+        got = haversine_above(lat1, lon1, lat2, lon2, threshold)
+        expected = [
+            haversine(a, b, c, d) > threshold
+            for a, b, c, d in zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist())
+        ]
+        assert got.tolist() == expected
+
+    def test_haversine_above_at_the_threshold_itself(self):
+        # Thresholds equal to each pair's scalar distance and its float
+        # neighbours: every decision sits inside the re-check band.
+        rng = np.random.default_rng(3)
+        lat1, lon1 = 45.76, 4.84
+        lat2 = lat1 + rng.normal(0.0, 1e-3, 50)
+        lon2 = lon1 + rng.normal(0.0, 1e-3, 50)
+        for la, lo in zip(lat2.tolist(), lon2.tolist()):
+            d = haversine(lat1, lon1, la, lo)
+            for threshold in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+                assert bool(haversine_above(lat1, lon1, la, lo, float(threshold))[()]) == (
+                    d > threshold
+                )
+
+    @given(
+        stamps=st.lists(st.integers(0, 40), min_size=0, max_size=40),
+        start=st.integers(0, 40),
+        horizon=st.sampled_from([0.0, 3.0, 10.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trailing_window_pairs_match_a_deque(self, stamps, start, horizon):
+        ts = np.sort(np.asarray(stamps, dtype=float))
+        start = min(start, ts.size)
+        i, j = trailing_window_pairs(ts, start, horizon)
+        expected = [
+            (a, b)
+            for a in range(start, ts.size)
+            for b in range(a)
+            if ts[b] >= ts[a] - horizon
+        ]
+        assert list(zip(i.tolist(), j.tolist())) == expected
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_cell_probe_pairs_are_the_3x3_neighbourhoods(self, seed):
+        rng = np.random.default_rng(seed)
+        qx, qy = rng.integers(-4, 4, 30), rng.integers(-4, 4, 30)
+        cx, cy = rng.integers(-4, 4, 40), rng.integers(-4, 4, 40)
+        q, c = cell_probe_pairs(qx, qy, cx, cy)
+        got = sorted(zip(q.tolist(), c.tolist()))
+        expected = [
+            (a, b)
+            for a in range(qx.size)
+            for b in range(cx.size)
+            if abs(qx[a] - cx[b]) <= 1 and abs(qy[a] - cy[b]) <= 1
+        ]
+        assert got == expected
+        empty = cell_probe_pairs(qx[:0], qy[:0], cx, cy)
+        assert empty[0].size == empty[1].size == 0
+
+    @given(seed=st.integers(0, 10_000), radius=st.sampled_from([1e-7, 0.5, 60.0, 150.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_clique_cell_members_pass_the_exact_radius_test(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-5.0, 5.0, 300) * radius + rng.uniform(-2e4, 2e4)
+        ys = rng.uniform(-5.0, 5.0, 300) * radius + rng.uniform(-2e4, 2e4)
+        fx, fy = clique_cells(xs, ys, radius)
+        for cell in set(zip(fx.tolist(), fy.tolist())):
+            members = np.flatnonzero((fx == cell[0]) & (fy == cell[1]))
+            dx = xs[members][:, None] - xs[members][None, :]
+            dy = ys[members][:, None] - ys[members][None, :]
+            assert (dx * dx + dy * dy <= radius * radius).all()
 
 
 class TestColumnarTraces:

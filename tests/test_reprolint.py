@@ -180,16 +180,25 @@ class TestStreamingIncrementalityRule:
     def test_violating_fixture_flags_history_rescans(self):
         found = findings_for(fixture("repro", "streaming", "r6_violating.py"), "R6")
         messages = " | ".join(f.message for f in found)
-        assert len(found) == 3
+        assert len(found) == 4
         assert "self._history" in messages, "direct rescan in update()"
         assert "self._by_user" in messages, "rescan in an update()-reachable helper"
         assert "self._events" in messages, "rescan through a local alias + sorted()"
+        assert "self._seen" in messages, "rescan reachable from update_many()"
         assert all("O(history)" in f.message for f in found)
         assert all(f.scope_line is not None for f in found), "def-line waivers work"
 
+    def test_update_many_roots_the_reachability(self):
+        # The chunked entry point is a root like update(): its helper's
+        # rescan is reported under the helper's name.
+        found = findings_for(fixture("repro", "streaming", "r6_violating.py"), "R6")
+        chunked = [f for f in found if "ChunkScanner" in f.message]
+        assert len(chunked) == 1
+        assert "ChunkScanner._match" in chunked[0].message
+
     def test_conforming_fixture_is_clean(self):
-        # A pruned deque window, bucket probes into an append-only grid, and a
-        # full-state fold in finalize() are all legal.
+        # A pruned deque window (per point or per chunk), bucket probes into
+        # an append-only grid, and a full-state fold in finalize() are legal.
         assert findings_for(fixture("repro", "streaming", "r6_conforming.py"), "R6") == []
 
     def test_waived_fixture_is_suppressed(self):

@@ -4,9 +4,11 @@ The property suite generates randomized multi-user datasets — gappy sampling,
 duplicate timestamps, stationary dwells, users with zero or one fix — and
 asserts that every incremental attack's ``finalize()`` equals the batch
 attack exactly (``==`` on the emitted dataclasses, which are float-for-float
-comparisons).  Deterministic tests cover the source ordering contract, the
-per-arrival event APIs, the engine's ``mode="stream"`` routing and the
-validation surfaces.
+comparisons), and that every consumer's chunked ``update_many`` returns
+exactly the concatenated events of its per-point ``update()`` oracle over
+random chunk boundaries.  Deterministic tests cover the source ordering
+contract, the per-arrival event APIs, the engine's ``mode="stream"`` routing
+and the validation surfaces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.djcluster import DjCluster, DjClusterConfig
@@ -34,6 +36,8 @@ from repro.streaming import (
     LiveSource,
     OnlineReidentifier,
     ReplaySource,
+    StreamChunk,
+    StreamPoint,
     StreamingCrossingDetector,
     StreamingDjCluster,
     StreamingPoiExtractor,
@@ -82,6 +86,249 @@ def random_datasets(draw, max_users: int = 5, max_points: int = 120):
         else:
             trajectories.append(_random_trajectory(rng, f"u{k}", n))
     return MobilityDataset(trajectories)
+
+
+@st.composite
+def tied_datasets(draw):
+    """``random_datasets`` plus, sometimes, a twin sharing u0's timestamps.
+
+    The twin walks 20 m beside u0, so equal timestamps across users and
+    crossings both occur.  Sometimes every clock ticks on whole minutes,
+    which lands fixes exactly on sliding-window and merge-window bounds.
+    """
+    dataset = draw(random_datasets())
+    if draw(st.booleans()):
+        dataset = MobilityDataset(
+            [
+                Trajectory(t.user_id, np.round(t.timestamps / 60.0) * 60.0, t.lats, t.lons)
+                for t in dataset
+            ]
+        )
+    first = next(iter(dataset))
+    if draw(st.booleans()) and len(first) > 0:
+        twin = Trajectory(
+            "twin", first.timestamps, first.lats + 20.0 / 111_195.0, first.lons
+        )
+        dataset = MobilityDataset(list(dataset) + [twin])
+    return dataset
+
+
+@st.composite
+def chunk_cuts(draw, points):
+    """Chunk boundaries over a point list: ``0 < cut < len(points)``.
+
+    Covers size-1 chunks, the whole stream as one chunk, random cuts, and
+    cuts between two points sharing a timestamp.
+    """
+    n = len(points)
+    mode = draw(st.sampled_from(["single", "whole", "random", "ties"]))
+    if mode == "single":
+        return list(range(1, n))
+    if mode == "whole" or n < 2:
+        return []
+    cuts = set(draw(st.lists(st.integers(1, n - 1), max_size=8)))
+    if mode == "ties":
+        cuts |= {
+            k for k in range(1, n) if points[k].timestamp == points[k - 1].timestamp
+        }
+    return sorted(cuts)
+
+
+def _rows(chunk):
+    """A chunk's rows as the StreamPoints a per-point iteration yields."""
+    return [
+        StreamPoint(chunk.user_ids[k], k, pos, ts, lat, lon)
+        for k, pos, ts, lat, lon in zip(
+            chunk.user_index.tolist(),
+            chunk.pos.tolist(),
+            chunk.timestamps.tolist(),
+            chunk.lats.tolist(),
+            chunk.lons.tolist(),
+        )
+    ]
+
+
+def _chunked(points, user_ids, cuts):
+    bounds = [0] + list(cuts) + [len(points)]
+    return [
+        StreamChunk.from_points(points[lo:hi], user_ids)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _oracle_and_chunked(make, points, chunks):
+    """Per-point events of one consumer and chunked events of another."""
+    oracle, chunked = make(), make()
+    per_point = [event for point in points for event in oracle.update(point)]
+    per_chunk = [event for chunk in chunks for event in chunked.update_many(chunk)]
+    return oracle, chunked, per_point, per_chunk
+
+
+class TestUpdateManyEqualsUpdate:
+    """``update_many`` over any chunking == concatenated ``update()`` events."""
+
+    @given(data=st.data(), min_duration_s=st.sampled_from([120.0, 600.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_staypoints(self, data, min_duration_s):
+        dataset = data.draw(tied_datasets())
+        source = ReplaySource(dataset)
+        points = list(source)
+        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        config = PoiExtractionConfig(min_duration_s=min_duration_s, max_diameter_m=150.0)
+        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+            lambda: StreamingPoiExtractor(config, user_ids=source.user_ids), points, chunks
+        )
+        assert per_chunk == per_point
+        assert chunked.finalize() == oracle.finalize()
+
+    @given(
+        data=st.data(),
+        eps_m=st.sampled_from([60.0, 150.0]),
+        min_points=st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_djcluster(self, data, eps_m, min_points):
+        dataset = data.draw(tied_datasets())
+        source = ReplaySource(dataset)
+        points = list(source)
+        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        config = DjClusterConfig(eps_m=eps_m, min_points=min_points)
+        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+            lambda: StreamingDjCluster(config, user_ids=source.user_ids), points, chunks
+        )
+        assert per_chunk == per_point
+        assert chunked.finalize() == oracle.finalize()
+
+    @given(
+        data=st.data(),
+        radius_m=st.sampled_from([150.0, 400.0]),
+        merge_gap_s=st.sampled_from([0.0, 600.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_crossings(self, data, radius_m, merge_gap_s):
+        dataset = data.draw(tied_datasets())
+        source = ReplaySource(dataset)
+        points = list(source)
+        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        config = MixZoneDetectionConfig(
+            radius_m=radius_m, max_time_gap_s=180.0, merge_gap_s=merge_gap_s
+        )
+        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+            lambda: StreamingCrossingDetector(config, user_ids=source.user_ids),
+            points,
+            chunks,
+        )
+        assert per_chunk == per_point
+        assert chunked.window_points == oracle.window_points
+        assert chunked.finalize() == oracle.finalize()
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_online_reident(self, data):
+        published = data.draw(tied_datasets())
+        training = data.draw(random_datasets())
+        assume(training.n_points > 0)
+        source = ReplaySource(published)
+        points = list(source)
+        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        poi_attacker = Reidentifier(ReidentificationConfig(match_distance_m=250.0))
+        poi_knowledge = poi_attacker.knowledge_from_dataset(training)
+        fp_attacker = FootprintReidentifier()
+        fp_knowledge = fp_attacker.knowledge_from_dataset(
+            training, bbox=training.bbox.expanded(500.0)
+        )
+        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+            lambda: OnlineReidentifier(
+                poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
+                user_ids=source.user_ids,
+            ),
+            points,
+            chunks,
+        )
+        assert per_chunk == per_point
+        assert chunked.footprints().keys() == oracle.footprints().keys()
+        for user_id, cells in oracle.footprints().items():
+            assert np.array_equal(chunked.footprints()[user_id], cells)
+        if published.n_points:
+            (a_poi, a_fp), (b_poi, b_fp) = chunked.finalize(published), oracle.finalize(published)
+            assert (a_poi.scores, a_poi.predicted) == (b_poi.scores, b_poi.predicted)
+            assert (a_fp.scores, a_fp.predicted) == (b_fp.scores, b_fp.predicted)
+
+    def test_footprint_knowledge_with_repeated_cells_uses_the_row_oracle(self):
+        """Knowledge footprints that are not sorted unique sets still match."""
+        world = make_world("standard:scale=tiny,seed=5")
+        training, published = split_train_publish(world, 0.5)
+        poi_attacker = Reidentifier()
+        poi_knowledge = poi_attacker.knowledge_from_dataset(training)
+        fp_attacker = FootprintReidentifier()
+        fp_knowledge = {
+            user: np.concatenate([cells, cells[:1]])
+            for user, cells in fp_attacker.knowledge_from_dataset(training).items()
+        }
+        source = ReplaySource(published)
+        points = list(source)
+        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+            lambda: OnlineReidentifier(
+                poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
+                grid=fp_attacker._knowledge_grid, user_ids=source.user_ids,
+            ),
+            points,
+            list(source.chunks()),
+        )
+        assert per_chunk == per_point
+
+    def test_update_and_update_many_interleave(self):
+        """Per-point and chunked calls may alternate on one consumer."""
+        world = make_world("standard:scale=tiny,seed=5")
+        source = ReplaySource(world.dataset)
+        points = list(source)
+        config = DjClusterConfig(eps_m=100.0, min_points=4)
+        makers = [
+            lambda: StreamingPoiExtractor(PoiExtractionConfig(), user_ids=source.user_ids),
+            lambda: StreamingDjCluster(config, user_ids=source.user_ids),
+            lambda: StreamingCrossingDetector(
+                MixZoneDetectionConfig(radius_m=300.0), user_ids=source.user_ids
+            ),
+        ]
+        for make in makers:
+            oracle, mixed = make(), make()
+            expected = [e for p in points for e in oracle.update(p)]
+            got = []
+            for k, lo in enumerate(range(0, len(points), 97)):
+                part = points[lo : lo + 97]
+                if k % 2:
+                    got.extend(e for p in part for e in mixed.update(p))
+                else:
+                    got.extend(mixed.update_many(StreamChunk.from_points(part, source.user_ids)))
+            assert got == expected
+            assert mixed.finalize() == oracle.finalize()
+
+    def test_online_reident_interleaves(self):
+        world = make_world("standard:scale=tiny,seed=5")
+        training, published = split_train_publish(world, 0.5)
+        poi_attacker = Reidentifier()
+        poi_knowledge = poi_attacker.knowledge_from_dataset(training)
+        fp_attacker = FootprintReidentifier()
+        fp_knowledge = fp_attacker.knowledge_from_dataset(training)
+        source = ReplaySource(published)
+        points = list(source)
+
+        def make():
+            return OnlineReidentifier(
+                poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
+                user_ids=source.user_ids,
+            )
+
+        oracle, mixed = make(), make()
+        expected = [e for p in points for e in oracle.update(p)]
+        got = []
+        for k, lo in enumerate(range(0, len(points), 7)):
+            part = points[lo : lo + 7]
+            if k % 2:
+                got.extend(e for p in part for e in mixed.update(p))
+            else:
+                got.extend(mixed.update_many(StreamChunk.from_points(part, source.user_ids)))
+        assert got == expected
 
 
 class TestStreamingStaypointsProperty:
@@ -186,9 +433,40 @@ class TestReplaySource:
         expected = np.argsort(traces.timestamps, kind="stable")
         assert flat == list(expected)
 
+    @given(dataset=tied_datasets(), chunk_points=st.sampled_from([1, 2, 7, 64, 4096]))
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_concatenate_to_the_per_point_order(self, dataset, chunk_points):
+        source = ReplaySource(dataset)
+        points = list(source)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.streaming.sources.CHUNK_POINTS", chunk_points)
+            chunks = list(source.chunks())
+        assert all(len(chunk) > 0 for chunk in chunks)
+        assert [p for chunk in chunks for p in _rows(chunk)] == points
+        # A chunk exceeds the target only by fixes tied at its horizon.
+        for chunk in chunks:
+            ties = int(np.unique(chunk.timestamps, return_counts=True)[1].max())
+            assert len(chunk) <= chunk_points + (ties - 1) * len(source.user_ids)
+
+    def test_chunks_of_a_memmapped_world(self, tmp_path):
+        from repro.io.world_store import WorldStore
+
+        world = make_world("standard:scale=tiny,seed=5")
+        path = tmp_path / "world"
+        WorldStore.write(world.dataset, path)
+        source = ReplaySource(WorldStore.open(path).dataset())
+        assert [p for chunk in source.chunks() for p in _rows(chunk)] == list(
+            ReplaySource(world.dataset)
+        )
+
+    def test_live_source_chunks(self):
+        source = LiveSource(n_users=3, n_points=300, seed=4)
+        assert [p for chunk in source.chunks() for p in _rows(chunk)] == list(source)
+
     def test_empty_dataset(self):
         source = ReplaySource(MobilityDataset())
         assert list(source) == []
+        assert list(source.chunks()) == []
         assert source.user_ids == ()
 
     def test_point_values_match_columnar_view(self):
