@@ -570,6 +570,30 @@ class TestUpdateEvents:
         assert {live_events[0].user_a, live_events[0].user_b} == {"a", "b"}
         assert detector.finalize() == live_events
 
+    def test_crossing_keeps_the_smallest_position_pair(self):
+        """A later-arriving candidate with smaller positions replaces the held one.
+
+        (a1, b0) is confirmed at t=20, (a0, b1) only at t=30, both in merge
+        window 0; the batch kernel keeps the smallest (pos_a, pos_b), i.e.
+        (0, 1), so both stream paths must swap it in.
+        """
+        far = BASE_LON + 0.05
+        a = Trajectory("a", [0.0, 20.0], [BASE_LAT] * 2, [BASE_LON, far])
+        b = Trajectory("b", [10.0, 30.0], [BASE_LAT] * 2, [far, BASE_LON])
+        dataset = MobilityDataset([a, b])
+        config = MixZoneDetectionConfig(radius_m=100.0, max_time_gap_s=180.0, merge_gap_s=600.0)
+        batch = MixZoneDetector(config).find_crossings(dataset)
+        assert len(batch) == 1 and batch[0].timestamp == 15.0  # midpoint of a0, b1
+        source = ReplaySource(dataset)
+        per_point = StreamingCrossingDetector(config, user_ids=source.user_ids)
+        for point in source:
+            per_point.update(point)
+        chunked = StreamingCrossingDetector(config, user_ids=source.user_ids)
+        for chunk in source.chunks():
+            chunked.update_many(chunk)
+        assert per_point.finalize() == batch
+        assert chunked.finalize() == batch
+
     def test_online_reident_score_events(self):
         world = make_world("standard:scale=tiny,seed=5")
         training, published = split_train_publish(world, 0.5)
