@@ -1,11 +1,11 @@
 """E1 — POI retrieval (precision / recall / F-score) per mechanism.
 
-Regenerates the POI-hiding table of EXPERIMENTS.md: the stay-point attack (and
-DJ-Cluster as a secondary attack) is run against every mechanism of the
-comparison suite, and the scores are computed against the ground-truth POIs of
-the synthetic world.  The expected shape: raw and down-sampled data leak every
-POI, Geo-Indistinguishability leaves the majority recoverable, the paper's
-mechanisms hide almost all of them.
+Regenerates the E1 POI-hiding table (README "Running the evaluation"): the
+stay-point attack (and DJ-Cluster as a secondary attack) is run against every
+mechanism of the comparison suite, and the scores are computed against the
+ground-truth POIs of the synthetic world.  The expected shape: raw and
+down-sampled data leak every POI, Geo-Indistinguishability leaves the majority
+recoverable, the paper's mechanisms hide almost all of them.
 
 ``test_e1_poi_attack_engines`` additionally times the two attacks under both
 implementations (the columnar ``extract_dataset`` versus the scalar

@@ -1,15 +1,15 @@
 """E2 — spatial distortion (utility) per mechanism.
 
-Regenerates the spatial-distortion table of EXPERIMENTS.md: for every
-mechanism, the distance between each published point and the nearest original
-point, summarised as mean / median / p95 / max, plus point retention and trip
-length error.  Expected shape: the paper's time-distortion mechanisms stay
-near the GPS-noise floor while Geo-I and Wait-For-Me move points by hundreds
-of meters.
+Regenerates the E2 spatial-distortion table (README "Running the evaluation"):
+for every mechanism, the distance between each published point and the nearest
+original point, summarised as mean / median / p95 / max, plus point retention
+and trip length error.  Expected shape: the paper's time-distortion mechanisms
+stay near the GPS-noise floor while Geo-I and Wait-For-Me move points by
+hundreds of meters.
 
-Includes the index-resampling ablation (`smooth_trajectory_naive`) that
-DESIGN.md calls out: it has even lower distortion but fails to hide POIs,
-which the assertion documents.
+Includes the index-resampling ablation (`smooth_trajectory_naive`) that the E2
+row of README "Running the evaluation" calls out: it has even lower distortion
+but fails to hide POIs, which the assertion documents.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """E3 — area coverage (utility) per mechanism and cell size.
 
-Regenerates the area-coverage table of EXPERIMENTS.md: the F-score between the
-set of grid cells visited by the published data and by the original data, at
-several cell sizes.  Expected shape: the paper's mechanisms track the raw
-coverage closely (their points lie on the real paths), while noising
-mechanisms spill points into never-visited cells and lose precision.
+Regenerates the E3 area-coverage table (README "Running the evaluation"): the
+F-score between the set of grid cells visited by the published data and by the
+original data, at several cell sizes.  Expected shape: the paper's mechanisms
+track the raw coverage closely (their points lie on the real paths), while
+noising mechanisms spill points into never-visited cells and lose precision.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 Two benches share this module (and its crossing-rich workload fixtures):
 
-* :func:`test_e4_reidentification` regenerates the re-identification table of
-  EXPERIMENTS.md — an attacker trained on the first half of each user's
-  history links the published pseudonyms of the second half back to the
-  users, through the POI-matching attack and the spatial-footprint attack —
-  and asserts its expected shape (plain pseudonymisation fully
-  re-identifiable, hiding POIs kills the POI matcher, only trajectory
-  swapping reduces the footprint attacker).
+* :func:`test_e4_reidentification` regenerates the E4 re-identification table
+  (README "Running the evaluation") — an attacker trained on the first half of
+  each user's history links the published pseudonyms of the second half back
+  to the users, through the POI-matching attack and the spatial-footprint
+  attack — and asserts its expected shape (plain pseudonymisation fully
+  re-identifiable, hiding POIs kills the POI matcher, only trajectory swapping
+  reduces the footprint attacker).
 * :func:`test_e4_attack_engines` times the three attacks ported onto the
   columnar kernel layer —
 the POI-matching linkage (:class:`~repro.attacks.reident.Reidentifier`), the

@@ -1,11 +1,12 @@
 """E5 — multi-target tracking confusion versus mix-zone radius.
 
-Regenerates the tracking table of EXPERIMENTS.md: a Hoh-style multi-target
-tracker tries to re-link the published traces across each mix-zone; the table
-reports the fraction of traversals it reconstructs correctly, together with
-the number of zones, the number of effective swaps and the theoretical mixing
-entropy.  Expected shape: tracking success stays well below the certainty an
-attacker would have without mix-zones, for every radius.
+Regenerates the E5 tracking table (README "Running the evaluation"): a
+Hoh-style multi-target tracker tries to re-link the published traces across
+each mix-zone; the table reports the fraction of traversals it reconstructs
+correctly, together with the number of zones, the number of effective swaps
+and the theoretical mixing entropy.  Expected shape: tracking success stays
+well below the certainty an attacker would have without mix-zones, for every
+radius.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def test_e5_tracking_confusion(benchmark, crossing_eval_world):
 
 
 def test_e5_swap_policy_ablation(benchmark, crossing_eval_world):
-    """Ablation called out in DESIGN.md: swap policy (never / coin-flip / always)."""
+    """E5 ablation: swap policy never / coin-flip / always."""
     def run_all_policies():
         return {
             policy.value: run_tracking(

@@ -1,11 +1,11 @@
 """E6 — the privacy / utility trade-off frontier.
 
-Regenerates the frontier figure of EXPERIMENTS.md as a table: every mechanism
-family is swept over its main knob and each setting is placed on the
-(POI-retrieval F-score, median spatial distortion) plane, with area coverage,
-point retention and range-query error as secondary utility columns.  Expected
-shape: the paper's mechanisms occupy the low-F-score / low-distortion corner
-that neither Geo-I nor Wait-For-Me reaches.
+Regenerates the E6 frontier figure (README "Running the evaluation") as a
+table: every mechanism family is swept over its main knob and each setting is
+placed on the (POI-retrieval F-score, median spatial distortion) plane, with
+area coverage, point retention and range-query error as secondary utility
+columns.  Expected shape: the paper's mechanisms occupy the low-F-score /
+low-distortion corner that neither Geo-I nor Wait-For-Me reaches.
 """
 
 from __future__ import annotations

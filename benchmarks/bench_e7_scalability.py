@@ -1,10 +1,11 @@
 """E7 — anonymization throughput versus dataset size.
 
-Regenerates the scalability figure of EXPERIMENTS.md: the full pipeline (and
-the smoothing step alone) is timed on growing user populations and reported as
-points processed per second.  This is the benchmark where pytest-benchmark's
-timing statistics are the result itself; the assertions only check that
-throughput does not collapse with size (the pipeline is near-linear).
+Regenerates the E7 scalability figure (README "Running the evaluation"): the
+full pipeline (and the smoothing step alone) is timed on growing user
+populations and reported as points processed per second.  This is the
+benchmark where pytest-benchmark's timing statistics are the result itself;
+the assertions only check that throughput does not collapse with size (the
+pipeline is near-linear).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """E8 — natural mix-zone statistics versus zone radius.
 
-Regenerates the mix-zone statistics table of EXPERIMENTS.md: how many natural
-crossings the detector finds at each radius, how many users they gather and
-how much mixing entropy they provide.  The point of the experiment is the
-paper's premise that *natural* meetings are frequent enough to be exploited —
-no artificial distortion is needed to create them.
+Regenerates the E8 mix-zone statistics table (README "Running the
+evaluation"): how many natural crossings the detector finds at each radius,
+how many users they gather and how much mixing entropy they provide.  The
+point of the experiment is the paper's premise that *natural* meetings are
+frequent enough to be exploited — no artificial distortion is needed to create
+them.
 """
 
 from __future__ import annotations

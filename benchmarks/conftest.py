@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one table or figure of EXPERIMENTS.md.  Workloads
-are generated once per session; every bench prints the rows it measured so the
-pytest output doubles as the reproduced evaluation tables.
+Each benchmark regenerates one table or figure of the evaluation (E1-E8,
+listed in README "Running the evaluation").  Workloads are generated once per
+session; every bench prints the rows it measured so the pytest output doubles
+as the reproduced evaluation tables.
 
 Benchmarks also persist machine-readable ``BENCH_<name>.json`` artifacts
 (under ``benchmarks/artifacts/``) through the ``bench_artifact`` fixture, so
@@ -24,8 +25,8 @@ import pytest
 
 from repro.experiments.workloads import crossing_rich_world, standard_world
 
-#: Scale used by the evaluation benches.  "medium" (40 users x 7 days) matches
-#: the scale documented in EXPERIMENTS.md; override with REPRO_BENCH_SCALE
+#: Scale used by the evaluation benches.  "medium" (40 users x 7 days) is the
+#: scale of the README's E1-E8 tables; override with REPRO_BENCH_SCALE
 #: (e.g. "small" for a quicker pass, as the CI smoke step does).
 EVALUATION_SCALE = os.environ.get("REPRO_BENCH_SCALE", "medium")
 
@@ -40,19 +41,6 @@ ARTIFACT_DIR = Path(
 
 #: Version of the artifact schema (checked by validate_artifacts.py).
 BENCH_SCHEMA_VERSION = 1
-
-#: Engine plumbing for the whole bench session: REPRO_BENCH_BACKEND selects
-#: the scheduler ("serial", "multiprocessing:workers=4", "work-queue:..."),
-#: REPRO_BENCH_CACHE the cell store ("sqlite:path=cells.sqlite" lets CI steps
-#: — or tomorrow's run — reuse today's finished cells).  Applied at import so
-#: every run_* call in every bench goes through the configured engine.
-if os.environ.get("REPRO_BENCH_BACKEND") or os.environ.get("REPRO_BENCH_CACHE"):
-    from repro.experiments.runner import configure_default_engine
-
-    configure_default_engine(
-        backend=os.environ.get("REPRO_BENCH_BACKEND") or None,
-        cache=os.environ.get("REPRO_BENCH_CACHE") or None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +209,7 @@ def evaluation_scale() -> str:
 
 @pytest.fixture(scope="session")
 def eval_world():
-    """The standard evaluation workload (DESIGN.md experiments E1-E3, E6)."""
+    """The standard evaluation workload (experiments E1-E3, E6)."""
     return standard_world(EVALUATION_SCALE, seed=42)
 
 

@@ -28,8 +28,8 @@ Every mechanism's ``publish()`` returns a :class:`PublicationResult`: the
 published ``dataset`` plus its provenance (``report``, ``pseudonym_of``,
 ``properties``).
 
-See ``examples/`` for complete scenarios and ``DESIGN.md`` / ``EXPERIMENTS.md``
-for the system inventory and the reproduced evaluation.
+See ``examples/`` for complete scenarios and README "Running the evaluation"
+for the reproduced evaluation (experiments E1-E8).
 """
 
 from .api import (

@@ -1,10 +1,11 @@
 """Engine-facing attack evaluators.
 
 The raw attack algorithms (stay-point extraction, DJ-Cluster,
-re-identification, multi-target tracking) are registered in
-:mod:`repro.attacks` and return algorithm-specific objects.  The evaluators
-here wrap them behind the uniform :class:`~repro.api.protocols.Attack`
-surface the :class:`~repro.experiments.engine.EvaluationEngine` expects:
+re-identification, multi-target tracking) live in :mod:`repro.attacks` as
+plain classes and return algorithm-specific objects.  The evaluators here
+are the only registered attacks: they wrap those classes behind the uniform
+:class:`~repro.api.protocols.Attack` surface the
+:class:`~repro.experiments.engine.EvaluationEngine` expects:
 ``run(result, context) -> row columns``, scored against the synthetic
 world's ground truth.
 

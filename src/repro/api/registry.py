@@ -1,8 +1,8 @@
 """Named registries and string-spec construction for the pluggable API.
 
-Every mechanism, attack and metric of the reproduction registers itself under
-a short name; experiment code then refers to components *by string spec*
-rather than by concrete class:
+Every mechanism, attack evaluator and metric of the reproduction registers
+itself under a short name; experiment code then refers to components *by
+string spec* rather than by concrete class:
 
 >>> from repro.api import make_mechanism, list_mechanisms
 >>> mechanism = make_mechanism("geo-ind:epsilon_per_m=0.005,seed=7")
@@ -292,8 +292,8 @@ def _load_builtin_plugins() -> None:
     with _BUILTINS_LOCK:
         if _BUILTINS_LOADED:
             return
-        from .. import attacks, baselines, metrics  # noqa: F401  (side effects)
-        from . import evaluators  # noqa: F401  (engine-facing attacks)
+        from .. import baselines, metrics  # noqa: F401  (side effects)
+        from . import evaluators  # noqa: F401  (the registered attacks)
 
         _BUILTINS_LOADED = True
 
@@ -333,7 +333,7 @@ def make_mechanism(
 
 
 def make_attack(spec: str, *, defaults: Optional[Mapping[str, Any]] = None) -> Any:
-    """Build an attack (raw algorithm or engine evaluator) from a spec string."""
+    """Build an attack evaluator (``attack.run(result, context)``) from a spec string."""
     _load_builtin_plugins()
     return ATTACKS.create(spec, defaults=defaults)
 

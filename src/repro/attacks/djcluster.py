@@ -406,22 +406,3 @@ class DjCluster:
 def dj_cluster(trajectory: Trajectory, **kwargs) -> List[ExtractedPoi]:
     """Convenience wrapper: run DJ-Cluster on one trajectory."""
     return DjCluster(DjClusterConfig(**kwargs)).extract(trajectory)
-
-
-from ..api.registry import register_attack
-
-
-@register_attack("djcluster", aliases=("dj-cluster",))
-def _djcluster_attack(
-    eps_m: float = 100.0,
-    min_points: int = 10,
-    max_stationary_speed_mps: float = 1.0,
-) -> DjCluster:
-    """DJ-Cluster extraction, e.g. ``djcluster:eps_m=250``."""
-    return DjCluster(
-        DjClusterConfig(
-            eps_m=eps_m,
-            min_points=min_points,
-            max_stationary_speed_mps=max_stationary_speed_mps,
-        )
-    )

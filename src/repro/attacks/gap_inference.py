@@ -6,8 +6,8 @@ begins.  When a user's device goes silent near a place and comes back hours
 later near the same place, an attacker can reasonably infer a stay there even
 though no published fix is ever stationary.  This adversary exploits exactly
 that: it is the strongest known attack against the time-distortion approach
-and quantifies the residual leak that DESIGN.md and EXPERIMENTS.md document as
-a limitation of the original mechanism.
+and quantifies the residual leak that README "Running the evaluation"
+documents as a limitation of the original mechanism.
 
 The attack scans consecutive published fixes of one trace and reports a POI
 whenever
@@ -246,22 +246,3 @@ class GapInferenceAttack:
 def infer_pois_from_gaps(trajectory: Trajectory, **kwargs) -> List[ExtractedPoi]:
     """Convenience wrapper: run the gap-inference attack on one trace."""
     return GapInferenceAttack(GapInferenceConfig(**kwargs)).extract(trajectory)
-
-
-from ..api.registry import register_attack
-
-
-@register_attack("gap-inference")
-def _gap_inference_attack(
-    min_gap_s: float = 3600.0,
-    max_reappear_distance_m: float = 300.0,
-    merge_distance_m: float = 150.0,
-) -> GapInferenceAttack:
-    """Recording-gap inference, e.g. ``gap-inference:min_gap_s=1800``."""
-    return GapInferenceAttack(
-        GapInferenceConfig(
-            min_gap_s=min_gap_s,
-            max_reappear_distance_m=max_reappear_distance_m,
-            merge_distance_m=merge_distance_m,
-        )
-    )

@@ -303,24 +303,3 @@ def extract_pois(
         max_diameter_m=max_diameter_m, min_duration_s=min_duration_s, **kwargs
     )
     return PoiExtractor(config).extract(trajectory)
-
-
-from ..api.registry import register_attack
-
-
-@register_attack("staypoint", aliases=("poi-extraction", "stay-point"))
-def _staypoint_attack(
-    max_diameter_m: float = 200.0,
-    min_duration_s: float = 900.0,
-    merge_distance_m: float = 100.0,
-    max_gap_s: float = 1800.0,
-) -> PoiExtractor:
-    """Stay-point extraction, e.g. ``staypoint:max_diameter_m=400``."""
-    return PoiExtractor(
-        PoiExtractionConfig(
-            max_diameter_m=max_diameter_m,
-            min_duration_s=min_duration_s,
-            merge_distance_m=merge_distance_m,
-            max_gap_s=max_gap_s,
-        )
-    )

@@ -512,26 +512,3 @@ class FootprintReidentifier:
         if union == 0:
             return 0.0
         return intersection / union
-
-
-from ..api.registry import register_attack
-
-
-@register_attack("reident-poi", aliases=("poi-matching",))
-def _poi_reidentifier(
-    match_distance_m: float = 250.0,
-    assignment: str = "optimal",
-) -> Reidentifier:
-    """POI-matching linkage, e.g. ``reident-poi:match_distance_m=500``."""
-    return Reidentifier(
-        ReidentificationConfig(match_distance_m=match_distance_m, assignment=assignment)
-    )
-
-
-@register_attack("reident-footprint", aliases=("footprint",))
-def _footprint_reidentifier(
-    cell_size_m: float = 300.0,
-    assignment: str = "optimal",
-) -> FootprintReidentifier:
-    """Spatial-footprint linkage, e.g. ``reident-footprint:cell_size_m=150``."""
-    return FootprintReidentifier(cell_size_m=cell_size_m, assignment=assignment)

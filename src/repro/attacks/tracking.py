@@ -422,20 +422,3 @@ class MultiTargetTracker:
                         used_cols.add(int(j))
                         break
             return np.array(rows, dtype=int), np.array(cols, dtype=int)
-
-
-from ..api.registry import register_attack
-
-
-@register_attack("multi-target-tracker", aliases=("tracker",))
-def _multi_target_tracker(
-    search_radius_m: float = 500.0,
-    max_plausible_speed_mps: float = 40.0,
-) -> MultiTargetTracker:
-    """Mix-zone linking tracker, e.g. ``multi-target-tracker:search_radius_m=800``."""
-    return MultiTargetTracker(
-        TrackingConfig(
-            search_radius_m=search_radius_m,
-            max_plausible_speed_mps=max_plausible_speed_mps,
-        )
-    )

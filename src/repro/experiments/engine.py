@@ -274,8 +274,8 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
             if run is None:
                 raise RegistryError(
                     f"attack {attack_label!r} has no run(result, context) method; "
-                    "only evaluator attacks (e.g. 'poi-retrieval', 'reident', "
-                    "'tracking', 'zone-census') can sit on the attack axis"
+                    "a registered attack factory must build an evaluator such as "
+                    "'poi-retrieval', 'reident', 'tracking' or 'zone-census'"
                 )
             columns.update(_apply_prefix(run(result, context), prefix))
         for metric_spec in metric_group:

@@ -1,8 +1,8 @@
 """Plain-text table and series formatting for experiment outputs.
 
 Benchmarks print their results as aligned text tables so that the regenerated
-"tables and figures" of EXPERIMENTS.md are readable directly from the pytest
-output, with no plotting dependency.
+E1-E8 tables and figures (README "Running the evaluation") are readable
+directly from the pytest output, with no plotting dependency.
 
 Seed sweeps report variance: :func:`summarize_over_seeds` collapses the rows
 of a multi-seed engine run into one row per cell with every numeric column

@@ -1,12 +1,12 @@
-"""Experiment runners: the logic behind every benchmark of EXPERIMENTS.md.
+"""Experiment runners: the logic behind the E1-E8 benchmarks.
 
-Each ``run_*`` function is now a *thin declarative spec*: it names the
-mechanisms, attacks and metrics of one experiment of DESIGN.md as registry
-spec strings, hands the cross product to the shared
-:class:`~repro.experiments.engine.EvaluationEngine`, and projects the engine
-rows onto the experiment's historical row schema.  Benchmarks stay thin: they
-build the workload, call the runner inside ``benchmark(...)`` and print the
-rows with :mod:`repro.experiments.formatting`.
+Each ``run_*`` function is a *thin declarative spec*: it names the
+mechanisms, attacks and metrics of one experiment (the E1-E8 table in README
+"Running the evaluation") as registry spec strings, hands the cross product
+to the shared :class:`~repro.experiments.engine.EvaluationEngine`, and
+projects the engine rows onto the experiment's historical row schema.
+Benchmarks stay thin: they build the workload, call the runner inside
+``benchmark(...)`` and print the rows with :mod:`repro.experiments.formatting`.
 
 Adding a mechanism to every experiment is now one registry entry plus one
 line in :data:`DEFAULT_MECHANISM_SPECS`; adding a whole experiment is one
@@ -18,8 +18,7 @@ mechanisms as a ``{label: spec}`` mapping; a single mechanism is built with
 from __future__ import annotations
 
 import math
-import os
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.evaluators import ground_truth_pois
 from ..datagen.mobility import SyntheticWorld
@@ -30,8 +29,6 @@ __all__ = [
     "DEFAULT_MECHANISM_SPECS",
     "DEFAULT_SEED_SWEEP",
     "seed_sweep",
-    "configure_default_engine",
-    "default_engine",
     "ground_truth_pois",
     "run_poi_retrieval",
     "run_spatial_distortion",
@@ -82,91 +79,11 @@ DEFAULT_MECHANISM_SPECS: Dict[str, str] = {
 }
 
 
-def _engine_from_env() -> EvaluationEngine:
-    """The shared engine, honouring the ``REPRO_ENGINE_*`` environment knobs.
-
-    ``REPRO_ENGINE_BACKEND`` selects the scheduler (``serial``,
-    ``multiprocessing:workers=4``, ``work-queue:workers=4``, or the fleet
-    form ``work-queue:bind=0.0.0.0,advertise=10.0.0.5,workers=0,batch=4``
-    — remote hosts then join with ``python -m repro.experiments.worker
-    --connect 10.0.0.5:PORT``), ``REPRO_ENGINE_CACHE`` the cell store
-    (``memory``, ``off``, ``sqlite:path=cells.sqlite`` — with a work-queue
-    backend, workers write the sqlite file directly and ship only acks) and
-    ``REPRO_ENGINE_WORKERS`` the default worker count — so a benchmark
-    suite, a CI step or a fleet coordinator can re-route every ``run_*``
-    experiment without touching call sites.  ``REPRO_WORKER_LOG_DIR``
-    additionally redirects spawned workers' stdout/stderr to
-    ``worker-<id>.log`` files there.
-    """
-    return EvaluationEngine(
-        workers=max(int(os.environ.get("REPRO_ENGINE_WORKERS", "1") or 1), 1),
-        cache=os.environ.get("REPRO_ENGINE_CACHE") or True,
-        backend=os.environ.get("REPRO_ENGINE_BACKEND") or None,
-    )
-
-
-#: Shared engine: per-cell caching makes repeated runner calls on the same
-#: world (e.g. a benchmark re-run) incremental.
-_ENGINE = _engine_from_env()
-
-
-def configure_default_engine(
-    backend: Optional[Any] = None,
-    cache: Optional[Any] = None,
-    workers: Optional[int] = None,
-) -> EvaluationEngine:
-    """Rebuild the engine shared by every ``run_*`` entry point.
-
-    ``backend``/``cache`` accept everything
-    :class:`~repro.experiments.engine.EvaluationEngine` accepts (spec strings,
-    instances); ``None`` keeps the defaults.  Returns the new engine, e.g. to
-    inspect ``cache_hits`` after a sweep.
-    """
-    global _ENGINE
-    _ENGINE = EvaluationEngine(
-        workers=workers if workers is not None else 1,
-        cache=cache if cache is not None else True,
-        backend=backend,
-    )
-    return _ENGINE
-
-
-def default_engine() -> EvaluationEngine:
-    """The engine currently shared by the ``run_*`` entry points."""
-    return _ENGINE
-
-
-#: Engines built for explicit (scheduler, cell_cache) selections, memoized so
-#: repeated runner calls (a benchmark loop) keep their per-cell caches.
-_CUSTOM_ENGINES: Dict[Tuple, EvaluationEngine] = {}
-
-
-def _resolve_engine(scheduler: Optional[Any], cell_cache: Optional[Any]) -> EvaluationEngine:
-    """The engine a ``run_*`` call should use.
-
-    With neither ``scheduler`` nor ``cell_cache`` given, the shared default
-    engine; hashable selections (spec strings, bools) are memoized so
-    repeated calls reuse one engine and its cache; live backend/store objects
-    get a fresh engine per call (the caller owns their lifecycle).
-    """
-    if scheduler is None and cell_cache is None:
-        return _ENGINE
-    key = (
-        scheduler if isinstance(scheduler, (str, type(None))) else None,
-        cell_cache if isinstance(cell_cache, (str, bool, type(None))) else None,
-    )
-    hashable = (scheduler is None or isinstance(scheduler, str)) and (
-        cell_cache is None or isinstance(cell_cache, (str, bool))
-    )
-    if hashable and key in _CUSTOM_ENGINES:
-        return _CUSTOM_ENGINES[key]
-    engine = EvaluationEngine(
-        cache=cell_cache if cell_cache is not None else True,
-        backend=scheduler,
-    )
-    if hashable:
-        _CUSTOM_ENGINES[key] = engine
-    return engine
+#: The engine every ``run_*`` runner shares: serial, with an in-memory cell
+#: cache, so repeated runner calls on the same world (e.g. a benchmark
+#: re-run) are incremental.  To pick a backend or a persistent cache, run the
+#: spec directly: ``EvaluationEngine(backend=..., cache=...).run(spec)``.
+_ENGINE = EvaluationEngine()
 
 
 #: A runner's mechanism axis: row label -> mechanism spec.
@@ -218,8 +135,6 @@ def run_poi_retrieval(
     min_stay_s: float = 900.0,
     adaptive_attacker: bool = True,
     seeds: Sequence[int] = (0,),
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E1: POI retrieval precision / recall / F-score per mechanism.
 
@@ -248,7 +163,7 @@ def run_poi_retrieval(
         worlds=["world"],
         seeds=tuple(seeds),
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return _project(
         rows,
         _with_seed_column(
@@ -275,8 +190,6 @@ def run_spatial_distortion(
     world: SyntheticWorld,
     mechanisms: Optional[MechanismMap] = None,
     seeds: Sequence[int] = (0,),
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E2: spatial distortion and point retention per mechanism.
 
@@ -297,7 +210,7 @@ def run_spatial_distortion(
         worlds=["world"],
         seeds=tuple(seeds),
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return _project(
         rows,
         _with_seed_column(
@@ -324,8 +237,6 @@ def run_area_coverage(
     world: SyntheticWorld,
     mechanisms: Optional[MechanismMap] = None,
     cell_sizes_m: Sequence[float] = (100.0, 200.0, 400.0, 800.0),
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E3: cell-cover F-score per mechanism and cell size."""
     spec = ExperimentSpec(
@@ -334,7 +245,7 @@ def run_area_coverage(
         metrics=[f"area-coverage:cell_size_m={float(size)!r}" for size in cell_sizes_m],
         worlds=["world"],
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return _project(
         rows,
         [
@@ -357,8 +268,6 @@ def run_reidentification(
     train_fraction: float = 0.5,
     match_distance_m: float = 250.0,
     seed: int = 0,
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E4: re-identification rate with and without swapping.
 
@@ -393,7 +302,7 @@ def run_reidentification(
         worlds=["world"],
         input=f"publish-half:train_fraction={train_fraction!r}",
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return _project(
         rows,
         [
@@ -417,8 +326,6 @@ def run_tracking(
     zone_radii_m: Sequence[float] = (50.0, 100.0, 200.0),
     policy: SwapPolicy = SwapPolicy.ALWAYS,
     seed: int = 0,
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E5: multi-target tracking success versus mix-zone radius."""
     radii = [float(radius) for radius in zone_radii_m]
@@ -435,7 +342,7 @@ def run_tracking(
         metrics=[("swap-stats", "mixing-entropy")],
         worlds=["world"],
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return [
         {
             "zone_radius_m": radius,
@@ -453,8 +360,6 @@ def run_tracking(
 def run_mixzone_stats(
     world: SyntheticWorld,
     zone_radii_m: Sequence[float] = (50.0, 100.0, 200.0, 400.0),
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E8: how many natural mix-zones exist at each radius."""
     spec = ExperimentSpec(
@@ -466,7 +371,7 @@ def run_mixzone_stats(
         ],
         worlds=["world"],
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return _project(
         rows,
         [
@@ -488,8 +393,6 @@ def run_tradeoff_frontier(
     world: SyntheticWorld,
     match_distance_m: float = 250.0,
     seed: int = 0,
-    scheduler: Optional[Any] = None,
-    cell_cache: Optional[Any] = None,
 ) -> List[Dict[str, object]]:
     """Experiment E6: (POI F-score, median distortion) per mechanism and parameter.
 
@@ -535,7 +438,7 @@ def run_tradeoff_frontier(
         ],
         worlds=["world"],
     )
-    rows = _resolve_engine(scheduler, cell_cache).run(spec, worlds={"world": world})
+    rows = _ENGINE.run(spec, worlds={"world": world})
     return _project(
         rows,
         [

@@ -1,8 +1,8 @@
 """Standard workloads used by the examples, tests and benchmarks.
 
-Every experiment of DESIGN.md runs on one of the workloads defined here so
-that results are comparable across benchmarks and reproducible from a single
-seed.  Three scales are provided:
+Every experiment (E1-E8, README "Running the evaluation") runs on one of the
+workloads defined here so that results are comparable across benchmarks and
+reproducible from a single seed.  Three scales are provided:
 
 * ``tiny``   — 2 users, 1 day: the Figure 1 scenario and fast unit tests;
 * ``small``  — 12 users, 3 days: integration tests and quick local runs;
@@ -46,8 +46,8 @@ def standard_world(scale: str = "small", seed: int = 42) -> SyntheticWorld:
     """The standard evaluation workload at a named scale.
 
     Uses a mid-size city, 30-second sampling and consumer-GPS noise; these are
-    the GeoLife-like characteristics that the data substitution in DESIGN.md
-    commits to.
+    the GeoLife-like characteristics the synthetic substitute for GeoLife
+    commits to (README "Running the evaluation").
     """
     if scale not in WORKLOAD_SCALES:
         raise ValueError(f"unknown workload scale {scale!r}; choose from {sorted(WORKLOAD_SCALES)}")

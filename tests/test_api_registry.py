@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,24 +24,24 @@ from repro.api import (
 )
 from repro.api.evaluators import PoiRetrievalEvaluator, ReidentEvaluator, TrackingEvaluator
 from repro.api.registry import MECHANISMS, format_spec
-from repro.attacks.djcluster import DjCluster, DjClusterConfig, dj_cluster
+from repro.attacks.djcluster import DjClusterConfig, dj_cluster
 from repro.attacks.gap_inference import GapInferenceConfig, infer_pois_from_gaps
-from repro.attacks.poi_extraction import PoiExtractionConfig, PoiExtractor, extract_pois
-from repro.attacks.reident import (
-    FootprintReidentifier,
-    ReidentificationConfig,
-    Reidentifier,
-)
-from repro.attacks.tracking import MultiTargetTracker, TrackingConfig
+from repro.attacks.poi_extraction import PoiExtractionConfig, extract_pois
+from repro.attacks.reident import FootprintReidentifier, ReidentificationConfig
+from repro.attacks.tracking import TrackingConfig
 from repro.baselines.geo_indistinguishability import GeoIndistinguishabilityMechanism
 from repro.baselines.trivial import IdentityMechanism
 from repro.baselines.wait4me import Wait4MeConfig
 from repro.core.pipeline import Anonymizer
 from repro.experiments.runner import (
     DEFAULT_MECHANISM_SPECS,
+    run_area_coverage,
+    run_mixzone_stats,
     run_poi_retrieval,
     run_reidentification,
+    run_spatial_distortion,
     run_tracking,
+    run_tradeoff_frontier,
 )
 from repro.mixzones.detection import MixZoneDetectionConfig, detect_mix_zones
 
@@ -69,6 +73,18 @@ class TestSpecParsing:
         assert params["seed"] == 3
 
 
+#: Spec-style names of the raw attack algorithms and their aliases.  The
+#: classes are built directly; only evaluators are registered attacks.
+RAW_ATTACK_NAMES = [
+    "staypoint", "poi-extraction", "stay-point",
+    "djcluster", "dj-cluster",
+    "gap-inference",
+    "reident-poi", "poi-matching",
+    "reident-footprint", "footprint",
+    "multi-target-tracker", "tracker",
+]
+
+
 class TestRegistries:
     def test_builtin_names_listed(self):
         mechanisms = list_mechanisms()
@@ -76,14 +92,21 @@ class TestRegistries:
                      "pseudonyms", "downsampling"):
             assert name in mechanisms
         attacks = list_attacks()
-        for name in ("staypoint", "djcluster", "reident-poi", "reident-footprint",
-                     "multi-target-tracker", "poi-retrieval", "reident", "tracking",
-                     "zone-census"):
+        for name in ("poi-retrieval", "reident", "tracking", "zone-census"):
             assert name in attacks
         metrics = list_metrics()
         for name in ("spatial-distortion", "area-coverage", "point-retention",
                      "trip-length-error", "range-query", "swap-stats", "mixing-entropy"):
             assert name in metrics
+
+    @pytest.mark.parametrize("name", list_attacks())
+    def test_every_registered_attack_is_an_evaluator(self, name):
+        assert callable(getattr(make_attack(name), "run", None))
+
+    @pytest.mark.parametrize("name", RAW_ATTACK_NAMES)
+    def test_raw_algorithm_names_are_unknown_attacks(self, name):
+        with pytest.raises(RegistryError, match="unknown attack"):
+            make_attack(name)
 
     def test_unknown_names_raise_value_error(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
@@ -145,13 +168,6 @@ class TestRegistries:
         assert mechanism.config.epsilon_per_m == 0.005
         assert mechanism.config.seed == 7
 
-    def test_runner_attacks_resolvable_from_specs(self):
-        assert isinstance(make_attack("staypoint:max_diameter_m=400"), PoiExtractor)
-        assert isinstance(make_attack("djcluster:eps_m=250"), DjCluster)
-        assert isinstance(make_attack("reident-poi:match_distance_m=500"), Reidentifier)
-        assert isinstance(make_attack("reident-footprint"), FootprintReidentifier)
-        assert isinstance(make_attack("multi-target-tracker"), MultiTargetTracker)
-
     def test_default_suite_resolvable_from_specs(self):
         for spec in DEFAULT_MECHANISM_SPECS.values():
             mechanism = make_mechanism(spec, defaults={"seed": 0})
@@ -163,12 +179,6 @@ class TestRegistries:
 
 #: Every registered attack that once took an ``engine`` implementation selector.
 ENGINE_SPECS = [
-    "staypoint:engine=reference",
-    "djcluster:engine=reference",
-    "gap-inference:engine=reference",
-    "reident-poi:engine=reference",
-    "reident-footprint:engine=reference",
-    "multi-target-tracker:engine=reference",
     "poi-retrieval:engine=vectorized",
     "reident:engine=reference",
     "tracking:engine=reference",
@@ -211,6 +221,35 @@ class TestNoImplementationSelector:
     def test_engine_argument_is_unknown(self, name, tiny_world):
         with pytest.raises(TypeError, match="engine"):
             ENGINE_CALLS[name](tiny_world)
+
+
+#: Every ``run_*`` runner; each evaluates on the one shared engine.
+RUNNERS = {
+    "run_poi_retrieval": run_poi_retrieval,
+    "run_spatial_distortion": run_spatial_distortion,
+    "run_area_coverage": run_area_coverage,
+    "run_reidentification": run_reidentification,
+    "run_tracking": run_tracking,
+    "run_mixzone_stats": run_mixzone_stats,
+    "run_tradeoff_frontier": run_tradeoff_frontier,
+}
+
+
+class TestNoRunnerRouting:
+    """A backend or cache is chosen on ``EvaluationEngine``, never on a runner."""
+
+    @pytest.mark.parametrize("keyword", ["scheduler", "cell_cache"])
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_routing_keyword_is_unknown(self, name, keyword, tiny_world):
+        with pytest.raises(TypeError, match=keyword):
+            RUNNERS[name](tiny_world, **{keyword: "serial"})
+
+    def test_engine_environment_is_not_read_at_import(self):
+        env = {**os.environ, "REPRO_ENGINE_BACKEND": "bogus"}
+        result = subprocess.run(
+            [sys.executable, "-c", "import repro"], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestPublicationResult:

@@ -80,7 +80,7 @@ class TestGapInference:
 
 class TestResidualLeakOnProtectedData:
     def test_gap_attack_recovers_pois_that_staypoint_misses(self, small_world):
-        """Quantifies the limitation documented in EXPERIMENTS.md."""
+        """Quantifies the limitation documented in README "Running the evaluation"."""
         published = smooth_dataset(small_world.dataset, epsilon_m=100.0)
         truth = ground_truth_pois(small_world)
         gap_pois = [p for v in GapInferenceAttack().extract_dataset(published).values() for p in v]

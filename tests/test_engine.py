@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.registry import RegistryError
+from repro.api.registry import ATTACKS, RegistryError, register_attack
 from repro.experiments.engine import (
     EvaluationEngine,
     ExperimentSpec,
@@ -144,11 +144,22 @@ class TestEvaluationEngine:
             EvaluationEngine().run(ExperimentSpec(name="objects", **axes), worlds={"world": world})
 
     def test_raw_attack_on_axis_is_rejected(self, world):
-        spec = ExperimentSpec(
-            name="bad-attack", mechanisms=["identity"], attacks=["staypoint"], worlds=["world"]
-        )
-        with pytest.raises(ValueError, match="run\\(result, context\\)"):
-            EvaluationEngine().run(spec, worlds={"world": world})
+        def spec_for(attack):
+            return ExperimentSpec(
+                name="bad-attack", mechanisms=["identity"], attacks=[attack], worlds=["world"]
+            )
+
+        # Raw algorithms are not registered attacks ...
+        with pytest.raises(RegistryError, match="unknown attack"):
+            EvaluationEngine().run(spec_for("staypoint"), worlds={"world": world})
+        # ... and a plugin factory that builds an object without run() is
+        # rejected by name when the engine reaches it.
+        register_attack("test-no-run-attack")(lambda: object())
+        try:
+            with pytest.raises(RegistryError, match="run\\(result, context\\)"):
+                EvaluationEngine().run(spec_for("test-no-run-attack"), worlds={"world": world})
+        finally:
+            ATTACKS.unregister("test-no-run-attack")
 
     def test_unknown_world_spec_rejected(self):
         spec = ExperimentSpec(name="w", mechanisms=["identity"], worlds=["atlantis"])

@@ -66,6 +66,10 @@ def queue_server(monkeypatch):
     stop = getattr(server, "stop_event", None)
     if stop is not None:
         stop.set()
+        # On stop, the stdlib ``Server.serve_forever`` resets sys.stdout and
+        # sys.stderr to the interpreter's originals.  Join here so that reset
+        # lands in this teardown, not inside the next test's capsys capture.
+        thread.join(timeout=5.0)
 
 
 def _worker_argv(host: str, port: int, rank: str = "3"):
