@@ -7,14 +7,17 @@ versioned cell-cache keys, vectorized attacks pinned to scalar
 whole-program pass over the repository's parsed ASTs, so a violation is a
 lint error at review time instead of a silent drift discovered in production.
 
-Nine project-specific rule families run over a shared
+Eight project-specific rule families run over a shared
 :class:`~repro.analysis.index.ModuleIndex`:
 
 * **R1 determinism** — no unseeded RNG or wall-clock reads in
   cell-computation modules (``attacks/``, ``baselines/``, ``geo/``,
   ``mixzones/``, ``metrics/``, ``datagen/``, ``core/`` and the engine
-  modules); randomness must thread an explicit ``numpy.random.Generator``
-  or seed.
+  modules), nor in any function *reachable* (over the project
+  :mod:`~repro.analysis.callgraph`) from a cell-computation root —
+  registered factories, ``_evaluate_group``, worker entry points — whatever
+  module it lives in; randomness must thread an explicit
+  ``numpy.random.Generator`` or seed.
 * **R2 cache-key drift** — the ``ExperimentSpec`` field set and the
   cell-key serialization code must match the committed
   ``cache_key_contract.json`` for the current ``v<N>:`` key version, so
@@ -32,11 +35,6 @@ Nine project-specific rule families run over a shared
   spawn.
 * **R6 streaming incrementality** — streaming ``update()`` paths must stay
   O(window), never rescanning unbounded history state.
-* **R7 seed flow** — the interprocedural extension of R1: every RNG draw
-  *reachable* (over the project :mod:`~repro.analysis.callgraph`) from a
-  cell-computation root — registered factories, ``_evaluate_group``, worker
-  entry points — must use the threaded spec seed, whatever module it lives
-  in.
 * **R8 shared-array mutation** — arrays born from ``columnar()`` /
   ``WorldStore`` memmap views must not flow (per the forward taint engine
   in :mod:`~repro.analysis.dataflow`) into in-place mutation — ``sort()``,
@@ -46,20 +44,15 @@ Nine project-specific rule families run over a shared
   a ``finally:``), with escape analysis for ownership transfer; findings on
   worker-reachable paths carry the call chain.
 
-Run it as a CLI (non-zero exit on non-baselined findings)::
+Run it as a CLI (non-zero exit on any finding)::
 
     python -m repro.analysis src tests benchmarks
     python -m repro.analysis --format json src
     python -m repro.analysis --format sarif --output reprolint.sarif src
     python -m repro.analysis --list-rules
 
-A committed ``tools/reprolint-baseline.json`` (shrink-only, like the mypy
-ratchet; see :mod:`~repro.analysis.baseline`) is picked up automatically:
-only findings outside it fail the run, and ``--update-baseline`` refuses
-to grow it.
-
-Waive a single finding inline with a comment on the offending line (or on
-the ``def`` line of its enclosing function)::
+The only way to accept a finding is an inline waiver, a comment on the
+offending line (or on the ``def`` line of its enclosing function)::
 
     total = sum(x for x in values)  # repro: allow=R3 -- justification
 

@@ -3,17 +3,13 @@
 Usage::
 
     python -m repro.analysis [paths ...] [--format text|json|sarif]
-                             [--rules R1,R3] [--list-rules]
-                             [--baseline PATH | --no-baseline]
-                             [--update-baseline] [--output FILE]
+                             [--rules R1,R3] [--list-rules] [--output FILE]
                              [--update-cache-contract]
 
-A committed baseline (``tools/reprolint-baseline.json``, shrink-only like
-the mypy ratchet) is applied automatically when present: baselined findings
-are reported as suppressed and do not fail the run.
+Every finding fails the run; the only way to accept one is an inline
+``# repro: allow=Rn -- reason`` waiver.
 
-Exit status: 0 when clean (no non-baselined findings), 1 when new findings
-were emitted, 2 on usage errors.
+Exit status: 0 when clean, 1 when findings were emitted, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,12 +19,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
 from .findings import format_findings
 from .index import ModuleIndex
 from .rules import ALL_RULES
@@ -47,7 +37,7 @@ def _default_paths() -> List[str]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: AST checks for the repro invariants (R1-R9)",
+        description="reprolint: AST checks for the repro invariants (R1-R6, R8, R9)",
     )
     parser.add_argument(
         "paths",
@@ -70,28 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "findings baseline to apply (default: "
-            f"{DEFAULT_BASELINE_PATH} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any committed baseline: every finding fails the run",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "pin the current findings to the baseline file and exit clean; "
-            "refuses to grow an existing baseline (shrink-only ratchet)"
-        ),
     )
     parser.add_argument(
         "--output",
@@ -136,14 +104,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")
 
-    baseline_path = args.baseline
-    if args.no_baseline:
-        if args.baseline or args.update_baseline:
-            parser.error("--no-baseline conflicts with --baseline/--update-baseline")
-        baseline_path = None
-    elif baseline_path is None and os.path.exists(DEFAULT_BASELINE_PATH):
-        baseline_path = DEFAULT_BASELINE_PATH
-
     index = ModuleIndex.from_paths(paths)
 
     if args.update_cache_contract:
@@ -164,43 +124,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     findings = run_analysis(paths, rules=rule_ids, index=index)
 
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE_PATH
-        try:
-            pinned = write_baseline(target, findings)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"pinned {len(findings)} finding(s) ({pinned} entries) to {target}")
-        return 0
-
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    new, baselined, fixed = partition_findings(findings, baseline)
-
     if args.format == "sarif":
-        output = findings_to_sarif(new, baselined, ALL_RULES)
+        output = findings_to_sarif(findings, ALL_RULES)
     else:
-        output = format_findings(new, args.format)
+        output = format_findings(findings, args.format)
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(output if output.endswith("\n") or not output else output + "\n")
-        print(f"wrote {args.output} ({len(new)} new finding(s))")
+        print(f"wrote {args.output} ({len(findings)} finding(s))")
     elif output:
         print(output)
 
-    if args.format == "text" and not args.output:
-        if baselined:
-            print(f"{len(baselined)} baselined finding(s) suppressed", file=sys.stderr)
-        if fixed:
-            print(
-                f"{fixed} baselined finding(s) no longer occur — shrink the "
-                "baseline with --update-baseline",
-                file=sys.stderr,
-            )
-        if not new:
-            print(f"reprolint: clean ({len(index.modules)} modules scanned)")
-    return 1 if new else 0
+    if args.format == "text" and not args.output and not findings:
+        print(f"reprolint: clean ({len(index.modules)} modules scanned)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from .columnar import ColumnarDisciplineRule
 from .determinism import DeterminismRule
 from .handle_lifecycle import HandleLifecycleRule
 from .registry_integrity import RegistryIntegrityRule
-from .seed_flow import SeedFlowRule
 from .shared_arrays import SharedArrayRule
 from .spawn_safety import SpawnSafetyRule
 from .streaming import StreamingIncrementalityRule
@@ -25,7 +24,6 @@ ALL_RULES: List[Rule] = [
     RegistryIntegrityRule(),
     SpawnSafetyRule(),
     StreamingIncrementalityRule(),
-    SeedFlowRule(),
     SharedArrayRule(),
     HandleLifecycleRule(),
 ]

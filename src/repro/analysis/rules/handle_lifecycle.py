@@ -33,7 +33,7 @@ from ..callgraph import CallGraph, FunctionInfo, get_callgraph
 from ..findings import Finding
 from ..index import ModuleIndex
 from .base import Rule
-from .seed_flow import cell_roots
+from .determinism import cell_roots
 
 __all__ = ["HandleLifecycleRule"]
 

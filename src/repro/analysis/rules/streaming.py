@@ -42,7 +42,7 @@ Genuinely intrinsic full-history scans can be waived with
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..findings import Finding
 from ..index import ModuleIndex

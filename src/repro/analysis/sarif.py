@@ -1,9 +1,8 @@
 """SARIF 2.1.0 emission, so findings surface as GitHub PR annotations.
 
 One ``run`` per tool; results carry the rule id, message, and physical
-location.  Findings accepted by the committed baseline are still emitted
-but marked with an ``external`` suppression, which GitHub renders as
-resolved — the annotation stream shows only what a PR actually adds.
+location.  A result may be marked with an ``external`` suppression, which
+GitHub renders as resolved; the mypy ratchet marks its baselined errors so.
 
 The same document shape is reused by ``tools/mypy_ratchet.py`` for mypy
 errors (ruleIds ``mypy/<code>``), so CI uploads both linters through one
@@ -69,11 +68,10 @@ def sarif_document(
 
 
 def findings_to_sarif(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
+    findings: Sequence[Finding],
     rule_catalogue: Optional[Sequence] = None,
 ) -> str:
-    """Render reprolint findings (new + suppressed-baselined) as SARIF."""
+    """Render reprolint findings as SARIF."""
     rules: List[Dict] = []
     for rule in rule_catalogue or ():
         rules.append(
@@ -83,11 +81,6 @@ def findings_to_sarif(
                 "shortDescription": {"text": rule.description},
             }
         )
-    results = [
-        sarif_result(f.rule, f.message, f.path, f.line, suppressed=False) for f in new
-    ] + [
-        sarif_result(f.rule, f.message, f.path, f.line, suppressed=True)
-        for f in baselined
-    ]
+    results = [sarif_result(f.rule, f.message, f.path, f.line) for f in findings]
     document = sarif_document("reprolint", results, rules=rules)
     return json.dumps(document, indent=2) + "\n"

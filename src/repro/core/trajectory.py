@@ -385,28 +385,6 @@ class MobilityDataset:
             raise ValueError(f"duplicate user id {traj.user_id!r} in dataset")
         self._trajectories[traj.user_id] = traj
 
-    @classmethod
-    def from_columnar(cls, columnar: ColumnarTraces) -> "MobilityDataset":
-        """Dataset over zero-copy per-user views of a flattened columnar layout.
-
-        The trajectories are :meth:`Trajectory.from_sorted` views into the
-        columnar arrays (which may be memory-mapped), so no point data is
-        copied; the columnar cache is seeded with ``columnar`` itself.
-        """
-        dataset = cls()
-        for k, user_id in enumerate(columnar.user_ids):
-            span = columnar.user_slice(k)
-            dataset._add(
-                Trajectory.from_sorted(
-                    user_id,
-                    columnar.timestamps[span],
-                    columnar.lats[span],
-                    columnar.lons[span],
-                )
-            )
-        dataset._columnar = columnar
-        return dataset
-
     def __getstate__(self):
         # The cached columnar view is derived data: shipping it through
         # pickle (multiprocessing fan-out) would double the payload, and

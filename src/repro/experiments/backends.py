@@ -203,10 +203,14 @@ def _make_queue_manager(
 def _accept_until_stopped(server: Any) -> None:
     """The manager server's accept loop, ending once the server is stopped.
 
-    Stands in for the stdlib ``Server.accepter``, which retries ``accept()``
-    on every ``OSError``: after :meth:`WorkQueueBackend._shutdown` closes the
-    listener that retry spins at full CPU for the life of the process,
-    holding the interpreter lock against everything the process runs next.
+    Runs in place of the stdlib ``Server.serve_forever`` and its
+    ``accepter``.  The accepter retries ``accept()`` on every ``OSError``:
+    after :meth:`WorkQueueBackend._shutdown` closes the listener that retry
+    spins at full CPU for the life of the process, holding the interpreter
+    lock against everything the process runs next.  ``serve_forever``
+    resets ``sys.stdout``/``sys.stderr`` to the interpreter's originals when
+    it stops, clobbering any redirect the caller has in place.  The caller
+    sets ``server.stop_event`` before starting this loop.
     """
     while True:
         try:
@@ -449,16 +453,8 @@ class WorkQueueBackend(SchedulerBackend):
         )
         # Any: the Server type (and its stop_event/listener) is not in typeshed.
         server: Any = manager.get_server()
-        server.accepter = lambda: _accept_until_stopped(server)
-
-        def _serve() -> None:
-            try:
-                server.serve_forever()
-            except SystemExit:
-                pass  # serve_forever sys.exit(0)s on stop_event; keep the thread quiet
-
-        server_thread = threading.Thread(target=_serve, daemon=True)
-        server_thread.start()
+        server.stop_event = threading.Event()
+        threading.Thread(target=_accept_until_stopped, args=(server,), daemon=True).start()
         port = int(server.address[1])
         stats["address"]["port"] = port
 

@@ -15,7 +15,6 @@ workload of the mix-zone experiments (E4, E5, E8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..core.trajectory import MobilityDataset

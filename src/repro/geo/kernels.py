@@ -26,9 +26,6 @@ rebuilt on:
   rounds, skipping ahead along the cumulative path extent (the travelled arc
   length upper-bounds any anchor distance, so whole stretches of a window are
   certified in-diameter without evaluating a single pairwise distance);
-* :func:`segmented_radius_pairs` — the planar radius join: every point pair
-  within a radius, restricted to pairs of the same segment (user), via the
-  same bin join as :func:`iter_neighbor_pairs`;
 * :func:`planar_radius_cliques` — the finer-grid radius join (DJ-Cluster):
   cells of side ``radius / sqrt(2)`` whose co-members are *certified*
   in-radius (the cell diagonal is below the radius) plus confirmed
@@ -76,7 +73,6 @@ __all__ = [
     "masked_mean_distances",
     "SyncedDistances",
     "windowed_stay_spans",
-    "segmented_radius_pairs",
     "planar_radius_cliques",
     "segmented_searchsorted",
     "polyline_distances",
@@ -706,51 +702,8 @@ def windowed_stay_spans(
 
 
 # ---------------------------------------------------------------------------
-# Segmented planar radius join (DJ-Cluster)
+# Planar radius join on the clique grid (DJ-Cluster)
 # ---------------------------------------------------------------------------
-
-
-def segmented_radius_pairs(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    segments: np.ndarray,
-    radius: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All unordered same-segment point pairs within ``radius``, planar.
-
-    ``xs`` / ``ys`` are planar coordinates in meters, ``segments`` integer
-    segment identifiers (e.g. the owning user); pairs never span two
-    segments.  Candidate pairs come from the ±1 ``iter_neighbor_pairs`` bin
-    join with cell size ``radius`` — segment separation is enforced by
-    spacing segment ids two buckets apart, so distinct segments are never
-    bin-adjacent — and are confirmed with the exact squared planar distance
-    (``dx * dx + dy * dy <= radius * radius``, the same float expression a
-    scalar distance-matrix test evaluates).
-
-    Returns ``(i, j)`` index arrays with ``i < j``.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    segments = np.asarray(segments, dtype=np.int64)
-    if xs.size < 2:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    rows = np.floor((ys - ys.min()) / radius).astype(np.int64)
-    cols = np.floor((xs - xs.min()) / radius).astype(np.int64)
-    r2 = radius * radius
-    kept_i: List[np.ndarray] = []
-    kept_j: List[np.ndarray] = []
-    for i, j in iter_neighbor_pairs(rows, cols, segments, reach=(1, 1, 0)):
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        close = dx * dx + dy * dy <= r2
-        if close.any():
-            kept_i.append(i[close])
-            kept_j.append(j[close])
-    if not kept_i:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(kept_i), np.concatenate(kept_j)
 
 
 #: Safety margin in meters shrinking the clique-grid cell below

@@ -36,7 +36,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..attacks.poi_extraction import ExtractedPoi
 from ..attacks.reident import (
     FootprintReidentifier,
     KnownPoi,

@@ -1,7 +1,7 @@
 """Fixture helper outside R1's module scope: drops the threaded seed.
 
-``repro/io/`` is not a cell-computation target, so R1 never looks here —
-only the interprocedural R7 walk can tie these draws to a cell path.
+``repro/io/`` is not a cell-computation module, so only R1's walk from the
+cell roots over the call graph can tie these draws to a cell path.
 """
 
 import time

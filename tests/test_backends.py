@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import sys
 import threading
+import time
 from multiprocessing.connection import Listener
 from types import SimpleNamespace
 
@@ -133,6 +137,23 @@ class TestWorkQueueFaults:
         thread.start()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+
+    def test_run_leaves_the_callers_stdout_and_stderr_alone(self, world, serial_rows):
+        # The stdlib Server.serve_forever resets sys.stdout/sys.stderr to the
+        # interpreter's originals when it stops (within a second of shutdown),
+        # which silently undid a caller's redirect_stdout.
+        out, err = io.StringIO(), io.StringIO()
+        before = set(threading.enumerate())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rows = EvaluationEngine(backend="work-queue:workers=2", cache=False).run(
+                _spec(), worlds={"world": world}
+            )
+            deadline = time.monotonic() + 2.0
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert sys.stdout is out
+            assert sys.stderr is err
+        assert rows == serial_rows
 
 
 class TestFleetPath:

@@ -25,7 +25,6 @@ from repro.geo.kernels import (
     masked_mean_distances,
     planar_radius_cliques,
     polyline_distances,
-    segmented_radius_pairs,
     segmented_searchsorted,
     windowed_stay_spans,
 )
@@ -531,61 +530,6 @@ class TestSyncedKernels:
         stack[1, 6:] = 2.0
         assert masked_mean_distances(stack, 0, np.array([1]))[0] == np.inf
         assert SyncedDistances(stack).distances_from(0, np.array([1]))[0] == np.inf
-
-
-def brute_force_radius_pairs(xs, ys, segments, radius):
-    """Quadratic oracle for the segmented planar radius join."""
-    pairs = set()
-    r2 = radius * radius
-    for i in range(xs.size):
-        for j in range(i + 1, xs.size):
-            if segments[i] != segments[j]:
-                continue
-            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
-            if dx * dx + dy * dy <= r2:
-                pairs.add((i, j))
-    return pairs
-
-
-class TestSegmentedRadiusPairs:
-    def test_matches_brute_force_single_segment(self):
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(-500.0, 500.0, 120)
-        ys = rng.uniform(-500.0, 500.0, 120)
-        segments = np.zeros(120, dtype=np.int64)
-        a, b = segmented_radius_pairs(xs, ys, segments, 120.0)
-        got = set(zip(a.tolist(), b.tolist()))
-        assert got == brute_force_radius_pairs(xs, ys, segments, 120.0)
-        assert np.all(a < b)
-
-    def test_matches_brute_force_multi_segment(self):
-        rng = np.random.default_rng(1)
-        xs = rng.uniform(-300.0, 300.0, 150)
-        ys = rng.uniform(-300.0, 300.0, 150)
-        segments = rng.integers(0, 4, 150).astype(np.int64)
-        a, b = segmented_radius_pairs(xs, ys, segments, 90.0)
-        got = set(zip(a.tolist(), b.tolist()))
-        assert got == brute_force_radius_pairs(xs, ys, segments, 90.0)
-
-    def test_never_pairs_across_segments(self):
-        # Two segments stacked at identical coordinates: every cross-segment
-        # pair is at distance zero, yet none may be emitted.
-        xs = np.concatenate([np.zeros(10), np.zeros(10)])
-        ys = np.concatenate([np.arange(10.0), np.arange(10.0)])
-        segments = np.repeat([0, 1], 10).astype(np.int64)
-        a, b = segmented_radius_pairs(xs, ys, segments, 5.0)
-        assert a.size > 0
-        assert np.all(segments[a] == segments[b])
-
-    def test_degenerate_inputs(self):
-        empty = np.zeros(0)
-        a, b = segmented_radius_pairs(empty, empty, empty.astype(np.int64), 10.0)
-        assert a.size == 0 and b.size == 0
-        one = np.zeros(1)
-        a, b = segmented_radius_pairs(one, one, np.zeros(1, dtype=np.int64), 10.0)
-        assert a.size == 0
-        with pytest.raises(ValueError):
-            segmented_radius_pairs(np.zeros(3), np.zeros(3), np.zeros(3, dtype=np.int64), 0.0)
 
 
 def brute_force_stay_spans(ts, lats, lons, max_diameter_m, min_duration_s, max_gap_s):

@@ -20,7 +20,6 @@ import sys
 import pytest
 
 from repro.analysis import run_analysis
-from repro.analysis.baseline import load_baseline, partition_findings, write_baseline
 from repro.analysis.cli import main as cli_main
 from repro.analysis.findings import Finding, format_findings
 from repro.analysis.index import ModuleIndex
@@ -293,12 +292,12 @@ class TestCacheKeyRule:
         assert r2_findings(cachekey_tree) == []
 
 
-# ------------------------------------------------- R7 seed flow (interprocedural)
+# ---------------------------------------- R1 determinism on reachable functions
 
 
 class TestSeedFlowRule:
     def test_violating_tree_carries_the_chain_to_a_registered_root(self):
-        found = findings_for(fixture("seedflow", "violating"), "R7")
+        found = findings_for(fixture("seedflow", "violating"), "R1")
         by_line = {f.line: f.message for f in found if f.path.endswith("sampling.py")}
         assert set(by_line) == {13, 18}, [f.message for f in found]
         assert "on a cell-computation path" in by_line[13]
@@ -307,14 +306,29 @@ class TestSeedFlowRule:
         assert "JitterAttack.run -> stamp_rows" in by_line[18]
 
     def test_conforming_tree_threads_the_seed_and_is_clean(self):
-        assert findings_for(fixture("seedflow", "conforming"), "R7") == []
+        assert findings_for(fixture("seedflow", "conforming"), "R1") == []
 
     def test_waived_tree_is_suppressed(self):
-        assert findings_for(fixture("seedflow", "waived"), "R7") == []
+        assert findings_for(fixture("seedflow", "waived"), "R1") == []
 
-    def test_cell_computation_modules_are_left_to_r1(self):
-        # R1's target modules report module-locally; R7 must not double-report.
-        assert findings_for(fixture("repro", "attacks", "r1_violating.py"), "R7") == []
+    def test_cell_computation_modules_are_left_to_r1(self, tmp_path):
+        # A draw in a cell-computation module that is also reachable from a
+        # root is reported once, module-locally, without a call chain.
+        shutil.copytree(fixture("seedflow", "violating"), tmp_path, dirs_exist_ok=True)
+        attack = tmp_path / "repro" / "attacks" / "noisy.py"
+        attack.parent.mkdir(parents=True)
+        attack.write_text(
+            "import numpy as np\n"
+            "from repro.api.registry import register_attack\n\n\n"
+            "@register_attack(\"fixture-noisy\")\n"
+            "class NoisyAttack:\n"
+            "    def run(self, dataset, seed):\n"
+            "        return np.random.default_rng()\n"
+        )
+        found = [f for f in findings_for(str(tmp_path), "R1") if f.path.endswith("noisy.py")]
+        assert [(f.line, f.message) for f in found] == [
+            (8, "np.random.default_rng() without a seed is entropy-seeded")
+        ]
 
 
 # ------------------------------------------------------ R8 shared-array mutation
@@ -362,104 +376,25 @@ class TestHandleLifecycleRule:
         assert findings_for(fixture("handles", "waived"), "R9") == []
 
 
-# ------------------------------------------------------------ baseline / ratchet
-
-
-class TestBaseline:
-    def _findings(self):
-        found = [
-            f
-            for f in run_analysis([fixture("sharedarrays", "violating")])
-            if f.rule == "R8"
-        ]
-        assert len(found) >= 2
-        return found
-
-    def test_missing_file_is_an_empty_baseline(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == {}
-
-    def test_unknown_version_is_rejected(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text('{"version": 99, "findings": []}')
-        with pytest.raises(ValueError):
-            load_baseline(str(target))
-
-    def test_round_trip_suppresses_everything(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        found = self._findings()
-        write_baseline(str(target), found)
-        new, baselined, fixed = partition_findings(found, load_baseline(str(target)))
-        assert new == []
-        assert len(baselined) == len(found)
-        assert fixed == 0
-
-    def test_fixed_findings_are_counted_for_the_shrink(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        found = self._findings()
-        write_baseline(str(target), found)
-        new, _, fixed = partition_findings(found[1:], load_baseline(str(target)))
-        assert new == [] and fixed == 1
-
-    def test_baseline_is_shrink_only(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        found = self._findings()
-        write_baseline(str(target), found[1:])  # pin all but one
-        with pytest.raises(ValueError):
-            write_baseline(str(target), found)  # growing back is refused
-        assert write_baseline(str(target), found, force=True) > 0
-
-    def test_cli_baseline_flow(self, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        tree = fixture("sharedarrays", "violating")
-        args = [tree, "--rules", "R8", "--baseline", str(target)]
-        assert cli_main([*args, "--update-baseline"]) == 0
-        assert "pinned" in capsys.readouterr().out
-        # Baselined findings no longer fail the run ...
-        assert cli_main(args) == 0
-        captured = capsys.readouterr()
-        assert "baselined finding(s) suppressed" in captured.err
-        assert "clean" in captured.out
-        # ... but --no-baseline restores the strict view.
-        assert cli_main([tree, "--rules", "R8", "--no-baseline"]) == 1
-        capsys.readouterr()
-
-    def test_cli_no_baseline_conflicts_with_update(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main([fixture("repro", "api"), "--no-baseline", "--update-baseline"])
-        assert excinfo.value.code == 2
-
-
 # ------------------------------------------------------------------ SARIF output
 
 
 class TestSarifOutput:
     def test_cli_emits_a_valid_sarif_run(self, capsys):
         violating = fixture("repro", "attacks", "r1_violating.py")
-        assert cli_main([violating, "--format", "sarif", "--no-baseline"]) == 1
+        assert cli_main([violating, "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "reprolint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"R1", "R7", "R8", "R9"} <= rule_ids
+        assert {"R1", "R8", "R9"} <= rule_ids and "R7" not in rule_ids
         result = run["results"][0]
         assert result["ruleId"] == "R1"
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"].endswith("r1_violating.py")
         assert location["region"]["startLine"] >= 1
         assert "suppressions" not in result
-
-    def test_baselined_findings_are_marked_suppressed(self, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        tree = fixture("handles", "violating")
-        args = [tree, "--rules", "R9", "--baseline", str(target)]
-        assert cli_main([*args, "--update-baseline"]) == 0
-        capsys.readouterr()
-        assert cli_main([*args, "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        results = doc["runs"][0]["results"]
-        assert results
-        assert all(r["suppressions"] == [{"kind": "external"}] for r in results)
 
     def test_mypy_ratchet_shares_the_sarif_shape(self):
         # The ratchet's converter is pure — testable without mypy installed.
@@ -490,7 +425,7 @@ class TestSarifOutput:
         out = tmp_path / "reprolint.sarif"
         violating = fixture("repro", "attacks", "r1_violating.py")
         code = cli_main(
-            [violating, "--format", "sarif", "--no-baseline", "--output", str(out)]
+            [violating, "--format", "sarif", "--output", str(out)]
         )
         assert code == 1
         assert "wrote" in capsys.readouterr().out
@@ -544,8 +479,22 @@ class TestIndexAndCli:
     def test_cli_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines() if not line.startswith(" ")]
+        assert listed == ["R1", "R2", "R3", "R4", "R5", "R6", "R8", "R9"]
+
+    def test_retired_rule_id_is_a_usage_error(self, capsys):
+        # R7 (seed flow) is part of R1; the id is retired, not renumbered.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([fixture("repro", "api"), "--rules", "R7"])
+        assert excinfo.value.code == 2
+        assert "unknown rule id(s): R7" in capsys.readouterr().err
+
+    def test_baseline_flag_is_a_usage_error(self, tmp_path, capsys):
+        # An inline waiver is the only way to accept a finding.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([fixture("repro", "api"), "--baseline", str(tmp_path / "b.json")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         result = subprocess.run(

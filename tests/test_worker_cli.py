@@ -24,7 +24,7 @@ import types
 import pytest
 
 from repro.experiments import backend_check, worker
-from repro.experiments.backends import AUTHKEY_ENV, CRASH_ENV
+from repro.experiments.backends import AUTHKEY_ENV, CRASH_ENV, _accept_until_stopped
 from repro.experiments.cache import SqliteCellCache
 
 _AUTHKEY = "test-worker-authkey"
@@ -50,26 +50,14 @@ def queue_server(monkeypatch):
         address=("127.0.0.1", 0), authkey=_AUTHKEY.encode("ascii")
     )
     server = manager.get_server()
-
-    def _serve():
-        try:
-            server.serve_forever()
-        except SystemExit:  # serve_forever exits via sys.exit on stop_event
-            pass
-
-    thread = threading.Thread(target=_serve, daemon=True)
-    thread.start()
+    server.stop_event = threading.Event()
+    threading.Thread(target=_accept_until_stopped, args=(server,), daemon=True).start()
     monkeypatch.setenv(AUTHKEY_ENV, _AUTHKEY)
     monkeypatch.delenv(CRASH_ENV, raising=False)
     host, port = server.address
     yield host, port, tasks, results
-    stop = getattr(server, "stop_event", None)
-    if stop is not None:
-        stop.set()
-        # On stop, the stdlib ``Server.serve_forever`` resets sys.stdout and
-        # sys.stderr to the interpreter's originals.  Join here so that reset
-        # lands in this teardown, not inside the next test's capsys capture.
-        thread.join(timeout=5.0)
+    server.stop_event.set()
+    server.listener.close()
 
 
 def _worker_argv(host: str, port: int, rank: str = "3"):
