@@ -46,6 +46,7 @@ bitwise-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -72,6 +73,42 @@ class KnownPoi:
     lat: float
     lon: float
     weight: float = 1.0
+
+
+@dataclass(frozen=True)
+class _KnowledgeStack:
+    """Every candidate's known POIs as flat arrays, built once per knowledge.
+
+    Candidate ``i`` owns positions ``offsets[i]:offsets[i + 1]``; ``totals``
+    holds each candidate's ``float(np.sum(weights[lo:hi]))`` and ``starts``
+    the offsets of the candidates that know at least one POI.
+    """
+
+    candidates: List[str]
+    lats: np.ndarray
+    lons: np.ndarray
+    weights: np.ndarray
+    offsets: List[int]
+    totals: List[float]
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, knowledge: Mapping[str, Sequence[KnownPoi]]) -> "_KnowledgeStack":
+        candidates = list(knowledge.keys())
+        pois = [k for c in candidates for k in knowledge[c]]
+        weights = np.array([k.weight for k in pois], dtype=float)
+        offsets = [0, *accumulate(len(knowledge[c]) for c in candidates)]
+        return cls(
+            candidates=candidates,
+            lats=np.array([k.lat for k in pois], dtype=float),
+            lons=np.array([k.lon for k in pois], dtype=float),
+            weights=weights,
+            offsets=offsets,
+            totals=[float(np.sum(weights[lo:hi])) for lo, hi in zip(offsets, offsets[1:])],
+            starts=np.array(
+                [lo for lo, hi in zip(offsets, offsets[1:]) if hi > lo], dtype=np.int64
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -170,12 +207,12 @@ class Reidentifier:
         callers that sweep attack parameters over one published dataset pay
         for extraction once.
         """
-        candidates = list(knowledge.keys())
+        stack = _KnowledgeStack.of(knowledge)
         pseudonyms = [t.user_id for t in published]
         if extracted is None:
             extracted = self._extractor.extract_dataset(published)
-        scores = self._scores_vectorized(pseudonyms, extracted, candidates, knowledge)
-        return self._assign(scores, pseudonyms, candidates, self.config.assignment)
+        scores = self._scores_vectorized(pseudonyms, extracted, stack)
+        return self._assign(scores, pseudonyms, stack.candidates, self.config.assignment)
 
     def attack_reference(
         self,
@@ -203,34 +240,21 @@ class Reidentifier:
         self,
         pseudonyms: List[str],
         extracted: Mapping[str, Sequence[ExtractedPoi]],
-        candidates: List[str],
-        knowledge: Mapping[str, Sequence[KnownPoi]],
+        stack: _KnowledgeStack,
     ) -> Dict[str, Dict[str, float]]:
         """The similarity matrix, one batched haversine pass per pseudonym.
 
-        The POIs of every candidate are stacked once into flat arrays with
+        ``stack`` holds the POIs of every candidate as flat arrays with
         per-candidate offsets; for each pseudonym one broadcast haversine
-        call against the stack resolves every (extracted, known) match at
-        once, and the per-candidate reductions reuse the exact slice
-        arithmetic of the scalar oracle (:meth:`_pair_score`).
+        call against it resolves every (extracted, known) match at once,
+        and the per-candidate reductions reuse the exact slice arithmetic
+        of the scalar oracle (:meth:`_pair_score`).
         """
-        known_lats = np.concatenate(
-            [[k.lat for k in knowledge[c]] for c in candidates] or [[]]
-        ).astype(float)
-        known_lons = np.concatenate(
-            [[k.lon for k in knowledge[c]] for c in candidates] or [[]]
-        ).astype(float)
-        weights = np.concatenate(
-            [[k.weight for k in knowledge[c]] for c in candidates] or [[]]
-        ).astype(float)
-        counts = np.array([len(knowledge[c]) for c in candidates], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-
+        candidates = stack.candidates
         scores: Dict[str, Dict[str, float]] = {}
         for pseudonym in pseudonyms:
             pois = extracted[pseudonym]
-            row: Dict[str, float] = {}
-            if not pois or known_lats.size == 0:
+            if not pois or stack.lats.size == 0:
                 scores[pseudonym] = {c: 0.0 for c in candidates}
                 continue
             e_lats = np.array([p.lat for p in pois], dtype=float)
@@ -239,20 +263,27 @@ class Reidentifier:
             # argument order (known first) mirrors the scalar oracle.
             matched = (
                 haversine_array(
-                    known_lats[:, None], known_lons[:, None], e_lats[None, :], e_lons[None, :]
+                    stack.lats[:, None], stack.lons[:, None], e_lats[None, :], e_lons[None, :]
                 )
                 <= self.config.match_distance_m
             )
-            matched_known = matched.any(axis=1)
+            matched_weights = np.where(matched.any(axis=1), stack.weights, 0.0)
+            # Per candidate with POIs: how many extracted POIs it matched.
+            n_matched = iter(
+                np.count_nonzero(
+                    np.logical_or.reduceat(matched, stack.starts, axis=0), axis=1
+                ).tolist()
+            )
+            row: Dict[str, float] = {}
             for c_index, candidate in enumerate(candidates):
-                lo, hi = int(offsets[c_index]), int(offsets[c_index + 1])
+                lo, hi = stack.offsets[c_index], stack.offsets[c_index + 1]
                 if lo == hi:
                     row[candidate] = 0.0
                     continue
                 row[candidate] = self._pair_score(
-                    matched_known[lo:hi],
-                    weights[lo:hi],
-                    int(np.count_nonzero(matched[lo:hi].any(axis=0))),
+                    matched_weights[lo:hi],
+                    stack.totals[c_index],
+                    next(n_matched),
                     len(pois),
                 )
             scores[pseudonym] = row
@@ -284,24 +315,30 @@ class Reidentifier:
         matched_extracted = sum(
             1 for e in extracted if any(haversine(k.lat, k.lon, e.lat, e.lon) <= d for k in known)
         )
-        return self._pair_score(matched_known, weights, matched_extracted, len(extracted))
+        return self._pair_score(
+            np.where(matched_known, weights, 0.0),
+            float(np.sum(weights)),
+            matched_extracted,
+            len(extracted),
+        )
 
     @staticmethod
     def _pair_score(
-        matched_known: np.ndarray,
-        weights: np.ndarray,
+        matched_weights: np.ndarray,
+        total_known_weight: float,
         n_matched_extracted: int,
         n_extracted: int,
     ) -> float:
         """Finalise one (pseudonym, candidate) score from match counts.
 
+        ``matched_weights`` is the candidate's weights with unmatched known
+        POIs zeroed; ``total_known_weight`` is ``float(np.sum(weights))``.
         Shared by both paths so the recall / precision / F arithmetic —
         including the float summation order over the candidate's weights —
         is literally the same code, making the similarity matrices
         bitwise-identical.
         """
-        total_known_weight = float(np.sum(weights))
-        matched_known_weight = float(np.sum(np.where(matched_known, weights, 0.0)))
+        matched_known_weight = float(np.sum(matched_weights))
         recall = matched_known_weight / total_known_weight if total_known_weight > 0 else 0.0
         precision = n_matched_extracted / n_extracted
         if precision + recall == 0.0:

@@ -75,8 +75,6 @@ def _promesse_mechanism(
     zone_radius_m: float = 100.0,
     swap: str = "coin_flip",
     seed: Optional[int] = 0,
-    enable_smoothing: bool = True,
-    enable_swapping: bool = True,
     pseudonymize: bool = True,
     time_tolerance_s: float = 1800.0,
 ) -> Anonymizer:
@@ -92,7 +90,5 @@ def _promesse_mechanism(
                 time_tolerance_s=time_tolerance_s,
                 seed=seed,
             ),
-            enable_smoothing=enable_smoothing,
-            enable_swapping=enable_swapping,
         )
     )

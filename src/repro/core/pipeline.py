@@ -38,15 +38,14 @@ __all__ = ["AnonymizerConfig", "AnonymizationReport", "Anonymizer"]
 class AnonymizerConfig:
     """Complete configuration of the publication pipeline.
 
-    The three sub-configurations mirror the three stages; ``enable_smoothing``
-    and ``enable_swapping`` allow ablation runs that isolate each mechanism.
+    The three sub-configurations mirror the three stages.  Ablations use the
+    registered mechanisms instead: ``smoothing:`` is speed smoothing alone,
+    ``promesse:swap=never`` suppresses in-zone points but swaps no identifier.
     """
 
     smoothing: SpeedSmoothingConfig = field(default_factory=SpeedSmoothingConfig)
     detection: MixZoneDetectionConfig = field(default_factory=MixZoneDetectionConfig)
     swapping: SwapConfig = field(default_factory=SwapConfig)
-    enable_smoothing: bool = True
-    enable_swapping: bool = True
 
 
 @dataclass
@@ -105,53 +104,23 @@ class Anonymizer:
     def publish(self, dataset: MobilityDataset) -> PublicationResult:
         """Anonymize ``dataset``; the result's ``report`` holds the provenance.
 
-        The original dataset is never modified.  When both mechanisms are
-        disabled the input is returned unchanged (with a pass-through report),
-        which gives experiments a convenient "no protection" arm.
+        The original dataset is never modified.
         """
-        cfg = self.config
-        input_users = len(dataset)
-        input_points = dataset.n_points
-
-        zones: List[MixZone] = []
-        if cfg.enable_swapping:
-            # Zones are detected on the *original* data: real co-locations are
-            # defined by where users actually were, not by the smoothed points.
-            zones = self._detector.detect(dataset)
-
-        working = dataset
-        if cfg.enable_smoothing:
-            working = self._smoother.smooth_dataset(dataset)
-
-        if cfg.enable_swapping:
-            swap_result: SwapResult = self._swapper.apply(working, zones)
-            published = swap_result.dataset
-            report = AnonymizationReport(
-                input_users=input_users,
-                input_points=input_points,
-                published_users=len(published),
-                published_points=published.n_points,
-                zones=zones,
-                swap_records=swap_result.records,
-                suppressed_points=swap_result.suppressed_points,
-                pseudonym_of=swap_result.pseudonym_of,
-                segment_ownership=swap_result.segment_ownership,
-            )
-            return PublicationResult(published, mechanism=self.name, report=report)
-
-        published = working
+        # Zones are detected on the *original* data: real co-locations are
+        # defined by where users actually were, not by the smoothed points.
+        zones: List[MixZone] = self._detector.detect(dataset)
+        smoothed = self._smoother.smooth_dataset(dataset)
+        swap_result: SwapResult = self._swapper.apply(smoothed, zones)
+        published = swap_result.dataset
         report = AnonymizationReport(
-            input_users=input_users,
-            input_points=input_points,
+            input_users=len(dataset),
+            input_points=dataset.n_points,
             published_users=len(published),
             published_points=published.n_points,
-            pseudonym_of={u: u for u in published.user_ids},
-            segment_ownership={
-                u: [
-                    (published[u].first.timestamp, published[u].last.timestamp, u)
-                ]
-                for u in published.user_ids
-                if len(published[u]) > 0
-            },
+            zones=zones,
+            swap_records=swap_result.records,
+            suppressed_points=swap_result.suppressed_points,
+            pseudonym_of=swap_result.pseudonym_of,
+            segment_ownership=swap_result.segment_ownership,
         )
         return PublicationResult(published, mechanism=self.name, report=report)

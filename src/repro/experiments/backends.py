@@ -11,12 +11,12 @@ list of picklable *group payloads* (one per (world, seed, mechanism) — see
   serves a task queue and a result queue, worker processes — local
   subprocesses the backend spawns, or remote interpreters bootstrapped with
   ``python -m repro.experiments.worker --connect host:port`` — claim
-  *batches* of pickled payloads and push compact results back.  Liveness is
+  *batches* of pickled payloads and push their rows back.  Liveness is
   heartbeat-based (a frozen or killed host is evicted in seconds, its
-  claimed tasks requeued under a bounded budget), and when the engine's
-  cell cache is a shared :class:`~repro.experiments.cache.SqliteCellCache`
-  workers write finished rows straight into it and ship only ~100-byte
-  acks back over the wire.
+  claimed tasks requeued under a bounded budget).
+
+Every backend only computes rows; the engine alone writes them into its cell
+cache.
 
 All backends return results in payload order and execute the exact same
 ``_evaluate_group`` code, so rows are bitwise-identical across backends (the
@@ -46,14 +46,13 @@ import os
 import pickle
 import queue
 import secrets
+import socket
 import subprocess
 import sys
 import threading
 import time
 from multiprocessing.managers import BaseManager
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
-
-from .cache import CellCacheStore, SqliteCellCache
 
 __all__ = [
     "SchedulerBackend",
@@ -64,7 +63,6 @@ __all__ = [
     "make_backend",
     "AUTHKEY_ENV",
     "CRASH_ENV",
-    "LOG_DIR_ENV",
 ]
 
 #: Environment variable carrying the work-queue authkey (hex) to workers.
@@ -79,17 +77,7 @@ AUTHKEY_ENV = "REPRO_WORKQUEUE_AUTHKEY"
 #: job and the tests exercise the recovery paths.
 CRASH_ENV = "REPRO_WORKQUEUE_CRASH_ON_CLAIM"
 
-#: When set, spawned workers write stdout/stderr to ``<dir>/worker-<id>.log``
-#: instead of inheriting the coordinator's streams (CI uploads these on
-#: backend_check failure).
-LOG_DIR_ENV = "REPRO_WORKER_LOG_DIR"
-
 GroupResult = List[Tuple[int, Dict[str, Any]]]
-
-#: Per-payload serialized cell-key texts (``None`` for uncacheable cells),
-#: aligned with the payload's cell list — how the engine tells a backend
-#: which rows may be written straight into a shared cache by workers.
-CellKeys = Optional[Sequence[Optional[Sequence[Optional[str]]]]]
 
 
 def _evaluate(payload: Tuple) -> GroupResult:
@@ -101,11 +89,8 @@ def _evaluate(payload: Tuple) -> GroupResult:
 class SchedulerBackend:
     """Executes group payloads; returns one result list per payload, in order.
 
-    ``cell_keys``/``cache`` are an optional engine → backend channel: the
-    serialized cell-cache key of every cell in every payload and the engine's
-    cache store.  Backends that can complete the storage loop remotely (the
-    work queue writing rows into a shared :class:`SqliteCellCache` from the
-    workers) use them; in-process backends ignore them.
+    ``cell_keys`` and ``cache`` are accepted and ignored: the benchmark's
+    ``perfbench/spans.py`` ``BenchBackend`` still forwards both keywords.
     """
 
     name: str = "?"
@@ -113,8 +98,8 @@ class SchedulerBackend:
     def map_groups(
         self,
         payloads: Sequence[Tuple],
-        cell_keys: CellKeys = None,
-        cache: Optional[CellCacheStore] = None,
+        cell_keys: Any = None,
+        cache: Any = None,
     ) -> List[GroupResult]:
         raise NotImplementedError
 
@@ -130,8 +115,8 @@ class SerialBackend(SchedulerBackend):
     def map_groups(
         self,
         payloads: Sequence[Tuple],
-        cell_keys: CellKeys = None,
-        cache: Optional[CellCacheStore] = None,
+        cell_keys: Any = None,
+        cache: Any = None,
     ) -> List[GroupResult]:
         return [_evaluate(payload) for payload in payloads]
 
@@ -154,8 +139,8 @@ class MultiprocessingBackend(SchedulerBackend):
     def map_groups(
         self,
         payloads: Sequence[Tuple],
-        cell_keys: CellKeys = None,
-        cache: Optional[CellCacheStore] = None,
+        cell_keys: Any = None,
+        cache: Any = None,
     ) -> List[GroupResult]:
         if self.workers <= 1 or len(payloads) <= 1:
             return [_evaluate(payload) for payload in payloads]
@@ -210,7 +195,9 @@ def _accept_until_stopped(server: Any) -> None:
     lock against everything the process runs next.  ``serve_forever``
     resets ``sys.stdout``/``sys.stderr`` to the interpreter's originals when
     it stops, clobbering any redirect the caller has in place.  The caller
-    sets ``server.stop_event`` before starting this loop.
+    sets ``server.stop_event`` before starting this loop; a connection
+    accepted once it is set (the wake-up :func:`_wake_accept_loop` sends)
+    is closed unserved and ends the loop.
     """
     while True:
         try:
@@ -219,15 +206,34 @@ def _accept_until_stopped(server: Any) -> None:
             if server.stop_event.is_set():
                 return
             continue
+        if server.stop_event.is_set():
+            conn.close()
+            return
         threading.Thread(target=server.handle_request, args=(conn,), daemon=True).start()
 
 
-#: One task entry on the wire: ``(task_id, pickled_payload, cache_directive)``
-#: where the directive is ``None`` (ship rows back) or ``(sqlite_path,
-#: (key_text_per_cell, ...))`` (write rows into the shared cache, ship an
-#: ack).  Task-queue items are *batches*: lists of entries claimed in one
-#: round-trip.
-TaskEntry = Tuple[int, bytes, Optional[Tuple[str, Tuple[Optional[str], ...]]]]
+def _wake_accept_loop(server: Any, accept_thread: threading.Thread) -> None:
+    """Stop :func:`_accept_until_stopped` and join its thread.
+
+    Closing the listener does not wake a thread blocked in ``accept()``, so
+    a throwaway connection does.
+    """
+    server.stop_event.set()
+    host, port = server.address[:2]
+    if host in ("0.0.0.0", "::", ""):
+        host = "::1" if ":" in host else "127.0.0.1"
+    try:
+        with socket.create_connection((host, port), timeout=1.0):
+            pass
+    except OSError:
+        pass  # nothing listens any more: the loop has already returned
+    accept_thread.join(timeout=5.0)
+    server.listener.close()
+
+
+#: One task entry on the wire: ``(task_id, pickled_payload)``.  Task-queue
+#: items are *batches*: lists of entries claimed in one round-trip.
+TaskEntry = Tuple[int, bytes]
 
 
 class WorkQueueBackend(SchedulerBackend):
@@ -243,8 +249,8 @@ class WorkQueueBackend(SchedulerBackend):
     remote workers to connect (the fleet-coordinator mode).
 
     Liveness is heartbeat-based: every worker runs a heartbeat thread that
-    stamps the result queue every ``heartbeat_s`` seconds (claims, acks and
-    results also count as heartbeats).  A worker holding claimed tasks that
+    stamps the result queue every ``heartbeat_s`` seconds (claims and results
+    also count as heartbeats).  A worker holding claimed tasks that
     has not been heard from for ``heartbeat_timeout_s`` is *evicted* — its
     process is killed if local, its claimed tasks are requeued at most
     ``max_requeues`` times, and the eviction is recorded in
@@ -254,14 +260,8 @@ class WorkQueueBackend(SchedulerBackend):
     (they are deterministic); they re-raise in the coordinator with the
     worker traceback.
 
-    When the engine's cache store is a shared :class:`SqliteCellCache` and
-    every cell of a payload is cacheable, the task carries the cells'
-    serialized key texts instead of expecting rows back: the worker writes
-    each finished row directly into the sqlite file (safe under concurrent
-    writers) and pushes a compact ``("cached", n)`` ack; the coordinator
-    gathers the rows from the cache.  Result shipping drops from pickled row
-    payloads to ~100 bytes per task — :attr:`last_stats` proves it with
-    ``rows_shipped`` / ``cache_rows_written``.
+    Workers ship every finished row back; they never touch the engine's
+    cell cache.
 
     After a successful run :attr:`last_stats` holds::
 
@@ -271,7 +271,6 @@ class WorkQueueBackend(SchedulerBackend):
           "heartbeat_evictions": int,
           "evictions": [{"worker", "detected", "tasks"}],
           "workers_seen": int, "task_batches": int,
-          "rows_shipped": int, "cache_rows_written": int,
           "address": {"bind", "advertise", "port"},
         }
 
@@ -348,7 +347,7 @@ class WorkQueueBackend(SchedulerBackend):
         self.batch = int(batch)
         self.heartbeat_s = float(heartbeat_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.log_dir = log_dir if log_dir is not None else os.environ.get(LOG_DIR_ENV) or None
+        self.log_dir = log_dir
         self.last_stats: Dict[str, Any] = {}
 
     # -- worker process management ------------------------------------------------
@@ -392,38 +391,13 @@ class WorkQueueBackend(SchedulerBackend):
                 return subprocess.Popen(argv, env=env, stdout=log_file, stderr=log_file)
         return subprocess.Popen(argv, env=env)
 
-    # -- dispatch helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _cache_directives(
-        payloads: Sequence[Tuple],
-        cell_keys: CellKeys,
-        cache: Optional[CellCacheStore],
-    ) -> List[Optional[Tuple[str, Tuple[Optional[str], ...]]]]:
-        """Per-task shared-cache directives (``None`` = ship rows back).
-
-        A task goes through the direct-write path only when the engine's
-        store is a shared sqlite file and *every* cell of the payload has a
-        serialized key — a partially cacheable group still ships rows, so
-        the coordinator never has to merge the two result channels for one
-        task.
-        """
-        directives: List[Optional[Tuple[str, Tuple[Optional[str], ...]]]] = [None] * len(payloads)
-        if not isinstance(cache, SqliteCellCache) or cell_keys is None:
-            return directives
-        path = os.path.abspath(cache.path)
-        for i, keys in enumerate(cell_keys):
-            if keys is not None and keys and all(k is not None for k in keys):
-                directives[i] = (path, tuple(keys))
-        return directives
-
     # -- the run loop -------------------------------------------------------------
 
     def map_groups(
         self,
         payloads: Sequence[Tuple],
-        cell_keys: CellKeys = None,
-        cache: Optional[CellCacheStore] = None,
+        cell_keys: Any = None,
+        cache: Any = None,
     ) -> List[GroupResult]:
         stats: Dict[str, Any] = {
             "worker_cell_counts": {},
@@ -433,8 +407,6 @@ class WorkQueueBackend(SchedulerBackend):
             "evictions": [],
             "workers_seen": 0,
             "task_batches": 0,
-            "rows_shipped": 0,
-            "cache_rows_written": 0,
             "address": {"bind": self.bind_host, "advertise": self.advertise_host, "port": None},
         }
         if not payloads:
@@ -454,15 +426,15 @@ class WorkQueueBackend(SchedulerBackend):
         # Any: the Server type (and its stop_event/listener) is not in typeshed.
         server: Any = manager.get_server()
         server.stop_event = threading.Event()
-        threading.Thread(target=_accept_until_stopped, args=(server,), daemon=True).start()
+        accept_thread = threading.Thread(
+            target=_accept_until_stopped, args=(server,), daemon=True
+        )
+        accept_thread.start()
         port = int(server.address[1])
         stats["address"]["port"] = port
 
         blobs = [pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL) for payload in payloads]
-        directives = self._cache_directives(payloads, cell_keys, cache)
-        entries: List[TaskEntry] = [
-            (task_id, blob, directives[task_id]) for task_id, blob in enumerate(blobs)
-        ]
+        entries: List[TaskEntry] = list(enumerate(blobs))
         for start in range(0, len(entries), self.batch):
             task_queue.put(entries[start : start + self.batch])
 
@@ -475,7 +447,6 @@ class WorkQueueBackend(SchedulerBackend):
             next_rank += 1
 
         results: List[Optional[GroupResult]] = [None] * len(blobs)
-        cached_done: Dict[int, int] = {}  # task_id -> acked row count
         pending = set(range(len(blobs)))
         claims: Dict[int, str] = {}  # task_id -> worker_id currently holding it
         attempts: Dict[int, int] = {task_id: 0 for task_id in pending}
@@ -490,7 +461,7 @@ class WorkQueueBackend(SchedulerBackend):
         def _requeue_or_fail(task_id: int, reason: str) -> None:
             claims.pop(task_id, None)
             if attempts[task_id] <= self.max_requeues:
-                task_queue.put([(task_id, blobs[task_id], directives[task_id])])
+                task_queue.put([(task_id, blobs[task_id])])
                 stats["requeues"] += 1
             else:
                 pending.discard(task_id)
@@ -536,19 +507,11 @@ class WorkQueueBackend(SchedulerBackend):
                             claims[task_id] = worker_id
                             task_workers[task_id].append(worker_id)
                     elif kind == "done":
-                        _, _, task_id, result = message
+                        _, _, task_id, rows = message
                         if task_id in pending:
                             pending.discard(task_id)
-                            result_kind, value = result
-                            if result_kind == "cached":
-                                cached_done[task_id] = int(value)
-                                n_rows = int(value)
-                                stats["cache_rows_written"] += n_rows
-                            else:
-                                results[task_id] = value
-                                n_rows = len(value)
-                                stats["rows_shipped"] += n_rows
-                            worker_cells[worker_id] = worker_cells.get(worker_id, 0) + n_rows
+                            results[task_id] = rows
+                            worker_cells[worker_id] = worker_cells.get(worker_id, 0) + len(rows)
                         claims.pop(task_id, None)
                     elif kind == "error":
                         _, _, task_id, traceback_text = message
@@ -633,7 +596,7 @@ class WorkQueueBackend(SchedulerBackend):
                         ],
                     )
         finally:
-            self._shutdown(procs, task_queue, server, len(last_seen))
+            self._shutdown(procs, task_queue, server, accept_thread, len(last_seen))
 
         if worker_error is not None:
             task_id, worker_id, traceback_text = worker_error
@@ -648,31 +611,6 @@ class WorkQueueBackend(SchedulerBackend):
             )
             raise WorkQueueError(f"work queue gave up on {len(failures)} task(s): {detail}", failures)
 
-        # Gather the direct-written rows from the shared cache: the workers
-        # shipped only acks, the coordinator reads the finished rows back by
-        # their serialized keys (the scatter-gather close of the loop).
-        if cached_done:
-            assert isinstance(cache, SqliteCellCache)  # directives imply it
-            for task_id, n_rows in cached_done.items():
-                directive = directives[task_id]
-                assert directive is not None
-                _, key_texts = directive
-                cell_args = payloads[task_id][6]
-                gathered: GroupResult = []
-                for (index, _, _, _), key_text in zip(cell_args, key_texts):
-                    assert key_text is not None
-                    row = cache.get_serialized(key_text)
-                    if row is None:
-                        raise WorkQueueError(
-                            f"worker acked {n_rows} cached rows for task {task_id} "
-                            f"but key {key_text!r} is missing from {cache.path!r}",
-                            [{"task": task_id, "attempts": attempts[task_id],
-                              "workers": list(task_workers[task_id]),
-                              "reason": "cache ack without cached row"}],
-                        )
-                    gathered.append((index, row))
-                results[task_id] = gathered
-
         stats["worker_cell_counts"] = dict(sorted(worker_cells.items()))
         self.last_stats = stats
         return [result for result in results if result is not None]
@@ -682,6 +620,7 @@ class WorkQueueBackend(SchedulerBackend):
         procs: Mapping[str, "subprocess.Popen"],
         task_queue: "queue.Queue",
         server: Any,  # multiprocessing.managers Server (no public type)
+        accept_thread: threading.Thread,
         n_known_workers: int,
     ) -> None:
         # One sentinel per process we spawned, per worker we ever heard from
@@ -696,11 +635,7 @@ class WorkQueueBackend(SchedulerBackend):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        try:
-            server.stop_event.set()
-            server.listener.close()
-        except Exception:
-            pass  # best-effort: the server thread is a daemon either way
+        _wake_accept_loop(server, accept_thread)
 
     def __repr__(self) -> str:
         return (
@@ -715,8 +650,7 @@ def make_backend(backend: Any, default_workers: int = 1) -> SchedulerBackend:
 
     ``None`` keeps the historical behaviour: serial for ``workers=1``, a
     multiprocessing pool otherwise.  Strings are specs — ``"serial"``,
-    ``"multiprocessing:workers=4"`` (alias ``"mp"``), or
-    ``"work-queue:workers=4"`` (alias ``"workqueue"``); a spec without
+    ``"multiprocessing:workers=4"`` or ``"work-queue:workers=4"``; a spec without
     ``workers`` inherits ``default_workers`` (floored at 2 for the parallel
     backends, which otherwise degenerate to serial).  The work queue accepts
     the fleet knobs ``bind``/``advertise``/``port`` (spelled ``bind_host``/
@@ -740,9 +674,9 @@ def make_backend(backend: Any, default_workers: int = 1) -> SchedulerBackend:
         if name == "serial":
             return SerialBackend()
         workers = int(params.pop("workers", max(default_workers, 2)))
-        if name in ("multiprocessing", "mp", "pool"):
+        if name == "multiprocessing":
             return MultiprocessingBackend(workers=workers)
-        if name in ("work-queue", "workqueue", "queue"):
+        if name == "work-queue":
             # Spec spelling: bind=/advertise= (short, address-like); the
             # constructor spells them out.
             if "bind" in params:

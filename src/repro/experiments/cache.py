@@ -10,7 +10,9 @@ fingerprint (see ``EvaluationEngine._cell_key``).  This module abstracts
 * :class:`SqliteCellCache` — a single-file persistent store, safe under
   concurrent writers, so engine runs in different *processes* (a cold CI step
   and a warm one, a sweep resumed tomorrow, parallel experiment shards
-  pointed at one file) reuse each other's finished cells.
+  pointed at one file) reuse each other's finished cells.  Only
+  :meth:`EvaluationEngine.run <repro.experiments.engine.EvaluationEngine.run>`
+  writes rows; every scheduler backend ships its rows back to it.
 * :class:`NullCellCache` — caching disabled (``EvaluationEngine(cache=False)``).
 
 Keys are plain tuples of strings, ints, floats and nested tuples.  For the
@@ -210,18 +212,7 @@ class SqliteCellCache(CellCacheStore):
         return connection
 
     def get(self, key: Tuple) -> Optional[Dict[str, Any]]:
-        return self.get_serialized(serialize_cell_key(key))
-
-    def put(self, key: Tuple, row: Dict[str, Any]) -> None:
-        self.put_serialized(serialize_cell_key(key), row)
-
-    def get_serialized(self, key_text: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get`, keyed by an already-serialized key text.
-
-        The fleet path serializes keys once on the coordinator and ships the
-        text to workers; both sides then address the same rows without ever
-        re-deriving the tuple.
-        """
+        key_text = serialize_cell_key(key)
         cursor = self._connection().execute(
             "SELECT row FROM cells WHERE key = ?", (key_text,)
         )
@@ -241,13 +232,12 @@ class SqliteCellCache(CellCacheStore):
             )
         return row
 
-    def put_serialized(self, key_text: str, row: Dict[str, Any]) -> None:
-        """Like :meth:`put`, keyed by an already-serialized key text."""
+    def put(self, key: Tuple, row: Dict[str, Any]) -> None:
         connection = self._connection()
         connection.execute(
             "INSERT OR REPLACE INTO cells (key, row) VALUES (?, ?)",
             (
-                key_text,
+                serialize_cell_key(key),
                 pickle.dumps(dict(row), protocol=pickle.HIGHEST_PROTOCOL),
             ),
         )
@@ -278,8 +268,8 @@ class SqliteCellCache(CellCacheStore):
 def make_cache_store(cache: Any) -> CellCacheStore:
     """Resolve the engine's ``cache`` argument to a store instance.
 
-    Accepts a :class:`CellCacheStore`, a bool (the legacy on/off switch), or
-    a spec string: ``"memory"``, ``"off"``/``"none"``, or
+    Accepts a :class:`CellCacheStore`, a bool (the on/off switch), ``None``
+    (in memory), or a spec string: ``"memory"``, ``"off"`` or
     ``"sqlite:path=cells.sqlite"``.
     """
     if isinstance(cache, CellCacheStore):
@@ -293,9 +283,9 @@ def make_cache_store(cache: Any) -> CellCacheStore:
 
         name, params = parse_spec(cache)
         name = name.lower()
-        if name in ("memory", "in-memory", "dict"):
+        if name == "memory":
             return InMemoryCellCache()
-        if name in ("off", "none", "null", "disabled"):
+        if name == "off":
             return NullCellCache()
         if name == "sqlite":
             path = params.get("path", "")

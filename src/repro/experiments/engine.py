@@ -48,7 +48,7 @@ from ..api.registry import (
 )
 from ..core.trajectory import MobilityDataset
 from .backends import SchedulerBackend, make_backend
-from .cache import CellCacheStore, make_cache_store, serialize_cell_key
+from .cache import CellCacheStore, make_cache_store
 from .workloads import split_train_publish
 
 # World resolution lives in the registry module; re-exported here because the
@@ -467,20 +467,9 @@ class EvaluationEngine:
         ]
 
         if payloads:
-            # Hand the backend each cell's serialized cache key (or None when
-            # caching is off) plus the store: a fleet backend whose workers
-            # share the sqlite file writes rows directly into it and ships
-            # only acks back.  In-process backends ignore both.
-            cell_keys: List[List[Optional[str]]] = []
-            for payload in payloads:
-                keys: List[Optional[str]] = []
-                for index, _, _, _ in payload[6]:
-                    key = pending_keys.get(index)
-                    keys.append(serialize_cell_key(key) if key is not None else None)
-                cell_keys.append(keys)
-            results = self.backend.map_groups(
-                payloads, cell_keys=cell_keys, cache=self.cache_store
-            )
+            # Every backend ships rows back; this loop is the only writer of
+            # the cell cache.
+            results = self.backend.map_groups(payloads)
             for group_rows in results:
                 for index, row in group_rows:
                     rows[index] = row

@@ -12,19 +12,14 @@ with a clean message instead of hanging in the manager handshake — then:
 1. announces itself (``("hello", worker_id)``) and starts a daemon thread
    stamping ``("heartbeat", worker_id)`` every ``--heartbeat-s`` seconds, so
    the coordinator can tell a *slow* worker from a dead one,
-2. pulls a *batch* ``[(task_id, pickled_payload, cache_directive), ...]``
-   from the task queue (``None`` is the shutdown sentinel) and claims the
-   whole batch in one message (``("claim", worker_id, [task_ids])``),
+2. pulls a *batch* ``[(task_id, pickled_payload), ...]`` from the task
+   queue (``None`` is the shutdown sentinel) and claims the whole batch in
+   one message (``("claim", worker_id, [task_ids])``),
 3. evaluates each payload with the engine's ``_evaluate_group`` (the exact
-   code every other backend runs), and per task either
-
-   * ships the rows back — ``("done", worker_id, task_id, ("rows", rows))``
-     — or, when the task carries a cache directive ``(sqlite_path,
-     key_texts)``, writes each row straight into that shared
-     :class:`~repro.experiments.cache.SqliteCellCache` file and ships only
-     a compact ack: ``("done", worker_id, task_id, ("cached", n_rows))``;
-   * an in-task exception becomes ``("error", worker_id, task_id,
-     traceback)``, which the coordinator re-raises.
+   code every other backend runs) and ships the rows back:
+   ``("done", worker_id, task_id, rows)``.  An in-task exception becomes
+   ``("error", worker_id, task_id, traceback)``, which the coordinator
+   re-raises.  The worker never writes the engine's cell cache.
 
 Exit codes: ``0`` clean shutdown, ``1`` in-task error (after reporting it),
 ``2`` usage/environment error, ``3`` could not connect (bad address, refused
@@ -211,10 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     heartbeat_thread = threading.Thread(target=_heartbeat, daemon=True)
 
-    from .cache import SqliteCellCache
     from .engine import _evaluate_group
-
-    stores: dict = {}  # sqlite path -> SqliteCellCache, memoized per worker
 
     try:
         results.put(("hello", worker_id))
@@ -227,7 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # Fault injection: die inside the claim window — the batch is
                 # out of the queue but the coordinator has no claim record.
                 os._exit(18)
-            results.put(("claim", worker_id, [task_id for task_id, _, _ in batch]))
+            results.put(("claim", worker_id, [task_id for task_id, _ in batch]))
             if crash_mode == "claim":
                 # Fault injection: die the way a killed host would — no
                 # cleanup, no exception message, a bare non-zero exit.
@@ -239,24 +231,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 heartbeat_stop.set()
                 while True:
                     time.sleep(3600.0)
-            for task_id, blob, directive in batch:
+            for task_id, blob in batch:
                 try:
                     rows = _evaluate_group(pickle.loads(blob))
                 except BaseException:
                     results.put(("error", worker_id, task_id, traceback.format_exc()))
                     return EXIT_TASK_ERROR
-                if directive is not None:
-                    # Shared-cache direct write: land the rows in the sqlite
-                    # file next to the data, ship only an ack (~100 bytes).
-                    cache_path, key_texts = directive
-                    store = stores.get(cache_path)
-                    if store is None:
-                        store = stores[cache_path] = SqliteCellCache(cache_path)
-                    for (_, row), key_text in zip(rows, key_texts):
-                        store.put_serialized(key_text, row)
-                    results.put(("done", worker_id, task_id, ("cached", len(rows))))
-                else:
-                    results.put(("done", worker_id, task_id, ("rows", rows)))
+                results.put(("done", worker_id, task_id, rows))
     except (EOFError, ConnectionError, BrokenPipeError, OSError) as error:
         print(
             f"worker {worker_id}: lost connection to coordinator at "
@@ -266,8 +247,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_LOST_COORDINATOR
     finally:
         heartbeat_stop.set()
-        for store in stores.values():
-            store.close()
 
 
 if __name__ == "__main__":

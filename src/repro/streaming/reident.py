@@ -41,6 +41,7 @@ from ..attacks.reident import (
     KnownPoi,
     ReidentificationResult,
     Reidentifier,
+    _KnowledgeStack,
 )
 from ..core.trajectory import MobilityDataset
 from ..geo.grid import Grid
@@ -89,7 +90,7 @@ class OnlineReidentifier:
         self.poi_knowledge = poi_knowledge
         self.fp_knowledge = fp_knowledge
         self.grid = grid
-        self._candidates = list(poi_knowledge.keys())
+        self._stack = _KnowledgeStack.of(poi_knowledge)
         self._extractor = StreamingPoiExtractor(
             poi_attacker.config.extraction, user_ids=user_ids
         )
@@ -218,9 +219,7 @@ class OnlineReidentifier:
 
     def _poi_row(self, pseudonym: str) -> Dict[str, float]:
         merged = self._extractor._batch._merge(self._extractor._stays[pseudonym])
-        row = self.poi_attacker._scores_vectorized(
-            [pseudonym], {pseudonym: merged}, self._candidates, self.poi_knowledge
-        )
+        row = self.poi_attacker._scores_vectorized([pseudonym], {pseudonym: merged}, self._stack)
         return row[pseudonym]
 
     def _footprint_row(self, pseudonym: str) -> Dict[str, float]:
@@ -234,9 +233,7 @@ class OnlineReidentifier:
     def _poi_row_of(self, pseudonym: str, n_stays: int) -> Dict[str, float]:
         """:meth:`_poi_row` as of the pseudonym's first ``n_stays`` stays."""
         merged = self._extractor._batch._merge(self._extractor._stays[pseudonym][:n_stays])
-        row = self.poi_attacker._scores_vectorized(
-            [pseudonym], {pseudonym: merged}, self._candidates, self.poi_knowledge
-        )
+        row = self.poi_attacker._scores_vectorized([pseudonym], {pseudonym: merged}, self._stack)
         return row[pseudonym]
 
     def _footprint_row_with(self, pseudonym: str, cell: int) -> Dict[str, float]:

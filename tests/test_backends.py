@@ -138,6 +138,28 @@ class TestWorkQueueFaults:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
 
+    def test_no_accept_thread_outlives_the_run(self, world):
+        # Closing the listener does not wake a thread blocked in accept(),
+        # so every run used to leave its accept loop behind for good.
+        def accepting():
+            code = _accept_until_stopped.__code__
+            found = set()
+            for ident, frame in sys._current_frames().items():
+                while frame is not None:
+                    if frame.f_code is code:
+                        found.add(ident)
+                    frame = frame.f_back
+            return found
+
+        before = accepting()
+        spec = ExperimentSpec(
+            name="accept-thread", mechanisms=["identity"], metrics=["point-retention"],
+            worlds=["world"],
+        )
+        backend = WorkQueueBackend(workers=1, timeout_s=300.0)
+        EvaluationEngine(backend=backend, cache=False).run(spec, worlds={"world": world})
+        assert accepting() - before == set()
+
     def test_run_leaves_the_callers_stdout_and_stderr_alone(self, world, serial_rows):
         # The stdlib Server.serve_forever resets sys.stdout/sys.stderr to the
         # interpreter's originals when it stops (within a second of shutdown),
@@ -157,8 +179,8 @@ class TestWorkQueueFaults:
 
 
 class TestFleetPath:
-    """The multi-host surface: bind/advertise, batching, heartbeat eviction,
-    and shared-cache direct writes — all pinned bitwise-identical to serial."""
+    """The multi-host surface: bind/advertise, batching, heartbeat eviction
+    and a shared sqlite cache — all pinned bitwise-identical to serial."""
 
     def test_bind_advertise_run_matches_serial(self, world, serial_rows):
         """Workers dial the advertised loopback address while the server
@@ -208,16 +230,17 @@ class TestFleetPath:
         assert stats["requeues"] >= 1
         assert any(e["detected"] == "heartbeat" for e in stats["evictions"])
 
-    def test_shared_cache_direct_writes_ship_no_rows(self, world, serial_rows, tmp_path):
+    def test_shared_cache_is_filled_by_the_coordinator(self, world, serial_rows, tmp_path):
+        """Workers ship rows back and the engine writes the sqlite file: it
+        holds every row after one run, and a second engine on it never
+        touches the queue."""
         cache = SqliteCellCache(str(tmp_path / "cells.sqlite"))
         backend = WorkQueueBackend(workers=2, timeout_s=300.0)
         engine = EvaluationEngine(backend=backend, cache=cache)
         try:
             rows = engine.run(_spec(), worlds={"world": world})
             assert rows == serial_rows
-            stats = backend.last_stats
-            assert stats["rows_shipped"] == 0, "rows must land via the shared cache"
-            assert stats["cache_rows_written"] == len(serial_rows)
+            assert len(cache) == len(serial_rows)
 
             # A fresh engine on the same file: 100% hits, backend untouched.
             warm_backend = WorkQueueBackend(workers=2, timeout_s=300.0)
@@ -285,16 +308,6 @@ class TestFleetPath:
         (worker_id,) = stats["worker_cell_counts"]
         assert socket.gethostname() in worker_id  # auto-generated host-pid id
 
-    def test_uncacheable_cells_still_ship_rows(self, world, serial_rows, tmp_path):
-        """cache=False means no keys: the direct-write path must stay off."""
-        backend = WorkQueueBackend(workers=1, timeout_s=300.0)
-        rows = EvaluationEngine(backend=backend, cache=False).run(
-            _spec(), worlds={"world": world}
-        )
-        assert rows == serial_rows
-        assert backend.last_stats["rows_shipped"] == len(serial_rows)
-        assert backend.last_stats["cache_rows_written"] == 0
-
 
 class TestMakeBackend:
     def test_spec_strings(self):
@@ -308,15 +321,17 @@ class TestMakeBackend:
     def test_default_workers_inherited(self):
         assert make_backend(None, default_workers=1).name == "serial"
         assert make_backend(None, default_workers=4).workers == 4
-        assert make_backend("mp", default_workers=5).workers == 5
+        assert make_backend("multiprocessing", default_workers=5).workers == 5
 
     def test_instances_pass_through(self):
         backend = SerialBackend()
         assert make_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler backend"):
-            make_backend("carrier-pigeon")
+        # One name per backend: the old aliases are unknown too.
+        for name in ("carrier-pigeon", "mp", "pool", "workqueue", "queue"):
+            with pytest.raises(ValueError, match="unknown scheduler backend"):
+                make_backend(name)
         with pytest.raises(TypeError):
             make_backend(42)
 

@@ -30,6 +30,23 @@ def world():
     return standard_world("tiny", seed=5)
 
 
+def _plant(path, key_text: str, row) -> None:
+    """Insert ``row`` under a raw key text, bypassing the store."""
+    with closing(sqlite3.connect(path)) as db:
+        db.execute(
+            "INSERT OR REPLACE INTO cells (key, row) VALUES (?, ?)",
+            (key_text, pickle.dumps(row)),
+        )
+        db.commit()
+
+
+def _read(path, key_text: str):
+    """The row stored under a raw key text, or ``None``."""
+    with closing(sqlite3.connect(path)) as db:
+        hit = db.execute("SELECT row FROM cells WHERE key = ?", (key_text,)).fetchone()
+    return None if hit is None else pickle.loads(hit[0])
+
+
 def _spec() -> ExperimentSpec:
     return ExperimentSpec(
         name="cache-test",
@@ -73,22 +90,25 @@ class TestStoreBasics:
         assert make_cache_store(store) is store
         with pytest.raises(ValueError, match="sqlite cell cache needs a file"):
             make_cache_store("sqlite")
-        with pytest.raises(ValueError, match="unknown cell cache"):
-            make_cache_store("redis:host=nope")
+        for name in ("redis:host=nope", "in-memory", "dict", "none", "null", "disabled"):
+            with pytest.raises(ValueError, match="unknown cell cache"):
+                make_cache_store(name)
         with pytest.raises(TypeError):
             make_cache_store(3.14)
 
     def test_serialized_accessors_alias_tuple_accessors(self, tmp_path):
-        """put/get and put_serialized/get_serialized address the same rows:
-        the fleet path serializes keys on the coordinator, workers write by
-        text, and both sides must agree byte for byte."""
-        store = SqliteCellCache(tmp_path / "cells.sqlite")
+        """put/get address rows by the serialized key text, the form the
+        file holds and ``repro cache stats`` reads: a row planted under the
+        text is read by the tuple, and a put row is found under the text."""
+        path = tmp_path / "cells.sqlite"
+        store = SqliteCellCache(path)
         key_text = serialize_cell_key(KEY)
-        store.put_serialized(key_text, {"value": 1.0})
+        assert len(store) == 0  # opens the file, creates the table
+        _plant(path, key_text, {"value": 1.0})
         assert store.get(KEY) == {"value": 1.0}
         store.put(KEY, {"value": 2.0})
-        assert store.get_serialized(key_text) == {"value": 2.0}
-        assert store.get_serialized("v2:[\"no-such-key\"]") is None
+        assert _read(path, key_text) == {"value": 2.0}
+        assert _read(path, "v2:[\"no-such-key\"]") is None
         store.close()
 
     def test_sqlite_roundtrips_numpy_and_nan_bitwise(self, tmp_path):
@@ -113,9 +133,9 @@ class TestDamagedRows:
 
     def _damage(self, path, blob: bytes) -> str:
         store = SqliteCellCache(path)
-        key_text = serialize_cell_key(KEY)
-        store.put_serialized(key_text, {"value": 1.0})
+        store.put(KEY, {"value": 1.0})
         store.close()
+        key_text = serialize_cell_key(KEY)
         with closing(sqlite3.connect(path)) as db:
             db.execute("UPDATE cells SET row = ? WHERE key = ?", (blob, key_text))
             db.commit()
@@ -130,11 +150,10 @@ class TestDamagedRows:
         path = tmp_path / "cells.sqlite"
         key_text = self._damage(path, blob)
         store = SqliteCellCache(path)
-        for read in (lambda: store.get(KEY), lambda: store.get_serialized(key_text)):
-            with pytest.raises(CellCacheError) as excinfo:
-                read()
-            assert str(path) in str(excinfo.value)
-            assert key_text in str(excinfo.value)
+        with pytest.raises(CellCacheError) as excinfo:
+            store.get(KEY)
+        assert str(path) in str(excinfo.value)
+        assert key_text in str(excinfo.value)
         store.close()
 
 

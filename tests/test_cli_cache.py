@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import pickle
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 
 import pytest
 
@@ -69,9 +72,17 @@ class TestCacheStats:
         """Rows under an unknown key format must show up as unparseable."""
         path = str(tmp_path / "mixed.sqlite")
         store = SqliteCellCache(path)
-        store.put_serialized('v3:["full","batch","w",[1],0,"m","i","",null,[]]', {"a": 1})
-        store.put_serialized("v99:not json at all", {"a": 2})
+        assert len(store) == 0  # creates the file and its table
         store.close()
+        with closing(sqlite3.connect(path)) as db:
+            for key_text, row in [
+                ('v3:["full","batch","w",[1],0,"m","i","",null,[]]', {"a": 1}),
+                ("v99:not json at all", {"a": 2}),
+            ]:
+                db.execute(
+                    "INSERT INTO cells (key, row) VALUES (?, ?)", (key_text, pickle.dumps(row))
+                )
+            db.commit()
         assert main(["cache", "stats", "--cache-file", path, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["total_rows"] == 2

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.api import make_mechanism
+from repro.api.registry import RegistryError
 from repro.core.pipeline import AnonymizationReport, Anonymizer, AnonymizerConfig
 from repro.core.speed_smoothing import SpeedSmoothingConfig
 from repro.core.trajectory import MobilityDataset
@@ -35,33 +39,11 @@ class TestPipeline:
         # Published labels are pseudonyms by default.
         assert set(published.user_ids).isdisjoint(set(crossing_world.dataset.user_ids))
 
-    def test_smoothing_only(self, crossing_world):
-        config = AnonymizerConfig(enable_swapping=False)
-        result = Anonymizer(config).publish(crossing_world.dataset)
-        published, report = result.dataset, result.report
-        assert report.n_zones == 0
-        assert report.swap_records == []
-        # Identifiers are kept when swapping (and its pseudonymisation) is off.
-        assert set(published.user_ids) <= set(crossing_world.dataset.user_ids)
-
-    def test_swapping_only(self, crossing_world):
-        config = AnonymizerConfig(
-            enable_smoothing=False,
-            swapping=SwapConfig(policy=SwapPolicy.ALWAYS, seed=0),
-        )
-        result = Anonymizer(config).publish(crossing_world.dataset)
-        published, report = result.dataset, result.report
-        assert report.n_zones > 0
-        assert report.n_swaps > 0
-        assert report.published_points == crossing_world.dataset.n_points - report.suppressed_points
-
-    def test_everything_disabled_is_identity(self, crossing_world):
-        config = AnonymizerConfig(enable_smoothing=False, enable_swapping=False)
-        result = Anonymizer(config).publish(crossing_world.dataset)
-        published, report = result.dataset, result.report
-        assert published == crossing_world.dataset
-        assert report.point_retention == 1.0
-        assert set(report.segment_ownership) == set(crossing_world.dataset.user_ids)
+    @pytest.mark.parametrize("stage", ["enable_smoothing", "enable_swapping"])
+    def test_promesse_always_runs_both_stages(self, stage):
+        # Ablations are the smoothing: mechanism and promesse:swap=never.
+        with pytest.raises(RegistryError, match=stage):
+            make_mechanism(f"promesse:{stage}=false")
 
     def test_custom_smoothing_spacing_changes_output_size(self, crossing_world):
         fine = Anonymizer(AnonymizerConfig(smoothing=SpeedSmoothingConfig(epsilon_m=50.0)))

@@ -6,8 +6,7 @@ job.  This module pins the edges around them: the worker's argparse
 surface, the missing-authkey exit, every connect-failure exit (bad host,
 refused port, wrong authkey, coordinator death mid-run), the
 hello/claim/done/error queue protocol (against a manager server hosted in a
-test thread), the shared-cache direct-write path, and every
-``backend_check`` branch that returns non-zero.
+test thread), and every ``backend_check`` branch that returns non-zero.
 """
 
 from __future__ import annotations
@@ -24,8 +23,12 @@ import types
 import pytest
 
 from repro.experiments import backend_check, worker
-from repro.experiments.backends import AUTHKEY_ENV, CRASH_ENV, _accept_until_stopped
-from repro.experiments.cache import SqliteCellCache
+from repro.experiments.backends import (
+    AUTHKEY_ENV,
+    CRASH_ENV,
+    _accept_until_stopped,
+    _wake_accept_loop,
+)
 
 _AUTHKEY = "test-worker-authkey"
 
@@ -51,13 +54,13 @@ def queue_server(monkeypatch):
     )
     server = manager.get_server()
     server.stop_event = threading.Event()
-    threading.Thread(target=_accept_until_stopped, args=(server,), daemon=True).start()
+    accept_thread = threading.Thread(target=_accept_until_stopped, args=(server,), daemon=True)
+    accept_thread.start()
     monkeypatch.setenv(AUTHKEY_ENV, _AUTHKEY)
     monkeypatch.delenv(CRASH_ENV, raising=False)
     host, port = server.address
     yield host, port, tasks, results
-    server.stop_event.set()
-    server.listener.close()
+    _wake_accept_loop(server, accept_thread)
 
 
 def _worker_argv(host: str, port: int, rank: str = "3"):
@@ -265,8 +268,8 @@ class TestWorkerProtocol:
         monkeypatch.setattr(engine, "_evaluate_group", fake_evaluate)
         tasks.put(
             [
-                (5, pickle.dumps("payload-a"), None),
-                (6, pickle.dumps("payload-b"), None),
+                (5, pickle.dumps("payload-a")),
+                (6, pickle.dumps("payload-b")),
             ]
         )
         tasks.put(None)
@@ -275,35 +278,9 @@ class TestWorkerProtocol:
         assert _drain(results) == [
             ("hello", "2"),
             ("claim", "2", [5, 6]),
-            ("done", "2", 5, ("rows", rows)),
-            ("done", "2", 6, ("rows", rows)),
+            ("done", "2", 5, rows),
+            ("done", "2", 6, rows),
         ]
-
-    def test_cache_directive_writes_rows_and_ships_only_an_ack(
-        self, queue_server, monkeypatch, tmp_path
-    ):
-        host, port, tasks, results = queue_server
-        rows = [(0, {"metric": 1.0}), (1, {"metric": 2.0})]
-
-        from repro.experiments import engine
-
-        monkeypatch.setattr(engine, "_evaluate_group", lambda payload: rows)
-        cache_path = str(tmp_path / "cells.sqlite")
-        key_texts = ("v2:[\"cell-a\"]", "v2:[\"cell-b\"]")
-        tasks.put([(5, pickle.dumps("payload"), (cache_path, key_texts))])
-        tasks.put(None)
-        assert worker.main(_worker_argv(host, port, rank="2")) == 0
-        assert _drain(results) == [
-            ("hello", "2"),
-            ("claim", "2", [5]),
-            ("done", "2", 5, ("cached", 2)),  # the ~100-byte ack, no rows
-        ]
-        store = SqliteCellCache(cache_path)
-        try:
-            assert store.get_serialized(key_texts[0]) == {"metric": 1.0}
-            assert store.get_serialized(key_texts[1]) == {"metric": 2.0}
-        finally:
-            store.close()
 
     def test_default_worker_id_is_host_and_pid(self, queue_server):
         host, port, tasks, results = queue_server
@@ -326,7 +303,7 @@ class TestWorkerProtocol:
             return [(0, {"metric": 0.0})]
 
         monkeypatch.setattr(engine, "_evaluate_group", slow_evaluate)
-        tasks.put([(1, pickle.dumps("payload"), None)])
+        tasks.put([(1, pickle.dumps("payload"))])
         tasks.put(None)
         argv = [
             "--connect",
@@ -352,7 +329,7 @@ class TestWorkerProtocol:
 
     def test_bad_payload_reports_error_and_exits_1(self, queue_server):
         host, port, tasks, results = queue_server
-        tasks.put([(9, b"definitely not a pickle", None)])
+        tasks.put([(9, b"definitely not a pickle")])
         assert worker.main(_worker_argv(host, port, rank="4")) == 1
         messages = _drain(results)
         assert messages[0] == ("hello", "4")
@@ -370,7 +347,7 @@ class TestWorkerProtocol:
         from repro.experiments import engine
 
         monkeypatch.setattr(engine, "_evaluate_group", boom)
-        tasks.put([(1, pickle.dumps("payload"), None)])
+        tasks.put([(1, pickle.dumps("payload"))])
         assert worker.main(_worker_argv(host, port, rank="0")) == 1
         messages = _drain(results)
         kind, _, _, tb = messages[2]
@@ -446,8 +423,6 @@ _PASSING_STATS = {
     "workers_seen": 2,
     "heartbeat_evictions": 1,
     "evictions": [{"detected": "heartbeat"}],
-    "rows_shipped": 0,
-    "cache_rows_written": len(_ROWS),
 }
 
 #: Store facts that miss both store expectations.
@@ -465,18 +440,28 @@ def _stub_engine(
     monkeypatch,
     rows=lambda backend: _ROWS,
     stats=lambda backend: _PASSING_STATS,
-    hits=len(_ROWS),
-    misses=0,
+    hits=None,
+    misses=None,
 ):
     """Replace EvaluationEngine with canned rows, ``last_stats`` and cache
-    counters per backend spec string — the loop's logic, no processes."""
+    counters per backend spec string — the loop's logic, no processes.
+
+    Without ``hits``/``misses`` the counters act like a real store: the
+    first run against a cache spec misses every row, later ones hit all."""
+    filled = set()
 
     class _FakeEngine:
         def __init__(self, backend="serial", cache=False):
             self.backend_spec = backend
             self.backend = types.SimpleNamespace(last_stats=dict(stats(backend)))
             self.cache_store = None
-            self.cache_hits, self.cache_misses = hits, misses
+            if hits is None:
+                warm = cache in filled
+                filled.add(cache)
+                self.cache_hits = len(_ROWS) if warm else 0
+                self.cache_misses = 0 if warm else len(_ROWS)
+            else:
+                self.cache_hits, self.cache_misses = hits, misses
 
         def run(self, spec):
             return [dict(row) for row in rows(self.backend_spec)]
@@ -528,8 +513,9 @@ class TestEquivalenceFailurePaths:
     )
     def test_missed_expectation_fails_with_the_leg_label(self, leg, monkeypatch, capsys):
         """Every expectation of every leg has a failure branch: identical
-        rows with stats (and store facts) that miss it exit non-zero."""
-        _stub_engine(monkeypatch, stats=lambda backend: {}, hits=0, misses=0)
+        rows with stats, cache counters and store facts that miss it exit
+        non-zero: one hit and one miss is neither cold nor warm."""
+        _stub_engine(monkeypatch, stats=lambda backend: {}, hits=1, misses=1)
         assert backend_check.check_legs([leg], world_facts=_BAD_WORLD_FACTS) == 1
         out = capsys.readouterr().out
         assert f"ok   {leg.label}: 2 rows identical" in out
