@@ -1,13 +1,18 @@
-"""Hot-path benchmark: mix-zone detection, Wait-For-Me publication and the
-per-user spatial-distortion metric.
+"""Hot-path benchmark: mix-zone detection, Wait-For-Me publication, the
+per-user spatial-distortion metric, speed smoothing and mix-zone swapping.
 
 Cells of an engine run rewritten on the columnar kernel layer.  This bench
 times them directly — no engine overhead — and records throughput plus the
 speedup against the committed pre-refactor baselines in
-``BENCH_hotpaths.json``.  The spatial-distortion cell times the columnar
-kernel against its scalar reference oracle on the same Geo-I publication
-(far-off fixes: the kernel's hardest case) in the same run, and fails unless
-the two agree bitwise.
+``BENCH_hotpaths.json``.  Three cells time the kernel against its scalar
+reference oracle in the same run, and fail unless the two agree bitwise:
+
+* ``spatial_distortion_by_user`` — on the same Geo-I publication (far-off
+  fixes: the kernel's hardest case);
+* ``speed_smoothing`` — ``smooth_dataset`` against
+  ``smooth_dataset_reference`` on the standard world;
+* ``mixzone_swap`` — ``MixZoneSwapper.apply`` against ``apply_reference``
+  on the smoothed crossing world and its detected zones.
 
 The pre-PR numbers below were measured on the implementation at commit
 63d6381 (Python double loops over spatial bins for detection; per-pair
@@ -23,6 +28,7 @@ import numpy as np
 
 from repro.baselines.geo_indistinguishability import GeoIndConfig, GeoIndistinguishabilityMechanism
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
+from repro.core.speed_smoothing import SpeedSmoother
 from repro.experiments.formatting import format_table
 from repro.metrics.utility import (
     DistortionSummary,
@@ -31,6 +37,7 @@ from repro.metrics.utility import (
     trajectory_spatial_distortion_reference,
 )
 from repro.mixzones.detection import detect_mix_zones
+from repro.mixzones.swapping import MixZoneSwapper
 
 #: Pre-refactor wall seconds, by (cell, scale).  Scales not measured before
 #: the refactor have no baseline and report speedup None.
@@ -49,6 +56,15 @@ def _reference_distances(original, published) -> np.ndarray:
         for t in published
         if len(t)
     ])
+
+
+def _same_bits(published, reference) -> bool:
+    """Same users in the same order, every column equal bit for bit."""
+    return published.user_ids == reference.user_ids and all(
+        np.array_equal(mine.view(np.int64), theirs.view(np.int64))
+        for trajectory in published
+        for mine, theirs in zip(trajectory.to_arrays(), reference[trajectory.user_id].to_arrays())
+    )
 
 
 def _cell_timing(
@@ -94,6 +110,24 @@ def test_hotpaths(
     assert np.array_equal(kernel.view(np.int64), reference.view(np.int64))
     assert summary == DistortionSummary.from_distances(reference)
 
+    smoother = SpeedSmoother()
+    smoothed, smoothing_samples = bench_timer(lambda: smoother.smooth_dataset(standard))
+    smoothed_ref, smoothing_ref_samples = bench_timer(
+        lambda: smoother.smooth_dataset_reference(standard)
+    )
+    assert _same_bits(smoothed, smoothed_ref)
+
+    crossing_smoothed = smoother.smooth_dataset(crossing)
+    swapper = MixZoneSwapper()
+    swapped, swap_samples = bench_timer(lambda: swapper.apply(crossing_smoothed, zones))
+    swapped_ref, swap_ref_samples = bench_timer(
+        lambda: swapper.apply_reference(crossing_smoothed, zones)
+    )
+    assert _same_bits(swapped.dataset, swapped_ref.dataset)
+    assert swapped.records == swapped_ref.records
+    assert swapped.segment_ownership == swapped_ref.segment_ownership
+    assert swapped.suppressed_points == swapped_ref.suppressed_points
+
     timings = {
         "detect_mix_zones": _cell_timing(
             "detect_mix_zones", evaluation_scale, mixzone_samples, crossing.n_points
@@ -101,10 +135,19 @@ def test_hotpaths(
         "wait4me_publish": _cell_timing(
             "wait4me_publish", evaluation_scale, wait4me_samples, standard.n_points
         ),
-        # Speedup here is against the scalar oracle, timed in the same run.
+        # Speedups of the last three cells are against the scalar oracle,
+        # timed in the same run.
         "spatial_distortion_by_user": _cell_timing(
             "spatial_distortion_by_user", evaluation_scale, kernel_samples,
             noisy.n_points, before=min(reference_samples),
+        ),
+        "speed_smoothing": _cell_timing(
+            "speed_smoothing", evaluation_scale, smoothing_samples,
+            standard.n_points, before=min(smoothing_ref_samples),
+        ),
+        "mixzone_swap": _cell_timing(
+            "mixzone_swap", evaluation_scale, swap_samples,
+            crossing_smoothed.n_points, before=min(swap_ref_samples),
         ),
     }
     rows = [
@@ -134,6 +177,9 @@ def test_hotpaths(
                 "standard_points": standard.n_points,
                 "distortion_mechanism": "geo-ind (GeoIndConfig(seed=0))",
                 "distortion_reference_wall_s": min(reference_samples),
+                "smoothing_reference_wall_s": min(smoothing_ref_samples),
+                "swap_reference_wall_s": min(swap_ref_samples),
+                "swap_zones": len(zones),
             }
         },
     )

@@ -55,10 +55,15 @@ def best_of(fn, repeats: int = 3):
     ``wall_s = min(samples)``: the minimum is the least-noisy location
     estimate on a shared runner (``compare_artifacts.py`` compares it when
     samples are present), and the spread lets a reader of the artifact judge
-    how noisy the run was.  Callers whose workload memoizes across calls
-    (e.g. a caching engine) must pass ``repeats=1`` — a warm repeat would
-    measure the cache, not the work.
+    how noisy the run was.  When ``repeats > 1`` one untimed warm-up call
+    runs first, so no sample pays one-off costs such as a lazy import (the
+    first ``detect_mix_zones`` call imports scipy).  Callers whose workload
+    memoizes across calls (e.g. a caching engine) must pass ``repeats=1`` —
+    a warm repeat would measure the cache, not the work — and that single
+    sample stays cold.
     """
+    if repeats > 1:
+        fn()
     result, samples = None, []
     for _ in range(repeats):
         start = time.perf_counter()

@@ -3,7 +3,8 @@
 Every attack and mechanism hot path was ported onto the columnar kernel
 layer (``repro.geo.kernels``); the scalar implementations survive only as
 ``*_reference`` oracle entry points.  This rule keeps it that way: in hot-path
-modules (``attacks/``, ``mixzones/``, ``baselines/``, ``metrics/``) it flags
+modules (``attacks/``, ``mixzones/``, ``baselines/``, ``metrics/``,
+``core/``) it flags
 
 * ``for``/``while`` loops and comprehensions that iterate directly over
   per-point trajectory arrays (``.lats``/``.lons``/``.timestamps``/
@@ -33,7 +34,7 @@ from .base import Rule
 
 __all__ = ["ColumnarDisciplineRule"]
 
-_TARGETS = ("repro/attacks/", "repro/mixzones/", "repro/baselines/", "repro/metrics/")
+_TARGETS = ("repro/attacks/", "repro/mixzones/", "repro/baselines/", "repro/metrics/", "repro/core/")
 
 _POINT_ATTRS = {"lats", "lons", "timestamps", "points"}
 #: Builtins through which an iterable still walks its argument element-wise.

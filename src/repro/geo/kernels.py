@@ -34,6 +34,8 @@ rebuilt on:
 * :func:`segmented_searchsorted` — per-segment insertion points of query
   timestamps (multi-target tracking resolves every zone boundary of every
   user this way, one vectorized ``searchsorted`` per user);
+* :func:`concat_ranges` — the flattened indices of many ``[start, start +
+  count)`` ranges (per-session and per-window gathers);
 * :func:`polyline_distances` — exact planar distance from every point to
   the polyline of its segment (per-user spatial distortion: each published
   fix against its own user's original path), evaluated only on a candidate
@@ -75,6 +77,7 @@ __all__ = [
     "windowed_stay_spans",
     "planar_radius_cliques",
     "segmented_searchsorted",
+    "concat_ranges",
     "polyline_distances",
     "haversine_above",
     "trailing_window_pairs",
@@ -218,7 +221,7 @@ def _positive_offsets(
     )
 
 
-def _concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Concatenation of the index ranges ``[start_k, start_k + count_k)``."""
     total = int(count.sum())
     if total == 0:
@@ -253,7 +256,7 @@ def _cartesian_pair_batches(
         max_pairs = _MAX_PAIRS_PER_BATCH  # module global: tests shrink it
     if int((count_a * count_b).sum()) == 0:
         return
-    a_elements = _concat_ranges(start_a, count_a)
+    a_elements = concat_ranges(start_a, count_a)
     b_starts = np.repeat(start_b, count_a)
     b_counts = np.repeat(count_b, count_a)
     cumulative = np.cumsum(b_counts)
@@ -264,7 +267,7 @@ def _cartesian_pair_batches(
         hi = max(hi, lo + 1)  # always advance, even past an oversized range
         batch = slice(lo, hi)
         left = np.repeat(a_elements[batch], b_counts[batch])
-        right = _concat_ranges(b_starts[batch], b_counts[batch])
+        right = concat_ranges(b_starts[batch], b_counts[batch])
         if left.size:
             yield left, right
         lo = hi
@@ -1034,7 +1037,7 @@ def polyline_distances(
 
     edge_counts = np.maximum(sizes - 1, 0)
     edge_offsets = np.r_[0, np.cumsum(edge_counts)]
-    starts = _concat_ranges(line_offsets[:-1], edge_counts)
+    starts = concat_ranges(line_offsets[:-1], edge_counts)
     ax, ay = line_xs[starts], line_ys[starts]
     abx = line_xs[starts + 1] - ax
     aby = line_ys[starts + 1] - ay
@@ -1108,7 +1111,7 @@ def trailing_window_pairs(
     later = np.arange(start, ts.size, dtype=np.int64)
     lo = np.searchsorted(ts, ts[start:] - horizon, side="left").astype(np.int64)
     count = np.maximum(later - lo, 0)
-    return np.repeat(later, count), _concat_ranges(lo, count)
+    return np.repeat(later, count), concat_ranges(lo, count)
 
 
 def cell_probe_pairs(
@@ -1149,7 +1152,7 @@ def cell_probe_pairs(
             lo = np.searchsorted(sorted_keys, target, side="left")
             count = np.searchsorted(sorted_keys, target, side="right") - lo
             out_q.append(np.repeat(queries, count))
-            out_c.append(order[_concat_ranges(lo.astype(np.int64), count)])
+            out_c.append(order[concat_ranges(lo.astype(np.int64), count)])
     return np.concatenate(out_q), np.concatenate(out_c)
 
 

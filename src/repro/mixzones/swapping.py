@@ -18,6 +18,20 @@ The engine keeps a full provenance record (:class:`SwapRecord` /
 :class:`SwapResult`) mapping each published segment back to the physical user
 that produced it.  This ground truth is what the re-identification and
 tracking experiments (E4, E5) score attackers against.
+
+Implementation
+--------------
+:meth:`MixZoneSwapper.apply` works on the dataset's columnar view.  Each
+(zone, participant) pair's time window, widened by ``time_tolerance_s``, is
+an index range of the participant's sorted timestamps, found by one
+:func:`~repro.geo.kernels.segmented_searchsorted` per window edge; distance
+to the zone center is tested only on the fixes inside those ranges, in one
+batched :func:`~repro.geo.distance.haversine_array` call.  Labels are then
+permuted zone by zone exactly as before, so the random draws, the records,
+the segment ownership and the suppression count do not change.  The loop
+that calls :meth:`MixZone.mask_of` on each participant's whole trajectory is
+kept as the scalar oracle :meth:`MixZoneSwapper.apply_reference`; the two are
+pinned bitwise by ``tests/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +43,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.trajectory import MobilityDataset, Trajectory
+from ..geo.distance import haversine_array
+from ..geo.kernels import ColumnarTraces, concat_ranges, segmented_searchsorted
 from .zones import MixZone
 
 __all__ = [
@@ -172,30 +188,84 @@ class MixZoneSwapper:
         the zone* exchange their published labels according to the configured
         policy; users listed as participants but absent from the dataset are
         ignored.
+
+        Each (zone, participant) pair tests only the participant's fixes
+        inside the zone's widened time window, found by a segmented
+        ``searchsorted`` over the dataset's columnar view; the distances of
+        all windows are one batched haversine call.  The result is identical
+        to :meth:`apply_reference`.
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        users = [t.user_id for t in dataset]
+        pseudonym_of = self._initial_labels(dataset, rng)
+        columnar = dataset.columnar()
+        offsets = columnar.offsets
+        counts = np.diff(offsets)
+        row_of = {user: k for k, user in enumerate(columnar.user_ids) if counts[k]}
+        ordered = sorted(zones, key=lambda z: z.midpoint_time)
 
-        # Initial label assignment.
-        if cfg.pseudonymize:
-            order = rng.permutation(len(users))
-            pseudonym_of = {users[i]: f"p{rank:04d}" for rank, i in enumerate(order)}
-        else:
-            pseudonym_of = {u: u for u in users}
+        # Every (zone, participant) pair with fixes, in the oracle's order.
+        pairs = [
+            (z, row_of[user])
+            for z, zone in enumerate(ordered)
+            for user in sorted(zone.participants)
+            if user in row_of
+        ]
+        zone_of = np.array([z for z, _ in pairs], dtype=np.int64)
+        row = np.array([r for _, r in pairs], dtype=np.int64)
 
-        # label_history[user] = list of (effective_from_time, label), sorted.
-        label_history: Dict[str, List[Tuple[float, str]]] = {
-            u: [(-np.inf, pseudonym_of[u])] for u in users
-        }
-        current_label: Dict[str, str] = dict(pseudonym_of)
+        # Each pair's fixes inside the zone's widened time window.
+        tolerance = cfg.time_tolerance_s
+        ts = columnar.timestamps
+        t_lo = np.array([zone.t_start for zone in ordered], dtype=float) - tolerance
+        t_hi = np.array([zone.t_end for zone in ordered], dtype=float) + tolerance
+        first = segmented_searchsorted(ts, offsets, t_lo, side="left")[row, zone_of]
+        stop = segmented_searchsorted(ts, offsets, t_hi, side="right")[row, zone_of]
+        points = concat_ranges(offsets[row] + first, stop - first)
+        pair_of_point = np.repeat(np.arange(row.size), stop - first)
+        zone_of_point = zone_of[pair_of_point]
+        centers = np.array([(zone.center_lat, zone.center_lon, zone.radius_m) for zone in ordered])
+        centers = centers.reshape(-1, 3)[zone_of_point]
+        inside = (
+            haversine_array(
+                columnar.lats[points], columnar.lons[points], centers[:, 0], centers[:, 1]
+            )
+            <= centers[:, 2]
+        )
+        present = np.zeros(row.size, dtype=bool)
+        present[pair_of_point[inside]] = True
+        keep = np.ones(columnar.n_points, dtype=bool)
+        if cfg.suppress_in_zone:
+            keep[points[inside]] = False
+
+        present_in: Dict[int, List[str]] = {}
+        for z, r in zip(zone_of[present].tolist(), row[present].tolist()):
+            present_in.setdefault(z, []).append(columnar.user_ids[r])
+        records, label_history = self._swap_labels(
+            [(ordered[z], users) for z, users in present_in.items()], pseudonym_of, rng
+        )
+        published, ownership = self._assemble(columnar, keep, label_history)
+        result = SwapResult(
+            dataset=published,
+            records=records,
+            segment_ownership=ownership,
+            pseudonym_of=pseudonym_of,
+        )
+        result._suppressed = int(keep.size - np.count_nonzero(keep))
+        return result
+
+    def apply_reference(self, dataset: MobilityDataset, zones: Sequence[MixZone]) -> SwapResult:
+        """:meth:`apply` by one ``mask_of`` per (zone, participant) (the scalar oracle)."""
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed)
+        pseudonym_of = self._initial_labels(dataset, rng)
 
         # In-zone suppression masks, accumulated over every zone.
         keep_masks: Dict[str, np.ndarray] = {
             t.user_id: np.ones(len(t), dtype=bool) for t in dataset
         }
 
-        records: List[SwapRecord] = []
+        present_in: List[Tuple[MixZone, List[str]]] = []
         suppressed = 0
         for zone in sorted(zones, key=lambda z: z.midpoint_time):
             matching_zone = self._widened(zone)
@@ -212,20 +282,10 @@ class MixZoneSwapper:
                     before = int(np.count_nonzero(keep_masks[user]))
                     keep_masks[user] &= ~mask
                     suppressed += before - int(np.count_nonzero(keep_masks[user]))
+            present_in.append((zone, present))
 
-            if len(present) < 2:
-                continue
-
-            labels_before = {u: current_label[u] for u in present}
-            permuted = self._permute([labels_before[u] for u in present], rng)
-            labels_after = dict(zip(present, permuted))
-            for user, new_label in labels_after.items():
-                if new_label != current_label[user]:
-                    label_history[user].append((zone.midpoint_time, new_label))
-                    current_label[user] = new_label
-            records.append(SwapRecord(zone=zone, labels_before=labels_before, labels_after=labels_after))
-
-        published, ownership = self._assemble(dataset, keep_masks, label_history)
+        records, label_history = self._swap_labels(present_in, pseudonym_of, rng)
+        published, ownership = self._assemble_reference(dataset, keep_masks, label_history)
         result = SwapResult(
             dataset=published,
             records=records,
@@ -236,6 +296,43 @@ class MixZoneSwapper:
         return result
 
     # -- internals ----------------------------------------------------------------
+
+    def _initial_labels(self, dataset: MobilityDataset, rng: np.random.Generator) -> Dict[str, str]:
+        """The label each user carries before any swap (fresh pseudonyms or ids)."""
+        users = [t.user_id for t in dataset]
+        if self.config.pseudonymize:
+            order = rng.permutation(len(users))
+            return {users[i]: f"p{rank:04d}" for rank, i in enumerate(order)}
+        return {u: u for u in users}
+
+    def _swap_labels(
+        self,
+        present_in: Sequence[Tuple[MixZone, List[str]]],
+        pseudonym_of: Dict[str, str],
+        rng: np.random.Generator,
+    ) -> Tuple[List[SwapRecord], Dict[str, List[Tuple[float, str]]]]:
+        """Permute labels in every zone, in order, among its present users.
+
+        Returns the swap records and each user's label history: a sorted list
+        of ``(effective_from_time, label)``.
+        """
+        label_history: Dict[str, List[Tuple[float, str]]] = {
+            u: [(-np.inf, label)] for u, label in pseudonym_of.items()
+        }
+        current_label: Dict[str, str] = dict(pseudonym_of)
+        records: List[SwapRecord] = []
+        for zone, present in present_in:
+            if len(present) < 2:
+                continue
+            labels_before = {u: current_label[u] for u in present}
+            permuted = self._permute([labels_before[u] for u in present], rng)
+            labels_after = dict(zip(present, permuted))
+            for user, new_label in labels_after.items():
+                if new_label != current_label[user]:
+                    label_history[user].append((zone.midpoint_time, new_label))
+                    current_label[user] = new_label
+            records.append(SwapRecord(zone=zone, labels_before=labels_before, labels_after=labels_after))
+        return records, label_history
 
     def _widened(self, zone: MixZone) -> MixZone:
         """The zone with its temporal window expanded by the configured tolerance."""
@@ -266,6 +363,37 @@ class MixZoneSwapper:
 
     def _assemble(
         self,
+        columnar: ColumnarTraces,
+        keep: np.ndarray,
+        label_history: Dict[str, List[Tuple[float, str]]],
+    ) -> Tuple[MobilityDataset, Dict[str, List[Tuple[float, float, str]]]]:
+        """Rebuild published trajectories from the kept fixes and label histories.
+
+        A user's kept timestamps are sorted, so each label's time span is one
+        index range found by ``searchsorted``.
+        """
+        acc: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        ownership: Dict[str, List[Tuple[float, float, str]]] = {}
+        for k, user in enumerate(columnar.user_ids):
+            span = columnar.user_slice(k)
+            kept = keep[span]
+            ts = columnar.timestamps[span][kept]
+            if ts.size == 0:
+                continue
+            lats = columnar.lats[span][kept]
+            lons = columnar.lons[span][kept]
+            history = label_history[user]
+            changes = np.searchsorted(ts, [t for t, _ in history[1:]], side="left").tolist()
+            bounds = [0] + changes + [ts.size]
+            for (_, label), lo, hi in zip(history, bounds[:-1], bounds[1:]):
+                if lo >= hi:
+                    continue
+                acc.setdefault(label, []).append((ts[lo:hi], lats[lo:hi], lons[lo:hi]))
+                ownership.setdefault(label, []).append((float(ts[lo]), float(ts[hi - 1]), user))
+        return self._label_trajectories(acc, ownership), ownership
+
+    def _assemble_reference(
+        self,
         dataset: MobilityDataset,
         keep_masks: Dict[str, np.ndarray],
         label_history: Dict[str, List[Tuple[float, str]]],
@@ -292,7 +420,14 @@ class MixZoneSwapper:
                 ownership.setdefault(label, []).append(
                     (float(ts[seg_mask].min()), float(ts[seg_mask].max()), traj.user_id)
                 )
+        return self._label_trajectories(acc, ownership), ownership
 
+    @staticmethod
+    def _label_trajectories(
+        acc: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+        ownership: Dict[str, List[Tuple[float, float, str]]],
+    ) -> MobilityDataset:
+        """One trajectory per published label; sorts ``ownership`` in place."""
         trajectories = []
         for label in sorted(acc):
             ts = np.concatenate([a[0] for a in acc[label]])
@@ -300,7 +435,7 @@ class MixZoneSwapper:
             lons = np.concatenate([a[2] for a in acc[label]])
             trajectories.append(Trajectory(label, ts, lats, lons))
             ownership[label].sort(key=lambda seg: seg[0])
-        return MobilityDataset(trajectories), ownership
+        return MobilityDataset(trajectories)
 
 
 def swap_dataset(

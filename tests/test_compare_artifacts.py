@@ -319,3 +319,33 @@ class TestCommittedBaselines:
         assert compare_artifacts.main(
             ["--baseline", str(COMMITTED), "--candidate", str(slowed)]
         ) != 0
+
+
+def _load_bench_conftest():
+    """benchmarks/conftest.py under its own name (``conftest`` is taken)."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBestOfWarmUp:
+    """The benches' min-of-k timer: one untimed call before k > 1 samples."""
+
+    def test_repeats_above_one_warm_up_first(self):
+        calls = []
+        result, samples = _load_bench_conftest().best_of(lambda: calls.append(1) or len(calls), 3)
+        assert len(calls) == 4, "one warm-up call plus three timed calls"
+        assert len(samples) == 3
+        assert result == 4
+
+    def test_single_repeat_stays_cold(self):
+        # Memoizing benches pass repeats=1: a warm-up would fill their cache.
+        calls = []
+        _, samples = _load_bench_conftest().best_of(lambda: calls.append(1), 1)
+        assert len(calls) == 1
+        assert len(samples) == 1

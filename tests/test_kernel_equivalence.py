@@ -1,12 +1,13 @@
 """Property-based equivalence: vectorized kernels versus scalar references.
 
 The columnar rewrites of mix-zone detection, Wait-For-Me clustering, POI
-(stay-point) extraction, DJ-Cluster, gap inference, re-identification and
-tracking must be *refactors*, not behaviour changes.  Each hypothesis
-property generates a small randomized dataset and asserts the public
-vectorized method produces identical results to the retained scalar oracle
-of the same semantics — the ``*_reference`` entry point beside it
-(``extract_reference``, ``attack_reference``, ``link_zones_reference``, ...).
+(stay-point) extraction, DJ-Cluster, gap inference, re-identification,
+tracking, speed smoothing and mix-zone swapping must be *refactors*, not
+behaviour changes.  Each hypothesis property generates a small randomized
+dataset and asserts the public vectorized method produces identical results
+to the retained scalar oracle of the same semantics — the ``*_reference`` entry point beside it
+(``extract_reference``, ``attack_reference``, ``link_zones_reference``,
+``smooth_dataset_reference``, ``apply_reference``, ...).
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from repro.attacks.reident import (
 )
 from repro.attacks.tracking import MultiTargetTracker, TrackingConfig
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
+from repro.core.speed_smoothing import SpeedSmoother, SpeedSmoothingConfig
 from repro.core.trajectory import MobilityDataset, Trajectory
+from repro.geo.distance import haversine, haversine_array
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
+from repro.mixzones.swapping import MixZoneSwapper, SwapConfig, SwapPolicy
 from repro.mixzones.zones import MixZone
 
 BASE_LAT, BASE_LON = 45.764, 4.836
@@ -484,3 +488,178 @@ class TestWait4MeEquivalence:
         clusters_r, trashed_r = mechanism._cluster_reference(xs, ys)
         assert clusters_v == clusters_r
         assert trashed_v == trashed_r
+
+
+def _assert_bitwise(published: MobilityDataset, reference: MobilityDataset) -> None:
+    """Same users in the same order, every column equal bit for bit."""
+    assert published.user_ids == reference.user_ids
+    for trajectory in published:
+        other = reference[trajectory.user_id]
+        for mine, theirs in zip(trajectory.to_arrays(), other.to_arrays()):
+            assert mine.shape == theirs.shape
+            assert np.array_equal(mine.view(np.int64), theirs.view(np.int64))
+
+
+def _session_dataset(seed: int, n_users: int, epsilon_m: float, gap_s: float) -> MobilityDataset:
+    """Users recording sessions of mixed kinds, separated by gaps around ``gap_s``.
+
+    Session kinds: a move (steps from 0 to 3 epsilon, some repeated as exact
+    duplicate fixes), jitter only (meter-scale noise, never epsilon away) and
+    a single fix.  Gaps are longer than, shorter than or exactly ``gap_s``.
+    """
+    rng = np.random.default_rng(seed)
+    trajectories = []
+    for u in range(n_users):
+        lat = BASE_LAT + rng.uniform(-0.005, 0.005)
+        lon = BASE_LON + rng.uniform(-0.005, 0.005)
+        t = float(rng.integers(0, 600))
+        times, lats, lons = [], [], []
+        for _ in range(int(rng.integers(0, 5))):
+            kind = rng.choice(["move", "jitter", "single"])
+            n = 1 if kind == "single" else int(rng.integers(2, 30))
+            for _ in range(n):
+                if times and rng.random() < 0.1:  # exact duplicate fix
+                    times.append(times[-1])
+                    lats.append(lats[-1])
+                    lons.append(lons[-1])
+                    continue
+                if kind == "move":
+                    step = rng.uniform(0.0, 3.0 * epsilon_m)
+                    bearing = rng.uniform(0.0, 2 * np.pi)
+                    lat += step * np.cos(bearing) / 111_195.0
+                    lon += step * np.sin(bearing) / (111_195.0 * np.cos(np.radians(BASE_LAT)))
+                    here = (lat, lon)
+                else:
+                    here = (lat + rng.normal(0.0, 1e-6), lon + rng.normal(0.0, 1e-6))
+                times.append(t)
+                lats.append(here[0])
+                lons.append(here[1])
+                t += float(rng.integers(5, 60))
+            t += float(rng.choice([gap_s, gap_s + 1.0, gap_s / 2.0, 3.0 * gap_s]))
+        trajectories.append(Trajectory(f"u{u}", times, lats, lons))
+    return MobilityDataset(trajectories)
+
+
+class TestSpeedSmoothingEquivalence:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_users=st.integers(min_value=1, max_value=5),
+        epsilon_m=st.floats(min_value=5.0, max_value=400.0),
+        at_epsilon=st.booleans(),
+        trim_start_m=st.sampled_from([0.0, 50.0, 250.0, 2_000.0]),
+        trim_end_m=st.sampled_from([0.0, 80.0, 600.0, 5_000.0]),
+        session_gap_s=st.sampled_from([None, 60.0, 600.0]),
+        min_points=st.integers(min_value=2, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_smoothing_identical_to_reference(
+        self, seed, n_users, epsilon_m, at_epsilon, trim_start_m, trim_end_m,
+        session_gap_s, min_points,
+    ):
+        dataset = _session_dataset(seed, n_users, epsilon_m, session_gap_s or 600.0)
+        first = next(iter(dataset))
+        if at_epsilon and len(first) >= 2:
+            # The walk's first probe lands exactly on epsilon (unless that
+            # spacing is jitter-small: the walk would emit for ever).
+            exact = haversine(first.lats[0], first.lons[0], first.lats[1], first.lons[1])
+            epsilon_m = exact if exact >= 5.0 else epsilon_m
+        smoother = SpeedSmoother(SpeedSmoothingConfig(
+            epsilon_m=epsilon_m, trim_start_m=trim_start_m, trim_end_m=trim_end_m,
+            session_gap_s=session_gap_s, min_points=min_points,
+        ))
+        _assert_bitwise(smoother.smooth_dataset(dataset), smoother.smooth_dataset_reference(dataset))
+        _assert_bitwise(
+            smoother.smooth_dataset(dataset, drop_empty=False),
+            smoother.smooth_dataset_reference(dataset, drop_empty=False),
+        )
+        for trajectory in dataset:
+            _assert_bitwise(
+                MobilityDataset([smoother.smooth(trajectory)]),
+                MobilityDataset([smoother.smooth_reference(trajectory)]),
+            )
+
+    def test_degenerate_traces_identical(self):
+        smoother = SpeedSmoother()
+        for name, dataset in {**_degenerate_datasets(), "empty": MobilityDataset()}.items():
+            published = smoother.smooth_dataset(dataset, drop_empty=False)
+            reference = smoother.smooth_dataset_reference(dataset, drop_empty=False)
+            _assert_bitwise(published, reference)
+
+
+def _integer_time_dataset(seed: int, n_users: int) -> MobilityDataset:
+    """:func:`_random_dataset` on whole-second timestamps, plus an empty user."""
+    dataset = _random_dataset(seed, n_users, n_points=30, span_s=3600.0)
+    return MobilityDataset(
+        [Trajectory(t.user_id, np.round(t.timestamps), t.lats, t.lons) for t in dataset]
+        + [Trajectory.empty("empty")]
+    )
+
+
+def _swap_zones(
+    dataset: MobilityDataset, n_zones: int, seed: int, tolerance_s: float
+) -> list:
+    """Zones over the dataset whose radius or widened window edge falls on a fix.
+
+    Participants include every user, the empty one and a user absent from
+    the dataset.
+    """
+    rng = np.random.default_rng(seed)
+    users = [t for t in dataset if len(t)]
+    participants = frozenset(dataset.user_ids) | {"absent"}
+    zones = []
+    for _ in range(n_zones):
+        owner = users[rng.integers(len(users))]
+        i, j = sorted(rng.integers(0, len(owner), 2).tolist())
+        center_lat = float(owner.lats[i]) + rng.normal(0.0, 5e-4)
+        center_lon = float(owner.lons[i]) + rng.normal(0.0, 5e-4)
+        # Radius: exactly the distance mask_of computes to fix j, or random.
+        on_radius = haversine_array(owner.lats, owner.lons, center_lat, center_lon)[j]
+        radius = float(on_radius) if rng.random() < 0.5 else float(rng.uniform(50.0, 400.0))
+        # Window: its widened edges land exactly on fixes i and j.
+        zones.append(MixZone(
+            center_lat, center_lon, radius,
+            float(owner.timestamps[i]) + tolerance_s,
+            max(float(owner.timestamps[j]) - tolerance_s, float(owner.timestamps[i]) + tolerance_s),
+            participants,
+        ))
+    return zones
+
+
+def _assert_swap_identical(result, reference) -> None:
+    _assert_bitwise(result.dataset, reference.dataset)
+    assert result.records == reference.records
+    assert result.segment_ownership == reference.segment_ownership
+    assert result.pseudonym_of == reference.pseudonym_of
+    assert result.suppressed_points == reference.suppressed_points
+
+
+class TestMixZoneSwapEquivalence:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_users=st.integers(min_value=1, max_value=6),
+        n_zones=st.integers(min_value=1, max_value=8),
+        policy=st.sampled_from(list(SwapPolicy)),
+        pseudonymize=st.booleans(),
+        suppress_in_zone=st.booleans(),
+        tolerance_s=st.sampled_from([0.0, 64.0, 1800.0]),
+        swap_seed=st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_swap_identical_to_reference(
+        self, seed, n_users, n_zones, policy, pseudonymize, suppress_in_zone,
+        tolerance_s, swap_seed,
+    ):
+        dataset = _integer_time_dataset(seed, n_users)
+        zones = _swap_zones(dataset, n_zones, seed, tolerance_s)
+        swapper = MixZoneSwapper(SwapConfig(
+            policy=policy, pseudonymize=pseudonymize, suppress_in_zone=suppress_in_zone,
+            time_tolerance_s=tolerance_s, seed=swap_seed,
+        ))
+        _assert_swap_identical(swapper.apply(dataset, zones), swapper.apply_reference(dataset, zones))
+
+    def test_degenerate_inputs_identical(self):
+        swapper = MixZoneSwapper()
+        for name, dataset in {**_degenerate_datasets(), "empty": MobilityDataset()}.items():
+            for zones in ([], _zone_grid(dataset, 3, seed=5)):
+                result = swapper.apply(dataset, zones)
+                _assert_swap_identical(result, swapper.apply_reference(dataset, zones))

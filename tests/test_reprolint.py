@@ -116,6 +116,20 @@ class TestColumnarRule:
     def test_metrics_waived_fixture_is_suppressed(self):
         assert findings_for(fixture("repro", "metrics", "r3_waived.py"), "R3") == []
 
+    def test_core_modules_are_hot_paths(self):
+        # The publication mechanisms (speed smoothing) live in core/.
+        found = findings_for(fixture("repro", "core", "r3_violating.py"), "R3")
+        messages = [f.message for f in found]
+        assert sum("per-point loop" in m for m in messages) == 2
+        assert sum("scalar haversine()" in m for m in messages) == 2
+        assert len(found) == 4
+
+    def test_core_conforming_fixture_is_clean(self):
+        assert findings_for(fixture("repro", "core", "r3_conforming.py"), "R3") == []
+
+    def test_core_call_line_waiver_suppresses_the_call(self):
+        assert findings_for(fixture("repro", "core", "r3_waived.py"), "R3") == []
+
 
 # ------------------------------------------------------------ R4 registry integrity
 
