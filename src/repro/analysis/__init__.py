@@ -7,7 +7,7 @@ versioned cell-cache keys, vectorized attacks pinned to scalar
 whole-program pass over the repository's parsed ASTs, so a violation is a
 lint error at review time instead of a silent drift discovered in production.
 
-Eight project-specific rule families run over a shared
+Five project-specific rule families run over a shared
 :class:`~repro.analysis.index.ModuleIndex`:
 
 * **R1 determinism** — no unseeded RNG or wall-clock reads in
@@ -27,22 +27,19 @@ Eight project-specific rule families run over a shared
   calls in hot-path modules are findings unless the enclosing function is
   (reachable only from) a ``*_reference`` oracle or carries a
   waiver; the rule doubles as the inventory of scalar residuals.
-* **R4 registry integrity** — every ``register_*`` name is unique and
-  parseable, and every spec string used by runners, tests and benchmarks
-  resolves to a registered component.
-* **R5 spawn-safety** — no module-level mutable state or closures captured
-  into scheduler-backend payloads that would not survive a fresh-interpreter
-  spawn.
 * **R6 streaming incrementality** — streaming ``update()`` paths must stay
   O(window), never rescanning unbounded history state.
-* **R8 shared-array mutation** — arrays born from ``columnar()`` /
-  ``WorldStore`` memmap views must not flow (per the forward taint engine
-  in :mod:`~repro.analysis.dataflow`) into in-place mutation — ``sort()``,
-  ``+=``, slice assignment, ``out=`` — without an explicit ``.copy()``.
 * **R9 handle lifecycle** — sqlite connections, sockets, file handles and
   ``WorldStoreWriter``s must be closed/finalized on all paths (``with`` or
   a ``finally:``), with escape analysis for ownership transfer; findings on
   worker-reachable paths carry the call chain.
+
+The ids R4, R5, R7 and R8 are retired, not reused.  R7 (seed flow) is part
+of R1.  Runtime guards hold the other three contracts: ``Registry.register``
+refuses duplicate and unspellable names and an unknown spec raises
+``RegistryError`` (R4); every process backend pickles its payloads, so a
+lambda or nested function fails by name (R5); every ``ColumnarTraces``
+column is a read-only view (R8).
 
 Run it as a CLI (non-zero exit on any finding)::
 

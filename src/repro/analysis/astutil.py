@@ -13,7 +13,6 @@ __all__ = [
     "iter_scoped_nodes",
     "enclosing_def_line",
     "node_fingerprint",
-    "literal_strings",
 ]
 
 
@@ -116,9 +115,3 @@ def node_fingerprint(node: ast.AST) -> str:
     dump = ast.dump(clone, annotate_fields=False, include_attributes=False)
     return hashlib.sha1(dump.encode("utf-8")).hexdigest()[:16]
 
-
-def literal_strings(node: ast.AST) -> Iterator[Tuple[str, int]]:
-    """Every string literal under ``node`` (including inside tuples/lists)."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield child.value, child.lineno

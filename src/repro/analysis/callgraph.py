@@ -1,9 +1,8 @@
 """Project-wide call graph over the parsed-module index.
 
 The graph is the name-resolution substrate for the interprocedural rules
-(R1's reachable scope, R8, R9) and the taint engine: every top-level
-function, method and class in the scanned tree becomes a node, and edges
-are added for
+(R1's reachable scope and R9): every top-level function, method and class
+in the scanned tree becomes a node, and edges are added for
 
 * direct calls (``helper(x)``, ``module.helper(x)``) resolved through the
   module's imports — absolute imports resolve by dotted-path suffix against

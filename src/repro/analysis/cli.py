@@ -37,7 +37,7 @@ def _default_paths() -> List[str]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: AST checks for the repro invariants (R1-R6, R8, R9)",
+        description="reprolint: AST checks for the repro invariants (R1, R2, R3, R6, R9)",
     )
     parser.add_argument(
         "paths",

@@ -4,7 +4,7 @@ Each file is read and parsed exactly once; rules are visitors over the
 resulting :class:`ParsedModule` records.  The index also owns the two pieces
 of per-line metadata shared by all rules:
 
-* **waivers** — ``# repro: allow=R3`` (or ``allow=R1,R4``) comments collected
+* **waivers** — ``# repro: allow=R3`` (or ``allow=R1,R3``) comments collected
   per physical line; a finding is suppressed when its line, or the ``def``
   line of its enclosing function, carries a waiver for its rule;
 * **logical paths** — every path is normalized to POSIX form so rules can

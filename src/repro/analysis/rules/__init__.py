@@ -9,9 +9,6 @@ from .cache_key import CacheKeyDriftRule
 from .columnar import ColumnarDisciplineRule
 from .determinism import DeterminismRule
 from .handle_lifecycle import HandleLifecycleRule
-from .registry_integrity import RegistryIntegrityRule
-from .shared_arrays import SharedArrayRule
-from .spawn_safety import SpawnSafetyRule
 from .streaming import StreamingIncrementalityRule
 
 __all__ = ["Rule", "ALL_RULES", "get_rules"]
@@ -21,10 +18,7 @@ ALL_RULES: List[Rule] = [
     DeterminismRule(),
     CacheKeyDriftRule(),
     ColumnarDisciplineRule(),
-    RegistryIntegrityRule(),
-    SpawnSafetyRule(),
     StreamingIncrementalityRule(),
-    SharedArrayRule(),
     HandleLifecycleRule(),
 ]
 

@@ -129,6 +129,14 @@ def format_spec(name: str, params: Optional[Mapping[str, Any]] = None) -> str:
 # Registry
 # ---------------------------------------------------------------------------
 
+#: Characters the spec grammar splits on: ``name:key=value,key=value|next``.
+_RESERVED = ":,=|"
+
+
+def _is_spec_name(name: str) -> bool:
+    """Whether ``name`` survives a trip through a spec string unchanged."""
+    return bool(name) and not any(ch.isspace() or ch in _RESERVED for ch in name)
+
 
 class Registry:
     """A case-insensitive name -> factory mapping with spec-based construction."""
@@ -151,11 +159,19 @@ class Registry:
         """Register ``factory`` under ``name`` (usable as a decorator)."""
 
         def decorate(factory: Callable[..., Any]) -> Callable[..., Any]:
-            keys = [candidate.lower() for candidate in (name, *aliases)]
+            candidates = (name, *aliases)
+            for candidate in candidates:
+                if not _is_spec_name(candidate):
+                    raise RegistryError(
+                        f"{self.kind} name {candidate!r} cannot be spelled in a "
+                        f"spec: it must be non-empty, without whitespace or "
+                        f"any of {_RESERVED!r}"
+                    )
+            keys = [candidate.lower() for candidate in candidates]
             with self._lock:
                 # Validate every key before inserting any, so a collision
                 # cannot leave a partial registration behind.
-                for candidate, key in zip((name, *aliases), keys):
+                for candidate, key in zip(candidates, keys):
                     if key in self._factories:
                         raise RegistryError(
                             f"{self.kind} {candidate!r} is already registered"

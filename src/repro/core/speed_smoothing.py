@@ -291,17 +291,12 @@ class SpeedSmoother:
             columnar.lats, columnar.lons, starts, stops, cfg.epsilon_m
         )
 
-        # Trim as the walk's slice ``[drop_start:count - drop_end]`` does,
-        # including Python's reading of a negative end index.
+        # Trim as the walk's slice ``[drop_start:max(count - drop_end, 0)]`` does.
         count = np.bincount(session, minlength=starts.size)
         drop_start = int(np.ceil(cfg.trim_start_m / cfg.epsilon_m)) if cfg.trim_start_m else 0
         drop_end = int(np.ceil(cfg.trim_end_m / cfg.epsilon_m)) if cfg.trim_end_m else 0
         lo = np.minimum(drop_start, count)
-        hi = count
-        if drop_end:
-            end = count - drop_end
-            hi = np.where(end >= 0, end, np.maximum(count + end, 0))
-        kept = np.maximum(hi - lo, 0)
+        kept = np.maximum(count - drop_end - lo, 0)
         # Sessions left with fewer than two points are suppressed.
         published = kept >= 2
         starts, stops, kept = starts[published], stops[published], kept[published]
@@ -361,7 +356,9 @@ class SpeedSmoother:
         drop_start = int(np.ceil(cfg.trim_start_m / cfg.epsilon_m)) if cfg.trim_start_m else 0
         drop_end = int(np.ceil(cfg.trim_end_m / cfg.epsilon_m)) if cfg.trim_end_m else 0
         if drop_start or drop_end:
-            end_index = len(out_lats) - drop_end if drop_end else len(out_lats)
+            # Clamped: trimming more than was emitted leaves nothing, never
+            # a negative end index counting back from the end.
+            end_index = max(len(out_lats) - drop_end, 0)
             out_lats = out_lats[drop_start:end_index]
             out_lons = out_lons[drop_start:end_index]
 

@@ -413,6 +413,9 @@ class WorkQueueBackend(SchedulerBackend):
             self.last_stats = stats
             return []
 
+        # Pickle before any server or worker starts: an unpicklable payload
+        # then fails by name and leaves nothing running.
+        blobs = [pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL) for payload in payloads]
         task_queue: "queue.Queue" = queue.Queue()
         result_queue: "queue.Queue" = queue.Queue()
         manager_class = _make_queue_manager(task_queue, result_queue)
@@ -433,7 +436,6 @@ class WorkQueueBackend(SchedulerBackend):
         port = int(server.address[1])
         stats["address"]["port"] = port
 
-        blobs = [pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL) for payload in payloads]
         entries: List[TaskEntry] = list(enumerate(blobs))
         for start in range(0, len(entries), self.batch):
             task_queue.put(entries[start : start + self.batch])

@@ -24,7 +24,6 @@ from .kernels import (
     colocation_events,
     connected_components,
     iter_neighbor_pairs,
-    masked_mean_distances,
     spatial_time_bins,
 )
 from .polyline import (
@@ -58,7 +57,6 @@ __all__ = [
     "iter_neighbor_pairs",
     "colocation_events",
     "connected_components",
-    "masked_mean_distances",
     "cumulative_distances",
     "path_length",
     "position_at_distance",

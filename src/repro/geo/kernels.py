@@ -16,11 +16,10 @@ rebuilt on:
 * :func:`colocation_events` — confirmed pairwise co-locations: the bin join
   filtered by exact batched haversine distance and time-gap tests, deduped to
   one canonical event per ``(user pair, time window)``;
-* :func:`masked_mean_distances` / :class:`SyncedDistances` — batched
-  synchronized-trajectory distances over grid-resampled coordinate matrices
-  (NaN marking unobserved steps): the one-shot reference form, and the
-  allocation-free workspace Wait-For-Me's greedy clustering queries each
-  round;
+* :class:`SyncedDistances` — batched synchronized-trajectory distances
+  over grid-resampled coordinate matrices (NaN marking unobserved steps):
+  the allocation-free workspace Wait-For-Me's greedy clustering queries
+  each round;
 * :func:`windowed_stay_spans` — the vectorized sliding stay-point scan
   (POI extraction): per-anchor window reaches are resolved in batched probe
   rounds, skipping ahead along the cumulative path extent (the travelled arc
@@ -72,7 +71,6 @@ __all__ = [
     "iter_neighbor_pairs",
     "colocation_events",
     "connected_components",
-    "masked_mean_distances",
     "SyncedDistances",
     "windowed_stay_spans",
     "planar_radius_cliques",
@@ -136,7 +134,7 @@ class ColumnarTraces:
         offsets: np.ndarray,
     ) -> None:
         self.user_ids: List[str] = list(user_ids)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.offsets = self._readonly(np.asarray(offsets, dtype=np.int64))
         if self.offsets.size != len(self.user_ids) + 1:
             raise ValueError("offsets must have one entry more than user_ids")
         n = int(self.offsets[-1])
@@ -474,44 +472,14 @@ def connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 
-def masked_mean_distances(
-    stack: np.ndarray,
-    target: int,
-    candidates: np.ndarray,
-    observed: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Mean synchronized planar distance from one user to many, batched.
-
-    ``stack`` is an ``(n_users, n_grid, 2)`` matrix of planar positions on a
-    common time grid, NaN where a user is unobserved.  For each candidate the
-    mean is taken over the grid steps where both users are observed;
-    candidates sharing no observed step get ``inf``.  One vectorized pass
-    replaces a Python loop of per-pair reductions.  ``observed`` is the
-    optional precomputed ``(n_users, n_grid)`` observation mask (``~isnan``
-    of either coordinate); passing it once per caller saves an isnan sweep
-    per call.
-    """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
-        return np.zeros(0)
-    diff = stack[candidates] - stack[target][None, :, :]
-    dx, dy = diff[:, :, 0], diff[:, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)  # NaN where either user is missing
-    if observed is None:
-        both = ~np.isnan(dist)
-    else:
-        both = observed[candidates] & observed[target][None, :]
-    counts = both.sum(axis=1)
-    sums = np.where(both, dist, 0.0).sum(axis=1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
-
-
 class SyncedDistances:
     """Repeated masked-mean distance queries against one coordinate stack.
 
-    The allocation-free sibling of :func:`masked_mean_distances` for callers
-    that issue many queries against the same ``(n_users, n_grid, 2)`` matrix
-    (greedy clustering asks for distances from a fresh seed every round).
+    For callers that issue many queries against the same ``(n_users,
+    n_grid, 2)`` matrix (greedy clustering asks for distances from a fresh
+    seed every round).  For each candidate the mean is taken over the grid
+    steps where both users are observed; candidates sharing no observed
+    step get ``inf``.
     Construction precomputes what the masking otherwise recomputes per call:
 
     * zero-filled coordinate planes, so the per-pair arithmetic is NaN-free

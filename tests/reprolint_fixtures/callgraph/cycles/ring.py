@@ -1,4 +1,4 @@
-"""Callgraph fixture: call cycles — reachability and summaries terminate."""
+"""Callgraph fixture: call cycles — reachability terminates."""
 
 
 def alpha(x):
@@ -8,16 +8,3 @@ def alpha(x):
 def beta(x):
     return alpha(x - 1)
 
-
-def gamma(arr):
-    delta(arr)
-
-
-def delta(arr):
-    gamma(arr)
-    arr += 1
-
-
-def entry(dataset):
-    values = dataset.columnar().lats
-    gamma(values)

@@ -122,6 +122,7 @@ class TestRegistries:
 
     def test_register_roundtrip_and_duplicate_rejection(self):
         calls = {}
+        before = list_mechanisms()
 
         @register_mechanism("test-noop-mechanism")
         def _noop(strength: float = 1.0):
@@ -138,6 +139,16 @@ class TestRegistries:
         finally:
             MECHANISMS.unregister("test-noop-mechanism")
         assert "test-noop-mechanism" not in list_mechanisms()
+
+        # A name or alias no spec string can spell is refused up front, and
+        # refusing an alias registers nothing under the name either.
+        for bad in ("Bad:Name", "a,b", "a=b", "a|b", "", " pad", "two words", "tab\t"):
+            with pytest.raises(RegistryError, match="cannot be spelled in a spec"):
+                register_mechanism(bad)(lambda: IdentityMechanism())
+            with pytest.raises(RegistryError, match="cannot be spelled in a spec"):
+                register_mechanism("test-aliased", aliases=(bad,))(lambda: IdentityMechanism())
+            assert "test-aliased" not in list_mechanisms()
+        assert list_mechanisms() == before
 
     def test_alias_collision_leaves_no_partial_registration(self):
         from repro.api.registry import Registry, RegistryError

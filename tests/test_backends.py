@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import pickle
 import sys
 import threading
 import time
@@ -70,6 +71,32 @@ class TestBackendEquivalence:
         assert isinstance(engine.backend, MultiprocessingBackend)
         assert engine.backend.workers == 3
         assert isinstance(EvaluationEngine().backend, SerialBackend)
+
+
+def accepting():
+    """Idents of the threads running a work-queue accept loop."""
+    code = _accept_until_stopped.__code__
+    found = set()
+    for ident, frame in sys._current_frames().items():
+        while frame is not None:
+            if frame.f_code is code:
+                found.add(ident)
+            frame = frame.f_back
+    return found
+
+
+class TestSpawnSafety:
+    @pytest.mark.parametrize("spec", ["multiprocessing:workers=2", "work-queue:workers=2"])
+    def test_lambda_payload_fails_by_name(self, spec):
+        # Payloads cross a process boundary pickled, so a closure fails at
+        # once and names itself, rather than hanging or running in-process,
+        # and leaves no server behind.  (Python reports an unpicklable local
+        # object as AttributeError.)
+        before = accepting()
+        payloads = [(lambda row: row, k) for k in range(2)]
+        with pytest.raises((pickle.PicklingError, AttributeError), match="<lambda>"):
+            make_backend(spec).map_groups(payloads)
+        assert accepting() - before == set()
 
 
 class TestWorkQueueFaults:
@@ -141,16 +168,6 @@ class TestWorkQueueFaults:
     def test_no_accept_thread_outlives_the_run(self, world):
         # Closing the listener does not wake a thread blocked in accept(),
         # so every run used to leave its accept loop behind for good.
-        def accepting():
-            code = _accept_until_stopped.__code__
-            found = set()
-            for ident, frame in sys._current_frames().items():
-                while frame is not None:
-                    if frame.f_code is code:
-                        found.add(ident)
-                    frame = frame.f_back
-            return found
-
         before = accepting()
         spec = ExperimentSpec(
             name="accept-thread", mechanisms=["identity"], metrics=["point-retention"],

@@ -3,19 +3,15 @@
 Each fixture tree under ``tests/reprolint_fixtures/callgraph/`` isolates one
 resolution mechanism: import aliasing in its three spellings, method lookup
 through ``self`` / bases / inferred locals, registry spec-string
-indirection, and call cycles (where both reachability and the taint
-engine's bounded summaries must terminate).
+indirection, and call cycles (where reachability must terminate).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.analysis import run_analysis
 from repro.analysis.callgraph import CallGraph, get_callgraph
-from repro.analysis.dataflow import TaintEngine
 from repro.analysis.index import ModuleIndex
-from repro.analysis.rules.shared_arrays import _POLICY
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "reprolint_fixtures", "callgraph")
 
@@ -115,33 +111,3 @@ class TestCycles:
         parents = graph.reachable([alpha])
         assert beta in parents
         assert graph.path_to(parents, beta) == [alpha, beta]
-
-    def test_summaries_terminate_and_see_through_the_cycle(self):
-        # gamma -> delta -> gamma: the in-progress guard cuts the loop with
-        # the empty summary, so delta's own ``arr += 1`` still surfaces and
-        # transfers to gamma's callers.
-        graph = graph_for("cycles")
-        engine = TaintEngine(graph, _POLICY)
-        gamma = engine.summary_for(key_of(graph, "ring.py", "gamma"))
-        assert 0 in gamma.sink_params
-        assert "augmented assignment (+=)" in gamma.sink_params[0]
-        delta = engine.summary_for(key_of(graph, "ring.py", "delta"))
-        assert delta.sink_params == {0: "augmented assignment (+=)"}
-
-    def test_summary_on_the_cycle_entry_first_still_terminates(self):
-        # Interpreting delta first cuts gamma to the empty summary — an
-        # under-approximation, never a hang or a crash.
-        graph = graph_for("cycles")
-        engine = TaintEngine(graph, _POLICY)
-        delta = engine.summary_for(key_of(graph, "ring.py", "delta"))
-        assert delta.sink_params == {0: "augmented assignment (+=)"}
-
-    def test_r8_reports_through_the_cyclic_helpers(self):
-        found = [
-            f
-            for f in run_analysis([os.path.join(FIXTURES, "cycles")])
-            if f.rule == "R8"
-        ]
-        assert [f.line for f in found] == [23]
-        assert "shared array attribute '.lats'" in found[0].message
-        assert "augmented assignment (+=)" in found[0].message

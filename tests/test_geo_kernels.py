@@ -22,12 +22,12 @@ from repro.geo.kernels import (
     haversine_above,
     trailing_window_pairs,
     iter_neighbor_pairs,
-    masked_mean_distances,
     planar_radius_cliques,
     polyline_distances,
     segmented_searchsorted,
     windowed_stay_spans,
 )
+from repro.io.world_store import WorldStore
 
 from .conftest import CANDIDATE_PATHS, assert_bitwise, hidden_scipy, make_line_trajectory
 
@@ -143,11 +143,35 @@ class TestColumnarTraces:
             np.testing.assert_array_equal(traces.timestamps[sl], dataset[user_id].timestamps)
             np.testing.assert_array_equal(traces.lats[sl], dataset[user_id].lats)
 
-    def test_columnar_view_is_cached_and_readonly(self):
+    def test_columnar_view_is_cached_and_readonly(self, tmp_path):
+        # Every column of every shared view (in memory, memmapped store,
+        # store shard) rejects each way of writing to it in place.
         dataset = small_dataset_trio()
         assert dataset.columnar() is dataset.columnar()
-        with pytest.raises(ValueError):
-            dataset.columnar().lats[0] = 1.0  # repro: allow=R8 -- asserts the view rejects writes
+        store = WorldStore.write(dataset, tmp_path / "world")
+        views = {
+            "memory": dataset.columnar(),
+            "store": store.dataset().columnar(),
+            "shard=0/2": store.dataset(shard=(0, 2)).columnar(),
+        }
+
+        def subtract_first(values):
+            values -= values[0]
+
+        mutations = {
+            "augmented assignment in a helper": subtract_first,
+            ".sort()": lambda values: values.sort(),
+            "slice store": lambda values: values.__setitem__(slice(0, 1), 0),
+            "out=": lambda values: np.subtract(values, 1, out=values),
+        }
+        for view_name, traces in views.items():
+            for column in ("timestamps", "lats", "lons", "offsets", "user_index"):
+                values = getattr(traces, column)
+                before = values.copy()
+                for mutation_name, mutate in mutations.items():
+                    with pytest.raises(ValueError, match="read-only"):
+                        mutate(values)
+                    assert np.array_equal(values, before), (view_name, column, mutation_name)
 
     def test_empty_dataset(self):
         traces = MobilityDataset().columnar()
@@ -489,24 +513,20 @@ class TestSyncedKernels:
             stack[k, lo:hi] = rng.uniform(-500.0, 500.0, (hi - lo, 2))
         return grid, stack
 
-    def test_masked_mean_distances_matches_scalar(self):
-        _, stack = self._stack(seed=3)
+    @staticmethod
+    def _oracle(stack, target, candidates):
         from repro.baselines.wait4me import Wait4MeMechanism
 
-        got = masked_mean_distances(stack, 0, np.arange(1, stack.shape[0]))
-        expected = [
-            Wait4MeMechanism._trajectory_distance(stack[0], stack[k])
-            for k in range(1, stack.shape[0])
-        ]
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        return [Wait4MeMechanism._trajectory_distance(stack[target], stack[k]) for k in candidates]
 
     def test_synced_distances_matches_simple_kernel(self):
+        # The simple kernel is the plain-formula scalar oracle.
         _, stack = self._stack(seed=7)
         synced = SyncedDistances(stack)
         candidates = np.arange(1, stack.shape[0])
         np.testing.assert_allclose(
             synced.distances_from(0, candidates),
-            masked_mean_distances(stack, 0, candidates),
+            self._oracle(stack, 0, candidates),
             rtol=1e-12,
         )
         # Scalar query agrees with the batched one.
@@ -520,7 +540,7 @@ class TestSyncedKernels:
         candidates = np.arange(1, stack.shape[0])
         np.testing.assert_allclose(
             synced32.distances_from(0, candidates),
-            masked_mean_distances(stack, 0, candidates),
+            self._oracle(stack, 0, candidates),
             rtol=1e-5,
         )
 
@@ -528,7 +548,7 @@ class TestSyncedKernels:
         stack = np.full((2, 10, 2), np.nan)
         stack[0, :4] = 1.0
         stack[1, 6:] = 2.0
-        assert masked_mean_distances(stack, 0, np.array([1]))[0] == np.inf
+        assert self._oracle(stack, 0, [1]) == [np.inf]
         assert SyncedDistances(stack).distances_from(0, np.array([1]))[0] == np.inf
 
 

@@ -550,11 +550,13 @@ class TestSpeedSmoothingEquivalence:
         trim_end_m=st.sampled_from([0.0, 80.0, 600.0, 5_000.0]),
         session_gap_s=st.sampled_from([None, 60.0, 600.0]),
         min_points=st.integers(min_value=2, max_value=6),
+        more_trim_start_m=st.sampled_from([0.0, 120.0, 700.0]),
+        more_trim_end_m=st.sampled_from([0.0, 120.0, 700.0]),
     )
     @settings(max_examples=60, deadline=None)
     def test_smoothing_identical_to_reference(
         self, seed, n_users, epsilon_m, at_epsilon, trim_start_m, trim_end_m,
-        session_gap_s, min_points,
+        session_gap_s, min_points, more_trim_start_m, more_trim_end_m,
     ):
         dataset = _session_dataset(seed, n_users, epsilon_m, session_gap_s or 600.0)
         first = next(iter(dataset))
@@ -576,6 +578,17 @@ class TestSpeedSmoothingEquivalence:
             _assert_bitwise(
                 MobilityDataset([smoother.smooth(trajectory)]),
                 MobilityDataset([smoother.smooth_reference(trajectory)]),
+            )
+        # More trimming never publishes more points, on either path.
+        trimmed_more = SpeedSmoother(SpeedSmoothingConfig(
+            epsilon_m=epsilon_m, trim_start_m=trim_start_m + more_trim_start_m,
+            trim_end_m=trim_end_m + more_trim_end_m,
+            session_gap_s=session_gap_s, min_points=min_points,
+        ))
+        for trajectory in dataset:
+            assert len(trimmed_more.smooth(trajectory)) <= len(smoother.smooth(trajectory))
+            assert len(trimmed_more.smooth_reference(trajectory)) <= len(
+                smoother.smooth_reference(trajectory)
             )
 
     def test_degenerate_traces_identical(self):

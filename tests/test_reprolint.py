@@ -131,61 +131,6 @@ class TestColumnarRule:
         assert findings_for(fixture("repro", "core", "r3_waived.py"), "R3") == []
 
 
-# ------------------------------------------------------------ R4 registry integrity
-
-
-class TestRegistryRule:
-    def test_violating_fixture(self):
-        found = [
-            f
-            for f in run_analysis([fixture("repro", "api")])
-            if f.rule == "R4" and f.path.endswith("r4_violating.py")
-        ]
-        messages = " | ".join(f.message for f in found)
-        assert "registered twice" in messages
-        assert "not spec-grammar-parseable" in messages
-        assert "no-such-mech" in messages and "unregistered mechanism" in messages
-        assert "'also-missing'" in messages, "each |-chain stage checked"
-        assert "unregistered attack" in messages, "kind mismatch caught"
-
-    def test_conforming_and_waived_fixtures_are_clean(self):
-        found = [
-            f
-            for f in run_analysis([fixture("repro", "api")])
-            if f.rule == "R4"
-            and (f.path.endswith("r4_conforming.py") or f.path.endswith("r4_waived.py"))
-        ]
-        assert found == []
-
-    def test_unknown_kind_with_no_registrations_is_skipped(self, tmp_path):
-        # A tree that never registers metrics must not flag metric usages.
-        mod = tmp_path / "repro" / "runner.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("from repro.api.registry import make_metric\nm = make_metric('x')\n")
-        assert findings_for(str(mod), "R4") == []
-
-
-# ---------------------------------------------------------------- R5 spawn safety
-
-
-class TestSpawnSafetyRule:
-    def test_violating_fixture(self):
-        found = findings_for(fixture("repro", "experiments", "r5_violating.py"), "R5")
-        messages = " | ".join(f.message for f in found)
-        assert "'_result_cache'" in messages
-        assert "'pending_rows'" in messages
-        assert "'by_user'" in messages
-        assert "lambda passed to .map()" in messages
-        assert "nested function 'work'" in messages
-        assert len(found) == 5
-
-    def test_conforming_fixture_is_clean(self):
-        assert findings_for(fixture("repro", "experiments", "r5_conforming.py"), "R5") == []
-
-    def test_waived_fixture_is_suppressed(self):
-        assert findings_for(fixture("repro", "experiments", "r5_waived.py"), "R5") == []
-
-
 # ------------------------------------------------------- R6 streaming incrementality
 
 
@@ -345,28 +290,6 @@ class TestSeedFlowRule:
         ]
 
 
-# ------------------------------------------------------ R8 shared-array mutation
-
-
-class TestSharedArrayRule:
-    def test_violating_tree_flags_every_mutation_of_a_shared_view(self):
-        found = findings_for(fixture("sharedarrays", "violating"), "R8")
-        lines = sorted(f.line for f in found if f.path.endswith("pipeline.py"))
-        assert lines == [11, 12, 13, 14], [f.message for f in found]
-        messages = " | ".join(f.message for f in found)
-        assert "flows into in-place mutation" in messages
-        assert "center_inplace" in messages, "interprocedural summary transfer"
-        assert ".sort()" in messages
-        assert "subscript/slice assignment" in messages
-        assert "out= argument" in messages
-
-    def test_conforming_tree_copies_before_mutating_and_is_clean(self):
-        assert findings_for(fixture("sharedarrays", "conforming"), "R8") == []
-
-    def test_waived_tree_is_suppressed(self):
-        assert findings_for(fixture("sharedarrays", "waived"), "R8") == []
-
-
 # ----------------------------------------------------------- R9 handle lifecycle
 
 
@@ -402,7 +325,7 @@ class TestSarifOutput:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "reprolint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"R1", "R8", "R9"} <= rule_ids and "R7" not in rule_ids
+        assert {"R1", "R9"} <= rule_ids and not {"R4", "R5", "R7", "R8"} & rule_ids
         result = run["results"][0]
         assert result["ruleId"] == "R1"
         location = result["locations"][0]["physicalLocation"]
@@ -494,19 +417,24 @@ class TestIndexAndCli:
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if not line.startswith(" ")]
-        assert listed == ["R1", "R2", "R3", "R4", "R5", "R6", "R8", "R9"]
+        assert listed == ["R1", "R2", "R3", "R6", "R9"]
 
-    def test_retired_rule_id_is_a_usage_error(self, capsys):
-        # R7 (seed flow) is part of R1; the id is retired, not renumbered.
+    @pytest.mark.parametrize("rule_id", ["R4", "R5", "R7", "R8"])
+    def test_retired_rule_id_is_a_usage_error(self, rule_id, capsys):
+        # Retired ids are not renumbered: R7 (seed flow) is part of R1, and
+        # runtime guards hold R4 (registry), R5 (spawn) and R8 (shared arrays).
         with pytest.raises(SystemExit) as excinfo:
-            cli_main([fixture("repro", "api"), "--rules", "R7"])
+            cli_main([fixture("repro", "attacks", "r1_conforming.py"), "--rules", rule_id])
         assert excinfo.value.code == 2
-        assert "unknown rule id(s): R7" in capsys.readouterr().err
+        assert f"unknown rule id(s): {rule_id}" in capsys.readouterr().err
 
     def test_baseline_flag_is_a_usage_error(self, tmp_path, capsys):
         # An inline waiver is the only way to accept a finding.
         with pytest.raises(SystemExit) as excinfo:
-            cli_main([fixture("repro", "api"), "--baseline", str(tmp_path / "b.json")])
+            cli_main([
+                fixture("repro", "attacks", "r1_conforming.py"),
+                "--baseline", str(tmp_path / "b.json"),
+            ])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --baseline" in capsys.readouterr().err
 

@@ -128,6 +128,18 @@ class TestEdgeCases:
         )
         assert d >= 199.0
 
+    def test_trimming_past_the_end_suppresses_the_session(self):
+        # Trimming more points than were emitted suppresses the session: a
+        # wrapped negative end index would publish 4 and 3 points at 550 and
+        # 650 m, more than the 0 published at 450 m.
+        line = make_line_trajectory(n_points=6, spacing_m=99.9)
+        smoother = SpeedSmoother(SpeedSmoothingConfig(epsilon_m=100.0))
+        assert len(smoother.smooth(line)) == 5
+        for trim_end_m in (450.0, 550.0, 650.0):
+            smoother = SpeedSmoother(SpeedSmoothingConfig(epsilon_m=100.0, trim_end_m=trim_end_m))
+            assert len(smoother.smooth(line)) == 0, trim_end_m
+            assert len(smoother.smooth_reference(line)) == 0, trim_end_m
+
     def test_sessions_smoothed_independently(self):
         """A long recording gap keeps its two sides' time ranges separate."""
         first = make_line_trajectory(n_points=50, start_time=0.0, interval_s=10.0)

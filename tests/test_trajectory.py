@@ -72,7 +72,7 @@ class TestConstruction:
     def test_arrays_are_read_only(self):
         traj = make_line_trajectory(n_points=5)
         with pytest.raises(ValueError):
-            traj.lats[0] = 0.0  # repro: allow=R8 -- asserts trajectory arrays reject writes
+            traj.lats[0] = 0.0
 
 
 class TestAccessors:
