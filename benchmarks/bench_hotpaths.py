@@ -1,10 +1,11 @@
 """Hot-path benchmark: mix-zone detection, Wait-For-Me publication, the
-per-user spatial-distortion metric, speed smoothing and mix-zone swapping.
+per-user spatial-distortion metric, speed smoothing, mix-zone swapping and
+DJ-Cluster.
 
 Cells of an engine run rewritten on the columnar kernel layer.  This bench
 times them directly — no engine overhead — and records throughput plus the
 speedup against the committed pre-refactor baselines in
-``BENCH_hotpaths.json``.  Three cells time the kernel against its scalar
+``BENCH_hotpaths.json``.  Four cells time the kernel against its scalar
 reference oracle in the same run, and fail unless the two agree bitwise:
 
 * ``spatial_distortion_by_user`` — on the same Geo-I publication (far-off
@@ -12,7 +13,9 @@ reference oracle in the same run, and fail unless the two agree bitwise:
 * ``speed_smoothing`` — ``smooth_dataset`` against
   ``smooth_dataset_reference`` on the standard world;
 * ``mixzone_swap`` — ``MixZoneSwapper.apply`` against ``apply_reference``
-  on the smoothed crossing world and its detected zones.
+  on the smoothed crossing world and its detected zones;
+* ``djcluster`` — ``DjCluster.extract_dataset`` (the grid DBSCAN kernel)
+  against ``extract_dataset_reference`` on the raw standard world.
 
 The pre-PR numbers below were measured on the implementation at commit
 63d6381 (Python double loops over spatial bins for detection; per-pair
@@ -26,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.attacks.djcluster import DjCluster
 from repro.baselines.geo_indistinguishability import GeoIndConfig, GeoIndistinguishabilityMechanism
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
 from repro.core.speed_smoothing import SpeedSmoother
@@ -128,6 +132,14 @@ def test_hotpaths(
     assert swapped.segment_ownership == swapped_ref.segment_ownership
     assert swapped.suppressed_points == swapped_ref.suppressed_points
 
+    djcluster = DjCluster()
+    standard.columnar()  # shared cache: time the attack, not the flattening
+    pois, djcluster_samples = bench_timer(lambda: djcluster.extract_dataset(standard))
+    pois_ref, djcluster_ref_samples = bench_timer(
+        lambda: djcluster.extract_dataset_reference(standard), repeats=1
+    )
+    assert pois == pois_ref
+
     timings = {
         "detect_mix_zones": _cell_timing(
             "detect_mix_zones", evaluation_scale, mixzone_samples, crossing.n_points
@@ -135,7 +147,7 @@ def test_hotpaths(
         "wait4me_publish": _cell_timing(
             "wait4me_publish", evaluation_scale, wait4me_samples, standard.n_points
         ),
-        # Speedups of the last three cells are against the scalar oracle,
+        # Speedups of the last four cells are against the scalar oracle,
         # timed in the same run.
         "spatial_distortion_by_user": _cell_timing(
             "spatial_distortion_by_user", evaluation_scale, kernel_samples,
@@ -148,6 +160,10 @@ def test_hotpaths(
         "mixzone_swap": _cell_timing(
             "mixzone_swap", evaluation_scale, swap_samples,
             crossing_smoothed.n_points, before=min(swap_ref_samples),
+        ),
+        "djcluster": _cell_timing(
+            "djcluster", evaluation_scale, djcluster_samples,
+            standard.n_points, before=min(djcluster_ref_samples),
         ),
     }
     rows = [
@@ -180,6 +196,7 @@ def test_hotpaths(
                 "smoothing_reference_wall_s": min(smoothing_ref_samples),
                 "swap_reference_wall_s": min(swap_ref_samples),
                 "swap_zones": len(zones),
+                "djcluster_reference_wall_s": min(djcluster_ref_samples),
             }
         },
     )

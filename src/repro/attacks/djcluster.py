@@ -16,21 +16,20 @@ The implementation first removes "moving" fixes (speed above
 ``max_stationary_speed_mps``), then runs a density-based clustering with
 radius ``eps_m`` and minimum neighbourhood size ``min_points``.
 
-By default the attack runs on the columnar kernel layer: the stationary
-pre-filter is one masked speed pass over the dataset's flattened view, the
-neighbourhood search the finer-grid radius join
-(:func:`repro.geo.kernels.planar_radius_cliques` — cells of side
-``eps / sqrt(2)`` whose co-members are certified neighbours without any
-pairwise confirmation, so a dense stay contributes one cell instead of a
-materialised near-clique), and clusters the connected components of the
-core-point graph.  The original scalar DBSCAN is retained as
-:meth:`DjCluster.extract_reference` / :meth:`DjCluster.extract_dataset_reference`
-— the correctness oracles the vectorized path is pinned against by property
-tests.  Both paths implement
-the same deterministic semantics: clusters are numbered by their smallest
-core fix, and a border fix joins the earliest-numbered adjacent cluster
-(exactly what the scalar BFS produces when seeds are scanned in index
-order).
+The attack runs on the columnar kernel layer: the stationary pre-filter is
+one masked speed pass over the dataset's flattened view, and the clustering
+is one grid DBSCAN (:func:`repro.geo.kernels.grid_dbscan`).  Its cells have
+side ``eps / sqrt(2)``, so co-members are certified neighbours; a cell
+holding ``min_points`` fixes makes them all core without a single pairwise
+test, point pairs are confirmed only next to sparse cells, neighbouring
+dense cells are linked by a witness pair (or, failing it, an exhaustive
+batched check), and connected components run on cells instead of fixes.
+The original scalar DBSCAN is retained as :meth:`DjCluster.extract_reference`
+/ :meth:`DjCluster.extract_dataset_reference` — the correctness oracles the
+kernel is pinned against by property tests.  Both paths implement the same
+deterministic semantics: clusters are numbered by their smallest core fix,
+and a border fix joins the earliest-numbered adjacent cluster (exactly what
+the scalar BFS produces when seeds are scanned in index order).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from ..core.trajectory import MobilityDataset, Trajectory
 from ..geo.distance import haversine_array, meters_per_degree
-from ..geo.kernels import connected_components, planar_radius_cliques
+from ..geo.kernels import grid_dbscan
 from .poi_extraction import ExtractedPoi
 
 __all__ = ["DjClusterConfig", "DjCluster", "dj_cluster"]
@@ -95,8 +94,8 @@ class DjCluster:
 
         The stationary pre-filter is one masked speed pass over the dataset's
         cached columnar view; every user's stationary fixes are then
-        clustered in a single dataset-wide clique pass keyed by
-        ``(user, cell)``.
+        clustered in a single dataset-wide grid DBSCAN whose cells are keyed
+        by ``(user, cell)``.
         """
         traces = dataset.columnar()
         out: Dict[str, List[ExtractedPoi]] = {uid: [] for uid in traces.user_ids}
@@ -108,7 +107,7 @@ class DjCluster:
             return out
 
         # One dataset-wide clustering pass: cells are keyed by (user, cell)
-        # through the kernel's segment dimension, so cliques and pairs never
+        # through the kernel's segment dimension, so cells and pairs never
         # span two users and the result only depends on each user's exact
         # radius graph — identical to clustering every user separately, minus
         # the per-user kernel invocations.  Stationary fixes of user k occupy
@@ -132,10 +131,10 @@ class DjCluster:
             xs[lo[k] : hi[k]] = (traces.lons[sel] - float(lons[0])) * lon_m
             ys[lo[k] : hi[k]] = (traces.lats[sel] - float(lats[0])) * lat_m
 
-        cells, pair_a, pair_b = planar_radius_cliques(
-            xs, ys, self.config.eps_m, segments=traces.user_index[idx]
+        labels = grid_dbscan(
+            xs, ys, self.config.eps_m, self.config.min_points,
+            segments=traces.user_index[idx],
         )
-        labels = self._cluster_graph(idx.size, cells, pair_a, pair_b)
 
         for k, user_id in enumerate(traces.user_ids):
             part = labels[lo[k] : hi[k]]
@@ -168,11 +167,10 @@ class DjCluster:
         lons: np.ndarray,
         stationary: np.ndarray,
     ) -> List[ExtractedPoi]:
-        """Bin-join + connected-components clustering of one user's fixes."""
+        """Grid DBSCAN of one user's stationary fixes."""
         cfg = self.config
         idx = np.nonzero(stationary)[0]
-        m = idx.size
-        if m < cfg.min_points:
+        if idx.size < cfg.min_points:
             return []
 
         # Project to meters for Euclidean neighbourhood queries (identical
@@ -183,84 +181,8 @@ class DjCluster:
         xs = (lons[idx] - float(lons[0])) * lon_m
         ys = (lats[idx] - float(lats[0])) * lat_m
 
-        cells, pair_a, pair_b = planar_radius_cliques(xs, ys, cfg.eps_m)
-        labels = self._cluster_graph(m, cells, pair_a, pair_b)
+        labels = grid_dbscan(xs, ys, cfg.eps_m, cfg.min_points)
         return self._pois_from_labels(user_id, ts, lats, lons, idx, labels)
-
-    def _cluster_graph(
-        self, m: int, cells: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray
-    ) -> np.ndarray:
-        """Density-cluster labels from the clique cells + cross-cell pairs (-1 = noise).
-
-        The neighbour relation of a point is its clique-cell co-members
-        (certified in-radius, never materialised as pairs) plus its confirmed
-        cross-cell pairs.  Cores are points with at least ``min_points``
-        neighbours (the point itself included); clusters are the connected
-        components of the core-core adjacency graph, numbered by their
-        smallest core; border points take the smallest-numbered adjacent
-        cluster.  Within one cell, core-core adjacency is a clique — unioned
-        wholesale by chaining the cell's cores instead of emitting the
-        quadratic pair set.
-        """
-        n_cells = int(cells.max()) + 1 if m else 0
-        cell_sizes = np.bincount(cells, minlength=n_cells)
-        counts = (
-            cell_sizes[cells]  # the point itself + its certified co-members
-            + np.bincount(pair_a, minlength=m)
-            + np.bincount(pair_b, minlength=m)
-        )
-        core = counts >= self.config.min_points
-
-        labels = np.full(m, -1, dtype=np.int64)
-        if not core.any():
-            return labels
-
-        core_pos = np.nonzero(core)[0]
-        # Chain the cores of each cell (cell_order groups them cell by cell,
-        # index-ascending): consecutive same-cell cores are one edge each,
-        # connecting the whole in-cell clique with size-1 edges.
-        cell_order = core_pos[np.argsort(cells[core_pos], kind="stable")]
-        same_cell = cells[cell_order[:-1]] == cells[cell_order[1:]]
-        chain_a = cell_order[:-1][same_cell]
-        chain_b = cell_order[1:][same_cell]
-        both_core = core[pair_a] & core[pair_b]
-        component = connected_components(
-            m,
-            np.concatenate([pair_a[both_core], chain_a]),
-            np.concatenate([pair_b[both_core], chain_b]),
-        )
-
-        # Rank components that contain cores by their smallest core index:
-        # rank 0 is the cluster the scalar BFS would discover first.
-        min_core = np.full(m, m, dtype=np.int64)
-        np.minimum.at(min_core, component[core_pos], core_pos)
-        cluster_ids = np.unique(component[core_pos])
-        cluster_ids = cluster_ids[np.argsort(min_core[cluster_ids], kind="stable")]
-        rank = np.full(m, -1, dtype=np.int64)
-        rank[cluster_ids] = np.arange(cluster_ids.size)
-
-        labels[core_pos] = rank[component[core_pos]]
-
-        # Border points: adjacent to >= 1 core, take the smallest rank.
-        # Same-cell adjacency first: every non-core sharing a cell with a
-        # core is adjacent to all of that cell's cores, which the chaining
-        # above put in one component.
-        border_rank = np.full(m, m, dtype=np.int64)
-        cell_rank = np.full(n_cells, m, dtype=np.int64)
-        np.minimum.at(cell_rank, cells[core_pos], rank[component[core_pos]])
-        non_core = np.nonzero(~core)[0]
-        border_rank[non_core] = cell_rank[cells[non_core]]
-        a_core_only = core[pair_a] & ~core[pair_b]
-        np.minimum.at(
-            border_rank, pair_b[a_core_only], rank[component[pair_a[a_core_only]]]
-        )
-        b_core_only = core[pair_b] & ~core[pair_a]
-        np.minimum.at(
-            border_rank, pair_a[b_core_only], rank[component[pair_b[b_core_only]]]
-        )
-        is_border = border_rank < m
-        labels[is_border] = border_rank[is_border]
-        return labels
 
     @staticmethod
     def _pois_from_labels(

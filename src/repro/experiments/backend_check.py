@@ -24,7 +24,10 @@ even with identical rows.  The legs pin:
   pulls, a frozen worker evicted by heartbeat, a sqlite cache the
   coordinator fills from the rows its workers ship (a cold run, then a
   100 %-hit warm rerun), and sharded scatter-gather;
-* ``mode="stream"`` against ``mode="batch"`` for every streaming attack.
+* ``mode="stream"`` against ``mode="batch"`` for every streaming attack;
+* no module-level state carried between groups: one label over two
+  worlds and a seeded mechanism over two seeds, serial in this process
+  against a fresh interpreter.
 
 ``cache`` runs the check spec against one persistent
 :class:`~repro.experiments.cache.SqliteCellCache` file and asserts the hit
@@ -61,6 +64,7 @@ from .worlds import make_world, shard_world_specs
 WORKERS = 2
 TIMEOUT_S = 300.0
 CHECK_WORLD = "standard:scale=tiny,seed=5"
+OTHER_WORLD = "standard:scale=tiny,seed=6"
 STREAM_WORLDS = ["standard:scale=small,seed=5", "crossing:scale=small,seed=5"]
 
 #: What must hold, and the predicate over a leg's facts that decides it.
@@ -193,6 +197,22 @@ def legs(work_dir: str, log_dir: Optional[str] = None) -> List[Leg]:
         input="publish-half:train_fraction=0.5",
     )
     table.append(Leg("stream reident", dataclasses.replace(reident, mode="stream"), reident))
+    # Module-level state that outlives a group.  Each reference runs
+    # serially in this process after the earlier legs' references; each
+    # candidate runs in one fresh interpreter.  One label names two
+    # different worlds and a seeded mechanism runs each seed alone, so a
+    # memo keyed by the label, or by anything but the seed, hands the
+    # in-process reference a stale world or publication.
+    fresh = f"work-queue:workers=1,timeout_s={TIMEOUT_S}"
+    for world, seed in [(CHECK_WORLD, 0), (CHECK_WORLD, 1), (OTHER_WORLD, 0)]:
+        state = ExperimentSpec(
+            name="module-state",
+            mechanisms=["geo-ind:epsilon_per_m=0.01"],
+            metrics=["spatial-distortion"],
+            worlds=[("module-state", world)],
+            seeds=[seed],
+        )
+        table.append(Leg(f"module-state {world} seed={seed}", state, backend=fresh))
     return table
 
 

@@ -25,11 +25,12 @@ rebuilt on:
   rounds, skipping ahead along the cumulative path extent (the travelled arc
   length upper-bounds any anchor distance, so whole stretches of a window are
   certified in-diameter without evaluating a single pairwise distance);
-* :func:`planar_radius_cliques` — the finer-grid radius join (DJ-Cluster):
-  cells of side ``radius / sqrt(2)`` whose co-members are *certified*
-  in-radius (the cell diagonal is below the radius) plus confirmed
-  cross-cell pairs from a ±2-bin join, so dense stays are described by one
-  cell label instead of a materialised near-clique;
+* :func:`grid_dbscan` — DBSCAN on the clique grid (DJ-Cluster): cells of
+  side ``radius / sqrt(2)`` whose co-members are *certified* in-radius (the
+  cell diagonal is below the radius); a cell of ``min_points`` members is
+  all core and emits no pairs, point pairs are confirmed only next to a
+  sparse cell, neighbouring dense cells are linked by a witness pair or a
+  batched exhaustive check, and connected components run on cells;
 * :func:`segmented_searchsorted` — per-segment insertion points of query
   timestamps (multi-target tracking resolves every zone boundary of every
   user this way, one vectorized ``searchsorted`` per user);
@@ -73,7 +74,7 @@ __all__ = [
     "connected_components",
     "SyncedDistances",
     "windowed_stay_spans",
-    "planar_radius_cliques",
+    "grid_dbscan",
     "segmented_searchsorted",
     "concat_ranges",
     "polyline_distances",
@@ -294,11 +295,39 @@ def iter_neighbor_pairs(
     ``include_same_bin=False`` skips the same-bin cartesian products — for
     callers that handle same-bin points wholesale (certified cliques).
     """
-    n = rows.size
-    if n < 2:
+    if rows.size < 2:
         return
     if isinstance(reach, int):
         reach = (reach, reach, reach)
+    order, start, count, neighbours = _bin_runs(rows, cols, buckets, reach)
+
+    # Same-bin pairs: the cartesian product of each bin with itself, kept
+    # only where the left sorted position precedes the right one.
+    if include_same_bin:
+        for left, right in _cartesian_pair_batches(start, count, start, count):
+            mask = left < right
+            if mask.any():
+                yield _as_unordered(order[left[mask]], order[right[mask]])
+
+    for a, b in neighbours:
+        for left, right in _cartesian_pair_batches(start[a], count[a], start[b], count[b]):
+            yield _as_unordered(order[left], order[right])
+
+
+def _bin_runs(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    buckets: np.ndarray,
+    reach: Tuple[int, int, int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """Points grouped by packed bin key, plus the neighbouring bins per offset.
+
+    Returns ``(order, start, count, neighbours)``: ``order`` sorts the points
+    by bin, bin ``k`` (in ascending packed-key order) holds the sorted
+    positions ``[start[k], start[k] + count[k])``, and ``neighbours`` lazily
+    yields, per lexicographically-positive offset within ``reach``, the
+    ``(a, b)`` bin-index arrays of the bin pairs at that offset.
+    """
     r0, r1, r2 = (int(x) for x in reach)
     if min(r0, r1, r2) < 0:
         raise ValueError(f"reach must be non-negative, got {reach}")
@@ -315,35 +344,19 @@ def iter_neighbor_pairs(
             f"bin space too large to pack into int64 keys: {dim_r} x {dim_c} x {dim_b}"
         )
     keys = (r * dim_c + c) * dim_b + b
-
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    unique_keys, start, count = np.unique(
-        sorted_keys, return_index=True, return_counts=True
-    )
+    unique_keys, start, count = np.unique(keys[order], return_index=True, return_counts=True)
 
-    # Same-bin pairs: the cartesian product of each bin with itself, kept
-    # only where the left sorted position precedes the right one.
-    if include_same_bin:
-        for left, right in _cartesian_pair_batches(start, count, start, count):
-            mask = left < right
-            if mask.any():
-                yield _as_unordered(order[left[mask]], order[right[mask]])
+    def neighbours() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        # Bins whose packed keys differ by exactly one offset's key delta.
+        for dr, dc, db in _positive_offsets((r0, r1, r2)):
+            targets = unique_keys + (dr * dim_c + dc) * dim_b + db
+            pos = np.minimum(np.searchsorted(unique_keys, targets), unique_keys.size - 1)
+            matched = unique_keys[pos] == targets
+            if matched.any():
+                yield np.flatnonzero(matched), pos[matched]
 
-    # Cross-bin pairs: for each positive offset, join bins whose packed keys
-    # differ by exactly that offset's key delta.
-    for dr, dc, db in _positive_offsets((r0, r1, r2)):
-        delta = (dr * dim_c + dc) * dim_b + db
-        targets = unique_keys + delta
-        pos = np.searchsorted(unique_keys, targets)
-        pos = np.minimum(pos, unique_keys.size - 1)
-        matched = unique_keys[pos] == targets
-        if not matched.any():
-            continue
-        for left, right in _cartesian_pair_batches(
-            start[matched], count[matched], start[pos[matched]], count[pos[matched]]
-        ):
-            yield _as_unordered(order[left], order[right])
+    return order, start, count, neighbours()
 
 
 def _as_unordered(i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -673,7 +686,7 @@ def windowed_stay_spans(
 
 
 # ---------------------------------------------------------------------------
-# Planar radius join on the clique grid (DJ-Cluster)
+# Grid DBSCAN on the clique grid (DJ-Cluster)
 # ---------------------------------------------------------------------------
 
 
@@ -689,94 +702,221 @@ def windowed_stay_spans(
 _CLIQUE_MARGIN_M = 1e-6
 
 
-def planar_radius_cliques(
+def _clique_side(radius: float) -> float:
+    """Side of the certified clique-grid cell for ``radius``."""
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    return (radius - min(_CLIQUE_MARGIN_M, 0.01 * radius)) / np.sqrt(2.0)
+
+
+def grid_dbscan(
     xs: np.ndarray,
     ys: np.ndarray,
     radius: float,
+    min_points: int,
     segments: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radius join on the finer clique grid: certified cells + cross-cell pairs.
+) -> np.ndarray:
+    """DBSCAN labels of planar points on the clique grid (``-1`` = noise).
 
-    Bins the planar points into cells of side ``(radius - margin) / sqrt(2)``:
-    the cell diagonal is below ``radius``, so any two points sharing a cell
-    are *certified* within the radius with no pairwise confirmation — dense
-    neighbourhoods (the bulk of DJ-Cluster's pair volume: a stay of ``k``
-    fixes is a ~``k^2/2``-pair clique) are described by one cell label
-    instead of materialised pairs.  Cross-cell candidates come from the
-    ±2-bin join (a radius spans at most two of the finer cells) and are
-    confirmed with the exact squared planar distance.
+    A point is *core* when at least ``min_points`` points (itself included)
+    pass ``dx*dx + dy*dy <= radius*radius``; clusters are the connected
+    components of the core-core neighbour graph, numbered by their smallest
+    core index, and a non-core point next to a core takes the smallest
+    adjacent cluster number — exactly what a scalar DBSCAN scanning seeds
+    in index order produces.
+
+    Points are binned into cells of side ``(radius - margin) / sqrt(2)``:
+    the cell diagonal is below ``radius``, so any two co-members are
+    *certified* neighbours and a cell's cores form a clique.  A radius spans
+    at most two cells, so neighbours lie within a ±2-cell reach.  The
+    clustering is then decided on cells (grid DBSCAN, Gunawan 2013):
+
+    * a *dense* cell (``>= min_points`` members) makes all its members core
+      and needs no per-point pairs at all;
+    * point pairs are materialised, and confirmed with the exact squared
+      distance, only for neighbouring cell pairs that include a sparse cell:
+      they give sparse points their counts, core-core edges and border links;
+    * two neighbouring dense cells are linked iff some cross pair passes the
+      same test: first one witness pair (each cell's member closest to the
+      other's centroid), and only when it fails an exhaustive batched check;
+    * connected components run on the cell graph, one node per cell's cores.
 
     ``segments`` (optional) assigns every point an integer segment identifier
-    (e.g. the owning user); cells and pairs then never span two segments —
-    cells are keyed by ``(segment, row, col)`` and the join's segment reach
-    is zero — which lets one call cluster a whole dataset of independent
-    per-user point sets.
-
-    Returns ``(cells, pair_a, pair_b)``: ``cells`` assigns every point the
-    integer label of its clique cell (contiguous, ``0..n_cells-1``), and the
-    pair arrays (``i < j``) hold the confirmed pairs *between* distinct
-    cells.  The full neighbour relation of a point is its cell co-members
-    plus its cross-cell pairs; each unordered pair appears exactly once.
+    (e.g. the owning user); cells are keyed by ``(segment, row, col)`` and
+    never join across segments, so one call clusters a whole dataset of
+    independent per-user point sets.
 
     Radii at or below the certification margin (~1e-6 m) cannot be certified
-    by any cell: every point then gets a singleton cell and all pairs are
-    confirmed exactly, preserving the contract.
+    by any cell: every point is then its own cell, binned for the ±1 join at
+    side ``radius``, and every candidate pair is confirmed exactly.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    empty = np.zeros(0, dtype=np.int64)
-    if xs.size == 0:
-        return empty, empty.copy(), empty.copy()
+    if min_points < 1:
+        raise ValueError(f"min_points must be at least 1, got {min_points}")
+    certified = radius > _CLIQUE_MARGIN_M
+    side = _clique_side(radius) if certified else radius
+    n = xs.size
+    labels = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return labels
     if segments is None:
-        buckets = np.zeros(xs.size, dtype=np.int64)
+        buckets = np.zeros(n, dtype=np.int64)
     else:
         buckets = np.asarray(segments, dtype=np.int64)
         if buckets.shape != xs.shape:
             raise ValueError("segments must align with the point arrays")
     r2 = radius * radius
-    if radius <= _CLIQUE_MARGIN_M:
-        # Sub-margin radius: no cell small enough can *certify* its
-        # co-members, so fall back to singleton cells and confirm every
-        # candidate pair exactly (±1 join at cell size = radius).
-        cells = np.arange(xs.size, dtype=np.int64)
-        rows = np.floor((ys - ys.min()) / radius).astype(np.int64)
-        cols = np.floor((xs - xs.min()) / radius).astype(np.int64)
-        offsets_reach: Union[int, Tuple[int, int, int]] = (1, 1, 0)
-        include_same_bin = True
+    rows = np.floor((ys - ys.min()) / side).astype(np.int64)
+    cols = np.floor((xs - xs.min()) / side).astype(np.int64)
+    order, start, count, neighbours = _bin_runs(
+        rows, cols, buckets, (2, 2, 0) if certified else (1, 1, 0)
+    )
+    bin_of = np.empty(n, dtype=np.int64)
+    bin_of[order] = np.repeat(np.arange(count.size, dtype=np.int64), count)
+    if certified:
+        cell, n_cells = bin_of, count.size
+        dense = count >= min_points
+        n_neighbours = count[bin_of]  # the point itself + its certified co-members
     else:
-        cell = (radius - min(_CLIQUE_MARGIN_M, 0.01 * radius)) / np.sqrt(2.0)
-        rows = np.floor((ys - ys.min()) / cell).astype(np.int64)
-        cols = np.floor((xs - xs.min()) / cell).astype(np.int64)
-        # Contiguous cell labels from the packed (segment, row, col) keys.
-        span = int(cols.max()) + 1
-        row_span = int(rows.max()) + 1
-        seg = buckets - int(buckets.min())
-        if (int(seg.max()) + 1) * row_span * span >= 2**63:
-            raise ValueError("cell key space too large to pack into int64")
-        _, cells = np.unique((seg * row_span + rows) * span + cols, return_inverse=True)
-        cells = cells.astype(np.int64)
-        offsets_reach = (2, 2, 0)
-        include_same_bin = False
-    if xs.size < 2:
-        return cells, empty.copy(), empty.copy()
+        cell, n_cells = np.arange(n, dtype=np.int64), n
+        dense = np.zeros(count.size, dtype=bool)
+        n_neighbours = np.ones(n, dtype=np.int64)
 
     kept_i: List[np.ndarray] = []
     kept_j: List[np.ndarray] = []
-    for i, j in iter_neighbor_pairs(
-        rows, cols, buckets, reach=offsets_reach,
-        include_same_bin=include_same_bin,
-    ):
+
+    def confirm(left: np.ndarray, right: np.ndarray) -> None:
+        i, j = order[left], order[right]
         dx = xs[i] - xs[j]
         dy = ys[i] - ys[j]
         close = dx * dx + dy * dy <= r2
         if close.any():
             kept_i.append(i[close])
             kept_j.append(j[close])
-    if not kept_i:
-        return cells, empty.copy(), empty.copy()
-    return cells, np.concatenate(kept_i), np.concatenate(kept_j)
+
+    if not certified:
+        for left, right in _cartesian_pair_batches(start, count, start, count):
+            below = left < right
+            confirm(left[below], right[below])
+    dense_a: List[np.ndarray] = []
+    dense_b: List[np.ndarray] = []
+    for a, b in neighbours:
+        both = dense[a] & dense[b]
+        dense_a.append(a[both])
+        dense_b.append(b[both])
+        a, b = a[~both], b[~both]
+        for left, right in _cartesian_pair_batches(start[a], count[a], start[b], count[b]):
+            confirm(left, right)
+
+    empty = np.zeros(0, dtype=np.int64)
+    pair_i = np.concatenate(kept_i) if kept_i else empty
+    pair_j = np.concatenate(kept_j) if kept_j else empty
+    n_neighbours = (
+        n_neighbours + np.bincount(pair_i, minlength=n) + np.bincount(pair_j, minlength=n)
+    )
+    core = n_neighbours >= min_points
+    core_pos = np.flatnonzero(core)
+    if core_pos.size == 0:
+        return labels
+
+    both_core = core[pair_i] & core[pair_j]
+    link_a, link_b = _linked_dense_cells(
+        np.concatenate(dense_a) if dense_a else empty,
+        np.concatenate(dense_b) if dense_b else empty,
+        xs[order], ys[order], start, count, r2,
+    )
+    component = connected_components(
+        n_cells,
+        np.concatenate([cell[pair_i[both_core]], link_a]),
+        np.concatenate([cell[pair_j[both_core]], link_b]),
+    )
+
+    # Rank components that contain cores by their smallest core index:
+    # rank 0 is the cluster the scalar BFS would discover first.
+    core_component = component[cell[core_pos]]
+    min_core = np.full(n_cells, n, dtype=np.int64)
+    np.minimum.at(min_core, core_component, core_pos)
+    cluster_ids = np.unique(core_component)
+    cluster_ids = cluster_ids[np.argsort(min_core[cluster_ids], kind="stable")]
+    rank = np.full(n_cells, -1, dtype=np.int64)
+    rank[cluster_ids] = np.arange(cluster_ids.size)
+    core_rank = rank[core_component]
+    labels[core_pos] = core_rank
+
+    # Border points (never in a dense cell): the cores of their own cell are
+    # all adjacent and share one rank; cross-cell core neighbours come from
+    # the confirmed pairs.
+    cell_rank = np.full(n_cells, n, dtype=np.int64)
+    cell_rank[cell[core_pos]] = core_rank
+    border_rank = np.where(core, n, cell_rank[cell])
+    pair_rank_i = rank[component[cell[pair_i]]]
+    pair_rank_j = rank[component[cell[pair_j]]]
+    i_only = core[pair_i] & ~core[pair_j]
+    np.minimum.at(border_rank, pair_j[i_only], pair_rank_i[i_only])
+    j_only = core[pair_j] & ~core[pair_i]
+    np.minimum.at(border_rank, pair_i[j_only], pair_rank_j[j_only])
+    is_border = border_rank < n
+    labels[is_border] = border_rank[is_border]
+    return labels
+
+
+def _linked_dense_cells(
+    a: np.ndarray,
+    b: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    start: np.ndarray,
+    count: np.ndarray,
+    r2: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The cell pairs ``(a, b)`` with at least one cross pair within the radius.
+
+    ``xs`` / ``ys`` are in cell-sorted order: cell ``k`` holds positions
+    ``[start[k], start[k] + count[k])``.  Each pair first tests one witness
+    pair (each cell's member closest to the other cell's centroid); pairs
+    whose witness fails are checked exhaustively in memory-bounded batches.
+    Every decision is the exact ``dx*dx + dy*dy <= r2`` of a real pair.
+    """
+    if a.size == 0:
+        return a, b
+    cx = np.add.reduceat(xs, start) / count
+    cy = np.add.reduceat(ys, start) / count
+    wa = _closest_member(a, cx[b], cy[b], xs, ys, start, count)
+    wb = _closest_member(b, cx[a], cy[a], xs, ys, start, count)
+    dx = xs[wa] - xs[wb]
+    dy = ys[wa] - ys[wb]
+    linked = dx * dx + dy * dy <= r2
+    link_a, link_b = [a[linked]], [b[linked]]
+    fa, fb = a[~linked], b[~linked]
+    cell_of = np.repeat(np.arange(count.size, dtype=np.int64), count)
+    for left, right in _cartesian_pair_batches(start[fa], count[fa], start[fb], count[fb]):
+        dx = xs[left] - xs[right]
+        dy = ys[left] - ys[right]
+        close = dx * dx + dy * dy <= r2
+        link_a.append(cell_of[left[close]])
+        link_b.append(cell_of[right[close]])
+    return np.concatenate(link_a), np.concatenate(link_b)
+
+
+def _closest_member(
+    cells: np.ndarray,
+    tx: np.ndarray,
+    ty: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    start: np.ndarray,
+    count: np.ndarray,
+) -> np.ndarray:
+    """Per ``k``: the sorted position of the ``cells[k]`` member nearest ``(tx[k], ty[k])``."""
+    sizes = count[cells]
+    members = concat_ranges(start[cells], sizes)
+    query = np.repeat(np.arange(cells.size), sizes)
+    d = (xs[members] - tx[query]) ** 2 + (ys[members] - ty[query]) ** 2
+    nearest_first = np.lexsort((d, query))
+    return members[nearest_first[np.cumsum(sizes) - sizes]]
 
 
 # ---------------------------------------------------------------------------
@@ -1127,17 +1267,15 @@ def cell_probe_pairs(
 def clique_cells(
     xs: np.ndarray, ys: np.ndarray, radius: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer cells of :func:`planar_radius_cliques`' certified grid.
+    """Integer cells of :func:`grid_dbscan`'s certified grid.
 
     Cells have side ``(radius - margin) / sqrt(2)``, so any two points that
     share a cell pass the exact ``dx*dx + dy*dy <= radius*radius`` test.
     The origin is the planar origin (not the data minimum), so cells stay
     stable as points are appended.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    cell = (radius - min(_CLIQUE_MARGIN_M, 0.01 * radius)) / np.sqrt(2.0)
+    side = _clique_side(radius)
     return (
-        np.floor(np.asarray(xs, dtype=float) / cell).astype(np.int64),
-        np.floor(np.asarray(ys, dtype=float) / cell).astype(np.int64),
+        np.floor(np.asarray(xs, dtype=float) / side).astype(np.int64),
+        np.floor(np.asarray(ys, dtype=float) / side).astype(np.int64),
     )

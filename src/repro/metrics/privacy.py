@@ -27,7 +27,7 @@ import numpy as np
 from ..attacks.poi_extraction import ExtractedPoi
 from ..attacks.tracking import ZoneLinkage
 from ..core.trajectory import MobilityDataset
-from ..geo.distance import haversine
+from ..geo.kernels import haversine_above
 from ..mixzones.swapping import SwapRecord, SwapResult
 from ..mixzones.zones import permutation_entropy_bits
 
@@ -73,7 +73,31 @@ class PoiRetrievalScore:
         return cls(precision, recall, f_score, n_true, n_extracted)
 
 
-def poi_retrieval_pooled(  # repro: allow=R3 -- tens of POIs; batching could flip a <= test
+def _match_counts(
+    truths: Sequence[Tuple[float, float]],
+    found: Sequence[ExtractedPoi],
+    match_distance_m: float,
+) -> Tuple[int, int]:
+    """``(true POIs within reach of a found one, found POIs within reach of a true one)``.
+
+    One ``len(truths) x len(found)`` matrix of :func:`haversine_above`
+    decisions (true POI first, as the scalar ``haversine(lat, lon, e.lat,
+    e.lon)`` argument order), so every ``<=`` is decided bitwise as the
+    scalar function decides it.
+    """
+    if len(truths) == 0 or len(found) == 0:
+        return 0, 0
+    true_ll = np.asarray(truths, dtype=float).reshape(-1, 2)
+    found_lat = np.array([e.lat for e in found], dtype=float)
+    found_lon = np.array([e.lon for e in found], dtype=float)
+    near = ~haversine_above(
+        true_ll[:, :1], true_ll[:, 1:], found_lat[None, :], found_lon[None, :],
+        match_distance_m,
+    )
+    return int(near.any(axis=1).sum()), int(near.any(axis=0).sum())
+
+
+def poi_retrieval_pooled(
     true_pois: Sequence[Tuple[float, float]],
     extracted: Sequence[ExtractedPoi],
     match_distance_m: float = 250.0,
@@ -87,22 +111,13 @@ def poi_retrieval_pooled(  # repro: allow=R3 -- tens of POIs; batching could fli
     ``match_distance_m``; an extracted POI counts as correct when it lies
     within ``match_distance_m`` of any true POI.
     """
-    matched_true = sum(
-        1
-        for (lat, lon) in true_pois
-        if any(haversine(lat, lon, e.lat, e.lon) <= match_distance_m for e in extracted)
-    )
-    matched_extracted = sum(
-        1
-        for e in extracted
-        if any(haversine(lat, lon, e.lat, e.lon) <= match_distance_m for (lat, lon) in true_pois)
-    )
+    matched_true, matched_extracted = _match_counts(true_pois, extracted, match_distance_m)
     return PoiRetrievalScore.from_counts(
         matched_true, len(true_pois), matched_extracted, len(extracted)
     )
 
 
-def poi_retrieval_per_user(  # repro: allow=R3 -- tens of POIs; batching could flip a <= test
+def poi_retrieval_per_user(
     true_pois: Mapping[str, Sequence[Tuple[float, float]]],
     extracted: Mapping[str, Sequence[ExtractedPoi]],
     match_distance_m: float = 250.0,
@@ -124,16 +139,9 @@ def poi_retrieval_per_user(  # repro: allow=R3 -- tens of POIs; batching could f
         found = list(extracted.get(user, []))
         n_true += len(truths)
         n_extracted += len(found)
-        matched_true += sum(
-            1
-            for (lat, lon) in truths
-            if any(haversine(lat, lon, e.lat, e.lon) <= match_distance_m for e in found)
-        )
-        matched_extracted += sum(
-            1
-            for e in found
-            if any(haversine(lat, lon, e.lat, e.lon) <= match_distance_m for (lat, lon) in truths)
-        )
+        user_true, user_extracted = _match_counts(truths, found, match_distance_m)
+        matched_true += user_true
+        matched_extracted += user_extracted
     return PoiRetrievalScore.from_counts(matched_true, n_true, matched_extracted, n_extracted)
 
 

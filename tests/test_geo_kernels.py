@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.djcluster import DjCluster
 from repro.core.trajectory import MobilityDataset, Trajectory
+from repro.geo import kernels
 from repro.geo.geometry import point_to_polyline_distance_m
 from repro.geo.distance import haversine
 from repro.geo.kernels import (
@@ -19,10 +22,10 @@ from repro.geo.kernels import (
     clique_cells,
     colocation_events,
     connected_components,
+    grid_dbscan,
     haversine_above,
     trailing_window_pairs,
     iter_neighbor_pairs,
-    planar_radius_cliques,
     polyline_distances,
     segmented_searchsorted,
     windowed_stay_spans,
@@ -286,74 +289,204 @@ class TestBinJoin:
             list(iter_neighbor_pairs(one, one, one, reach=(1, -1, 0)))
 
 
-class TestPlanarRadiusCliques:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cell_comembers_plus_pairs_match_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 120))
-        xs = rng.uniform(0.0, 400.0, n)
-        ys = rng.uniform(0.0, 400.0, n)
-        radius = float(rng.uniform(5.0, 120.0))
-        cells, a, b = planar_radius_cliques(xs, ys, radius)
-        assert cells.size == n
-        got = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if cells[i] == cells[j]
-        }
-        cross = set(zip(a.tolist(), b.tolist()))
-        assert len(cross) == a.size, "cross-cell pair emitted twice"
-        assert not (got & cross), "a same-cell pair must not also be a cross pair"
-        got |= cross
-        r2 = radius * radius
-        expected = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2 <= r2
-        }
-        assert got == expected
+def _segmented_dbscan(xs, ys, radius, min_points, bounds):
+    """Scalar DBSCAN per contiguous segment ``[lo, hi)``, numbered globally.
 
-    def test_certified_cells_are_within_radius(self):
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(0.0, 50.0, 200)
-        ys = rng.uniform(0.0, 50.0, 200)
-        radius = 30.0
-        cells, _, _ = planar_radius_cliques(xs, ys, radius)
-        for c in np.unique(cells):
-            members = np.nonzero(cells == c)[0]
-            mx, my = xs[members], ys[members]
-            d2 = (mx[:, None] - mx[None, :]) ** 2 + (my[:, None] - my[None, :]) ** 2
-            assert float(d2.max()) <= radius * radius
+    Segments ascend in index order, so numbering each segment's clusters
+    after the previous segment's is the global smallest-core order.
+    """
+    labels, base = [], 0
+    for lo, hi in bounds:
+        part = DjCluster._dbscan(xs[lo:hi], ys[lo:hi], radius, min_points)
+        labels.append(np.where(part >= 0, part + base, -1))
+        base += int(part.max()) + 1 if (part >= 0).any() else 0
+    return np.concatenate(labels).astype(np.int64)
+
+
+def _centroid_witness(xs, ys, among, toward):
+    """The point of ``among`` closest to the centroid of ``toward`` (the kernel's witness)."""
+    cx, cy = np.mean(xs[toward]), np.mean(ys[toward])
+    return int(among[np.argmin((xs[among] - cx) ** 2 + (ys[among] - cy) ** 2)])
+
+
+@st.composite
+def _blobs_and_scatter(draw):
+    """Planar points: tight blobs (dense cells) plus scattered fixes.
+
+    Coordinates are multiples of a fifth of the radius, so many pairs sit
+    at exactly the radius (3-4-5 triangles and straight five-steps), some
+    across cell borders.
+    """
+    radius = draw(st.sampled_from([4.0, 5.0, 10.0]))
+    n_blobs = draw(st.integers(0, 4))
+    coords = []
+    for _ in range(n_blobs):
+        cx = draw(st.integers(0, 30)) * radius / 5.0
+        cy = draw(st.integers(0, 30)) * radius / 5.0
+        size = draw(st.integers(1, 30))
+        coords += [(cx + (0.01 * k) % 0.3, cy + (0.02 * k) % 0.5) for k in range(size)]
+    coords += draw(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
+            lambda p: (p[0] * radius / 5.0, p[1] * radius / 5.0)
+        ),
+        max_size=40,
+    ))
+    order = draw(st.permutations(range(len(coords))))
+    xs = np.array([coords[k][0] for k in order], dtype=float)
+    ys = np.array([coords[k][1] for k in order], dtype=float)
+    return xs, ys, radius
+
+
+class TestGridDbscan:
+    """``grid_dbscan`` against the scalar ``DjCluster._dbscan``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_match_scalar_dbscan(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 160))
+        centers = rng.uniform(0.0, 400.0, (4, 2))
+        which = rng.integers(0, 4, n)
+        xs = centers[which, 0] + rng.normal(0.0, 15.0, n)
+        ys = centers[which, 1] + rng.normal(0.0, 15.0, n)
+        radius = float(rng.uniform(5.0, 120.0))
+        for min_points in (2, 5, 12):
+            np.testing.assert_array_equal(
+                grid_dbscan(xs, ys, radius, min_points),
+                DjCluster._dbscan(xs, ys, radius, min_points),
+            )
+
+    @given(points=_blobs_and_scatter(), min_points=st.integers(1, 12),
+           tiny_batches=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_blobs_match_scalar_dbscan(self, points, min_points, tiny_batches):
+        xs, ys, radius = points
+        batch = 3 if tiny_batches else kernels._MAX_PAIRS_PER_BATCH
+        with mock.patch.object(kernels, "_MAX_PAIRS_PER_BATCH", batch):
+            labels = grid_dbscan(xs, ys, radius, min_points)
+        np.testing.assert_array_equal(labels, DjCluster._dbscan(xs, ys, radius, min_points))
+
+    @given(points=_blobs_and_scatter(), min_points=st.integers(2, 8),
+           n_segments=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_segments_never_join(self, points, min_points, n_segments):
+        # The same points once per segment: identical sets, disjoint clusters.
+        xs, ys, radius = points
+        n = xs.size
+        bounds = [(k * n, (k + 1) * n) for k in range(n_segments)]
+        segments = np.repeat(np.arange(n_segments), n)
+        labels = grid_dbscan(
+            np.tile(xs, n_segments), np.tile(ys, n_segments), radius, min_points,
+            segments=segments,
+        )
+        np.testing.assert_array_equal(
+            labels,
+            _segmented_dbscan(np.tile(xs, n_segments), np.tile(ys, n_segments),
+                              radius, min_points, bounds),
+        )
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_witness_miss_falls_back_to_the_exhaustive_check(self, bridge, monkeypatch):
+        """Two dense cells two columns apart whose witnesses are too far.
+
+        Cell A (x in [0, 7.07)) is a blob at its top-left plus ``p`` at its
+        bottom-right corner; cell B (x in [14.14, 21.21)) a blob at its
+        bottom-right plus ``q`` at its top-left.  The witnesses are ``p``
+        and ``q`` (each closest to the other cell's centroid), 10.12 apart;
+        with ``bridge`` the extra A member at (7.0, 6.9) is 7.5 from ``q``,
+        so only the exhaustive check can link the two cells.
+        """
+        radius, min_points = 10.0, 5
+        a = [(0.0 + 0.1 * k, 6.5) for k in range(8)] + [(7.0, 0.1)]
+        b = [(20.5 - 0.1 * k, 0.5) for k in range(8)] + [(14.5, 6.9)]
+        if bridge:
+            a.append((7.0, 6.9))
+        xs = np.array([p[0] for p in a + b])
+        ys = np.array([p[1] for p in a + b])
+        in_a = np.arange(len(a))
+        in_b = np.arange(len(a), len(a) + len(b))
+        wa = _centroid_witness(xs, ys, in_a, in_b)
+        wb = _centroid_witness(xs, ys, in_b, in_a)
+        assert (xs[wa] - xs[wb]) ** 2 + (ys[wa] - ys[wb]) ** 2 > radius**2
+        monkeypatch.setattr(kernels, "_MAX_PAIRS_PER_BATCH", 4)
+        labels = grid_dbscan(xs, ys, radius, min_points)
+        np.testing.assert_array_equal(labels, DjCluster._dbscan(xs, ys, radius, min_points))
+        assert (labels >= 0).all()
+        assert np.unique(labels).size == (1 if bridge else 2)
+
+    def test_dense_cells_materialise_no_pairs(self, monkeypatch):
+        # Two dense blobs, a column apart: one cell pair, linked by its witness.
+        calls = []
+        real = kernels._cartesian_pair_batches
+
+        def spy(*args, **kwargs):
+            for left, right in real(*args, **kwargs):
+                calls.append(left.size)
+                yield left, right
+
+        monkeypatch.setattr(kernels, "_cartesian_pair_batches", spy)
+        xs = np.concatenate([np.full(50, 1.0), np.full(50, 9.0)])
+        ys = np.full(100, 1.0)
+        labels = grid_dbscan(xs, ys, 10.0, 10)
+        assert labels.tolist() == [0] * 100
+        assert calls == []
+
+    def test_pairs_at_exactly_the_radius(self):
+        # A chain whose links are all at dx*dx + dy*dy == r*r exactly (3-4-5
+        # steps and straight 5s), crossing cell borders; no other pair is
+        # within the radius.
+        radius = 5.0
+        xs = np.array([0.0, 3.0, 6.0, 11.0, 11.0, 6.0])
+        ys = np.array([0.0, 4.0, 8.0, 8.0, 13.0, 13.0])
+        for min_points in (1, 2, 3):
+            np.testing.assert_array_equal(
+                grid_dbscan(xs, ys, radius, min_points),
+                DjCluster._dbscan(xs, ys, radius, min_points),
+            )
+        assert grid_dbscan(xs, ys, radius, 2).tolist() == [0] * 6
+        assert grid_dbscan(xs, ys, np.nextafter(radius, 0.0), 2).tolist() == [-1] * 6
+
+    @pytest.mark.parametrize("hide", CANDIDATE_PATHS)
+    def test_component_paths_agree(self, hide):
+        rng = np.random.default_rng(11)
+        xs = np.repeat(rng.uniform(0.0, 300.0, 30), 6) + rng.normal(0.0, 2.0, 180)
+        ys = np.repeat(rng.uniform(0.0, 300.0, 30), 6) + rng.normal(0.0, 2.0, 180)
+        with hidden_scipy(hide):
+            labels = grid_dbscan(xs, ys, 25.0, 4)
+        np.testing.assert_array_equal(labels, DjCluster._dbscan(xs, ys, 25.0, 4))
 
     def test_empty_single_and_invalid(self):
         empty = np.zeros(0)
-        cells, a, b = planar_radius_cliques(empty, empty, 10.0)
-        assert cells.size == a.size == b.size == 0
-        cells, a, b = planar_radius_cliques(np.zeros(1), np.zeros(1), 10.0)
-        assert cells.tolist() == [0] and a.size == 0
+        assert grid_dbscan(empty, empty, 10.0, 2).size == 0
+        assert grid_dbscan(np.zeros(1), np.zeros(1), 10.0, 2).tolist() == [-1]
+        assert grid_dbscan(np.zeros(1), np.zeros(1), 10.0, 1).tolist() == [0]
         with pytest.raises(ValueError, match="radius"):
-            planar_radius_cliques(np.zeros(2), np.zeros(2), 0.0)
+            grid_dbscan(np.zeros(2), np.zeros(2), 0.0, 2)
+        with pytest.raises(ValueError, match="min_points"):
+            grid_dbscan(np.zeros(2), np.zeros(2), 1.0, 0)
+        with pytest.raises(ValueError, match="segments"):
+            grid_dbscan(np.zeros(2), np.zeros(2), 1.0, 2, segments=np.zeros(3))
 
     def test_sub_margin_radius_never_falsely_certifies(self):
         """A radius below the certification margin must confirm all pairs.
 
-        Regression: the old degenerate fallback binned at cell = radius and
-        still treated same-cell co-members as certified, declaring points up
-        to radius * sqrt(2) apart to be neighbours.
+        Regression: a degenerate fallback binning at cell = radius that
+        treated same-cell co-members as certified declared points up to
+        radius * sqrt(2) apart to be neighbours.
         """
         r = 1e-7
         xs = np.array([0.05 * r, 0.95 * r])
         ys = np.array([0.05 * r, 0.95 * r])  # distance ~1.27 * r: NOT a pair
-        cells, a, b = planar_radius_cliques(xs, ys, r)
-        assert cells[0] != cells[1], "sub-margin radii must not form cliques"
-        assert a.size == 0
+        assert grid_dbscan(xs, ys, r, 2).tolist() == [-1, -1]
         # A genuinely close pair at the same radius is still found.
-        cells, a, b = planar_radius_cliques(
-            np.array([0.0, 0.5 * r]), np.array([0.0, 0.0]), r
-        )
-        assert list(zip(a.tolist(), b.tolist())) == [(0, 1)]
+        close = grid_dbscan(np.array([0.0, 0.5 * r]), np.array([0.0, 0.0]), r, 2)
+        assert close.tolist() == [0, 0]
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(0.0, 4 * r, 80)
+        ys = rng.uniform(0.0, 4 * r, 80)
+        for min_points in (1, 2, 4):
+            np.testing.assert_array_equal(
+                grid_dbscan(xs, ys, r, min_points), DjCluster._dbscan(xs, ys, r, min_points)
+            )
 
     def test_near_margin_radius_keeps_two_bin_coverage(self):
         """Radii just above the margin must still find pairs ~radius apart.
@@ -366,20 +499,10 @@ class TestPlanarRadiusCliques:
         r = 2e-6  # twice the absolute margin
         xs = rng.uniform(0.0, 8e-6, 120)
         ys = rng.uniform(0.0, 8e-6, 120)
-        cells, a, b = planar_radius_cliques(xs, ys, r)
-        pairs = set(zip(a.tolist(), b.tolist()))
-        n = xs.size
-        for i in range(n):
-            for j in range(i + 1, n):
-                if cells[i] == cells[j]:
-                    pairs.add((i, j))
-        brute = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2 <= r * r
-        }
-        assert pairs == brute
+        for min_points in (2, 3, 6):
+            np.testing.assert_array_equal(
+                grid_dbscan(xs, ys, r, min_points), DjCluster._dbscan(xs, ys, r, min_points)
+            )
 
 
 class TestSegmentedSearchsorted:

@@ -12,6 +12,8 @@ to the retained scalar oracle of the same semantics — the ``*_reference`` entr
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,13 +91,20 @@ class TestMixZoneEquivalence:
 
 
 def _dwell_and_move_dataset(
-    seed: int, n_users: int, n_segments: int, interval_s: float
+    seed: int,
+    n_users: int,
+    n_segments: int,
+    interval_s: float,
+    dwell_fixes: Tuple[int, int] = (2, 25),
+    jitter_deg: float = 8e-5,
 ) -> MobilityDataset:
     """Users alternating dwells (meter-scale jitter) and straight moves.
 
     This produces the structure both POI attacks feed on — genuine stays of
     randomized durations separated by travel — unlike a pure random walk,
-    which almost never dwells long enough to emit a stay point.
+    which almost never dwells long enough to emit a stay point.  A dwell
+    holds ``dwell_fixes`` (low inclusive, high exclusive) fixes, each
+    ``N(0, jitter_deg)`` degrees off the dwell's place.
     """
     rng = np.random.default_rng(seed)
     trajectories = []
@@ -106,10 +115,10 @@ def _dwell_and_move_dataset(
         times, lats, lons = [], [], []
         for _ in range(n_segments):
             if rng.random() < 0.5:  # dwell
-                for _ in range(rng.integers(2, 25)):
+                for _ in range(rng.integers(*dwell_fixes)):
                     times.append(t)
-                    lats.append(lat + rng.normal(0.0, 8e-5))
-                    lons.append(lon + rng.normal(0.0, 8e-5))
+                    lats.append(lat + rng.normal(0.0, jitter_deg))
+                    lons.append(lon + rng.normal(0.0, jitter_deg))
                     t += interval_s * rng.uniform(0.5, 1.5)
             else:  # move along a random bearing
                 bearing = rng.uniform(0.0, 2 * np.pi)
@@ -268,6 +277,26 @@ class TestDjClusterEquivalence:
         vectorized = attack.extract_dataset(dataset)
         reference = attack.extract_dataset_reference(dataset)
         assert vectorized == reference
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_users=st.integers(min_value=1, max_value=3),
+        eps_m=st.sampled_from([20.0, 50.0, 100.0]),
+        min_points=st.integers(min_value=2, max_value=12),
+        jitter_deg=st.sampled_from([5e-6, 3e-5, 1.5e-4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_dense_stays_identical_to_reference(
+        self, seed, n_users, eps_m, min_points, jitter_deg
+    ):
+        # Long, tightly sampled dwells: most clique cells hold >= min_points
+        # fixes, so dense cells and dense-dense neighbours are the rule.
+        dataset = _dwell_and_move_dataset(
+            seed, n_users, n_segments=6, interval_s=5.0,
+            dwell_fixes=(30, 150), jitter_deg=jitter_deg,
+        )
+        attack = DjCluster(DjClusterConfig(eps_m=eps_m, min_points=min_points))
+        assert attack.extract_dataset(dataset) == attack.extract_dataset_reference(dataset)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

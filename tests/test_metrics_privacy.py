@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.poi_extraction import ExtractedPoi
+from repro.geo.distance import haversine
 from repro.core.pipeline import Anonymizer, AnonymizerConfig
 from repro.metrics.privacy import (
     PoiRetrievalScore,
@@ -65,6 +69,70 @@ class TestPoiRetrievalScores:
             match_distance_m=100.0,
         )
         assert pooled.recall == 0.5
+
+
+def _scalar_match_counts(truths, found, match_distance_m):
+    """The per-pair scalar loop the batched scorers must reproduce."""
+    matched_true = sum(
+        1
+        for (lat, lon) in truths
+        if any(haversine(lat, lon, e.lat, e.lon) <= match_distance_m for e in found)
+    )
+    matched_found = sum(
+        1
+        for e in found
+        if any(haversine(lat, lon, e.lat, e.lon) <= match_distance_m for (lat, lon) in truths)
+    )
+    return matched_true, matched_found
+
+
+class TestBatchedPoiScoring:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_true=st.integers(0, 12),
+        n_found=st.integers(0, 12),
+        step=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_the_scalar_loop_inside_the_band(self, seed, n_true, n_found, step):
+        # Every extracted POI sits one fixed meridian offset north of a true
+        # POI, so all those pairs are ~250 m apart; the threshold is one
+        # pair's exact scalar distance (or its float neighbour), which puts
+        # the pairs inside the 1e-9 re-check band around it.
+        rng = np.random.default_rng(seed)
+        lats = 45.76 + rng.normal(0.0, 2e-3, n_true)
+        lons = 4.84 + rng.normal(0.0, 2e-3, n_true)
+        truths = list(zip(lats.tolist(), lons.tolist()))
+        users = ["a", "b"]
+        owner = rng.integers(0, 2, max(n_true, 1))
+        found = []
+        for k in range(n_found):
+            if n_true and rng.random() < 0.8:
+                j = int(rng.integers(0, n_true))
+                lat, lon, user = lats[j] + 250.0 / 111_195.0, lons[j], users[owner[j]]
+            else:
+                lat, lon, user = 45.76 + rng.normal(0.0, 2e-3), 4.84, users[k % 2]
+            found.append(poi(float(lat), float(lon), user))
+        threshold = 250.0
+        if truths and found:
+            threshold = haversine(*truths[0], found[0].lat, found[0].lon)
+        threshold = float(np.nextafter(threshold, threshold + step))
+
+        n_matched = _scalar_match_counts(truths, found, threshold)
+        pooled = poi_retrieval_pooled(truths, found, match_distance_m=threshold)
+        assert pooled == PoiRetrievalScore.from_counts(
+            n_matched[0], len(truths), n_matched[1], len(found)
+        )
+
+        truth_by_user = {u: [t for t, o in zip(truths, owner) if users[o] == u] for u in users}
+        found_by_user = {u: [e for e in found if e.user_id == u] for u in users}
+        counts = [
+            _scalar_match_counts(truth_by_user[u], found_by_user[u], threshold) for u in users
+        ]
+        per_user = poi_retrieval_per_user(truth_by_user, found_by_user, threshold)
+        assert per_user == PoiRetrievalScore.from_counts(
+            sum(c[0] for c in counts), len(truths), sum(c[1] for c in counts), len(found)
+        )
 
 
 class TestOwnershipHelpers:
