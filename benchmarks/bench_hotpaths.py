@@ -17,6 +17,11 @@ reference oracle in the same run, and fail unless the two agree bitwise:
 * ``djcluster`` — ``DjCluster.extract_dataset`` (the grid DBSCAN kernel)
   against ``extract_dataset_reference`` on the raw standard world.
 
+``detect_mix_zones`` has no scalar oracle at evaluation scale (the reference
+crossing search is O(n^2)); its zones must instead equal
+``replay_detect_mix_zones`` on the same world, the streaming detector's
+independent sliding-window join.
+
 The pre-PR numbers below were measured on the implementation at commit
 63d6381 (Python double loops over spatial bins for detection; per-pair
 synchronized-distance reductions for W4M clustering), best of several runs on
@@ -40,8 +45,9 @@ from repro.metrics.utility import (
     trajectory_spatial_distortion,
     trajectory_spatial_distortion_reference,
 )
-from repro.mixzones.detection import detect_mix_zones
+from repro.mixzones.detection import MixZoneDetectionConfig, detect_mix_zones
 from repro.mixzones.swapping import MixZoneSwapper
+from repro.streaming.mixzones import replay_detect_mix_zones
 
 #: Pre-refactor wall seconds, by (cell, scale).  Scales not measured before
 #: the refactor have no baseline and report speedup None.
@@ -96,6 +102,7 @@ def test_hotpaths(
     zones, mixzone_samples = bench_timer(
         lambda: detect_mix_zones(crossing, radius_m=100.0)
     )
+    assert zones == replay_detect_mix_zones(crossing, MixZoneDetectionConfig(radius_m=100.0))
     mechanism = Wait4MeMechanism(Wait4MeConfig(k=4, delta_m=500.0))
     published, wait4me_samples = bench_timer(
         lambda: mechanism.publish(standard).dataset, repeats=5

@@ -12,10 +12,14 @@ rebuilt on:
 * :func:`iter_neighbor_pairs` — the vectorized *bin join*: every unordered
   point pair falling in the same or an adjacent ``(row, col, time-bucket)``
   bin, emitted as numpy index batches (one batch per neighbor offset, so peak
-  memory stays bounded by the densest single offset);
-* :func:`colocation_events` — confirmed pairwise co-locations: the bin join
-  filtered by exact batched haversine distance and time-gap tests, deduped to
-  one canonical event per ``(user pair, time window)``;
+  memory stays bounded by the densest single offset); bins too fine to pack
+  into int64 keys are renumbered with their adjacency kept;
+* :func:`colocation_events` — one confirmed co-location per ``(user pair,
+  time window)``: a cross-user-only bin join (pairs of per-bin user runs, so
+  no same-user pair is built), the exact time-gap test on every candidate,
+  and the exact haversine test on *first witnesses* only — each round
+  confirms every open key's smallest ``(i, j)``, and a key whose witness
+  fails moves on to its next candidate;
 * :class:`SyncedDistances` — batched synchronized-trajectory distances
   over grid-resampled coordinate matrices (NaN marking unobserved steps):
   the allocation-free workspace Wait-For-Me's greedy clustering queries
@@ -225,9 +229,8 @@ def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     total = int(count.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    group = np.repeat(np.arange(count.size), count)
-    base = np.cumsum(count) - count
-    return start[group] + np.arange(total, dtype=np.int64) - base[group]
+    shift = np.asarray(start, dtype=np.int64) - (np.cumsum(count) - count)
+    return np.repeat(shift, count) + np.arange(total, dtype=np.int64)
 
 
 #: Upper bound on the pairs materialised per emitted batch (~32 MB of int64
@@ -277,7 +280,6 @@ def iter_neighbor_pairs(
     cols: np.ndarray,
     buckets: np.ndarray,
     reach: Union[int, Tuple[int, int, int]] = 1,
-    include_same_bin: bool = True,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield all unordered point pairs in the same or nearby integer bins.
 
@@ -292,8 +294,6 @@ def iter_neighbor_pairs(
     applies to all three): the default ``1`` is the classic ±1 join, and a
     reach of ``0`` in a dimension restricts pairs to the *same* bin of that
     dimension (e.g. segment identifiers that pairs must never cross).
-    ``include_same_bin=False`` skips the same-bin cartesian products — for
-    callers that handle same-bin points wholesale (certified cliques).
     """
     if rows.size < 2:
         return
@@ -303,15 +303,86 @@ def iter_neighbor_pairs(
 
     # Same-bin pairs: the cartesian product of each bin with itself, kept
     # only where the left sorted position precedes the right one.
-    if include_same_bin:
-        for left, right in _cartesian_pair_batches(start, count, start, count):
-            mask = left < right
-            if mask.any():
-                yield _as_unordered(order[left[mask]], order[right[mask]])
+    for left, right in _cartesian_pair_batches(start, count, start, count):
+        mask = left < right
+        if mask.any():
+            yield _as_unordered(order[left[mask]], order[right[mask]])
 
     for a, b in neighbours:
         for left, right in _cartesian_pair_batches(start[a], count[a], start[b], count[b]):
             yield _as_unordered(order[left], order[right])
+
+
+def _cross_owner_pairs(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    buckets: np.ndarray,
+    owners: np.ndarray,
+) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """The point pairs of a ±1 :func:`iter_neighbor_pairs` join whose owners differ.
+
+    ``owners`` must be non-decreasing in the point index (the columnar
+    ``user_index``).  A bin's points sort by index, so each owner holds one
+    *run* of consecutive sorted positions per bin.  The join pairs runs
+    first — a bin's runs with each other, and the runs of neighbouring
+    bins — and drops the run pairs of one owner there, so a same-owner
+    point pair is never built.  Each run pair is oriented lower owner
+    first, which puts every point of its left run before every point of its
+    right one in index order.
+
+    Returns ``(order, pairs)``: ``order`` sorts the points by bin, and
+    ``pairs`` yields batches of sorted positions ``(left, right)`` with
+    ``order[left] < order[right]``, each unordered pair exactly once.
+    """
+    order, start, count, neighbours = _bin_runs(rows, cols, buckets, (1, 1, 1))
+    owner = np.asarray(owners)[order]
+    first = np.zeros(order.size, dtype=bool)
+    first[start] = True
+    first[1:] |= owner[1:] != owner[:-1]
+    run_start = np.flatnonzero(first)
+    run_count = np.diff(np.append(run_start, order.size))
+    run_owner = owner[run_start]
+    run_of = np.cumsum(first) - 1
+    bin_run = run_of[start]
+    bin_runs = run_of[start + count - 1] - bin_run + 1
+
+    def run_pairs() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        # Same bin: of the two orders of a run pair, keep lower owner first.
+        multi = np.flatnonzero(bin_runs > 1)
+        for ra, rb in _cartesian_pair_batches(
+            bin_run[multi], bin_runs[multi], bin_run[multi], bin_runs[multi]
+        ):
+            keep = run_owner[ra] < run_owner[rb]
+            yield ra[keep], rb[keep]
+        # Neighbouring bins: keep every run pair of two owners, flipped to
+        # lower owner first.
+        for a, b in neighbours:
+            for ra, rb in _cartesian_pair_batches(bin_run[a], bin_runs[a], bin_run[b], bin_runs[b]):
+                oa, ob = run_owner[ra], run_owner[rb]
+                keep = oa != ob
+                flip = (oa > ob)[keep]
+                ra, rb = ra[keep], rb[keep]
+                yield np.where(flip, rb, ra), np.where(flip, ra, rb)
+
+    def pairs() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        for ra, rb in run_pairs():
+            yield from _cartesian_pair_batches(
+                run_start[ra], run_count[ra], run_start[rb], run_count[rb]
+            )
+
+    return order, pairs()
+
+
+def _compressed(values: np.ndarray, reach: int) -> np.ndarray:
+    """``values`` renumbered with every gap wider than ``reach`` cut to ``reach + 1``.
+
+    Monotone, and two values stay exactly as far apart when they are at
+    most ``reach`` apart and stay more than ``reach`` apart otherwise: the
+    bin adjacency of a ±``reach`` join, and the bins' sort order, are kept.
+    """
+    occupied, inverse = np.unique(values, return_inverse=True)
+    steps = np.minimum(np.diff(occupied), reach + 1)
+    return np.concatenate([[0], np.cumsum(steps)])[inverse.reshape(-1)]
 
 
 def _bin_runs(
@@ -327,29 +398,39 @@ def _bin_runs(
     positions ``[start[k], start[k] + count[k])``, and ``neighbours`` lazily
     yields, per lexicographically-positive offset within ``reach``, the
     ``(a, b)`` bin-index arrays of the bin pairs at that offset.
+
+    Bins too fine for the data's extent (a sub-micrometre radius) would not
+    pack into int64 keys; their coordinates are then renumbered by
+    :func:`_compressed`, which keeps both the bin order and the adjacency.
     """
-    r0, r1, r2 = (int(x) for x in reach)
-    if min(r0, r1, r2) < 0:
+    reach = tuple(int(x) for x in reach)
+    if min(reach) < 0:
         raise ValueError(f"reach must be non-negative, got {reach}")
-    # Shift every coordinate to [reach, extent] so the neighbor shifts below
-    # can never borrow across the packed dimensions.
-    r = np.asarray(rows, dtype=np.int64) - int(rows.min()) + r0 + 1
-    c = np.asarray(cols, dtype=np.int64) - int(cols.min()) + r1 + 1
-    b = np.asarray(buckets, dtype=np.int64) - int(buckets.min()) + r2 + 1
-    dim_r = int(r.max()) + r0 + 1
-    dim_c = int(c.max()) + r1 + 1
-    dim_b = int(b.max()) + r2 + 1
+    coords = [np.asarray(x, dtype=np.int64) for x in (rows, cols, buckets)]
+
+    def dims() -> List[int]:
+        # Coordinates shift to [reach + 1, extent + reach + 1] so the
+        # neighbor shifts below never borrow across the packed dimensions.
+        return [int(x.max()) - int(x.min()) + 2 * r + 2 for x, r in zip(coords, reach)]
+
+    if math.prod(dims()) >= 2**63:
+        coords = [_compressed(x, r) for x, r in zip(coords, reach)]
+    dim_r, dim_c, dim_b = dims()
     if dim_r * dim_c * dim_b >= 2**63:
         raise ValueError(
             f"bin space too large to pack into int64 keys: {dim_r} x {dim_c} x {dim_b}"
         )
+    r, c, b = (x - int(x.min()) + k + 1 for x, k in zip(coords, reach))
     keys = (r * dim_c + c) * dim_b + b
     order = np.argsort(keys, kind="stable")
-    unique_keys, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+    sorted_keys = keys[order]
+    start = _run_starts(sorted_keys)
+    count = np.diff(np.append(start, sorted_keys.size))
+    unique_keys = sorted_keys[start]
 
     def neighbours() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         # Bins whose packed keys differ by exactly one offset's key delta.
-        for dr, dc, db in _positive_offsets((r0, r1, r2)):
+        for dr, dc, db in _positive_offsets(reach):
             targets = unique_keys + (dr * dim_c + dc) * dim_b + db
             pos = np.minimum(np.searchsorted(unique_keys, targets), unique_keys.size - 1)
             matched = unique_keys[pos] == targets
@@ -357,6 +438,13 @@ def _bin_runs(
                 yield np.flatnonzero(matched), pos[matched]
 
     return order, start, count, neighbours()
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal values in ``values``."""
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def _as_unordered(i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -374,66 +462,108 @@ def colocation_events(
     max_time_gap_s: float,
     merge_gap_s: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Confirmed pairwise co-locations of a columnar dataset.
+    """One confirmed co-location per ``(user pair, merge window)``.
 
     Two points of *different* users co-locate when their haversine distance
     is at most ``radius_m`` and their time difference at most
-    ``max_time_gap_s``.  The result is deduplicated to one event per
-    ``(user pair, merge window)`` — the window being
-    ``floor(min(t_i, t_j) / max(merge_gap_s, 1))`` — keeping, canonically,
-    the co-location with the lexicographically smallest point index pair.
+    ``max_time_gap_s``.  Each ``(user pair, merge window)`` key — the window
+    being ``floor(min(t_i, t_j) / max(merge_gap_s, 1))`` — keeps,
+    canonically, its co-location with the lexicographically smallest point
+    index pair.
 
-    Returns five aligned arrays ``(i, j, mid_lat, mid_lon, mid_ts)`` where
-    ``i < j`` index into ``traces`` and the ``mid_*`` are pair midpoints.
+    Only cross-user pairs are joined (:func:`_cross_owner_pairs`), and only
+    the time test runs on all of them.  The in-time candidates are grouped
+    once by key and confirmed *first witness* first: round one tests every
+    key's smallest ``(i, j)`` against the radius; a key whose witness fails
+    ranks its larger candidates and tests them in order, in windows that
+    double each round, until one passes.  Almost every key settles in round
+    one, so distances are computed for about one candidate per key instead
+    of for every candidate.
+
+    Returns five aligned arrays ``(i, j, mid_lat, mid_lon, mid_ts)`` ordered
+    by key, where ``i < j`` index into ``traces`` and the ``mid_*`` are pair
+    midpoints.
     """
     empty = np.zeros(0, dtype=np.int64)
     if traces.n_points < 2 or traces.n_observed_users < 2:
         return empty, empty, np.zeros(0), np.zeros(0), np.zeros(0)
 
     lats, lons, ts = traces.lats, traces.lons, traces.timestamps
+    user_index = traces.user_index
     rows, cols, buckets = spatial_time_bins(lats, lons, ts, radius_m, max_time_gap_s)
 
-    kept_i: List[np.ndarray] = []
-    kept_j: List[np.ndarray] = []
-    user_index = traces.user_index
-    for i, j in iter_neighbor_pairs(rows, cols, buckets):
-        # Staged filters, cheapest first: a large share of bin-neighbors are
-        # a single user's own consecutive fixes, killed by one int compare.
-        distinct = user_index[i] != user_index[j]
-        i, j = i[distinct], j[distinct]
-        if i.size == 0:
-            continue
-        in_time = np.abs(ts[i] - ts[j]) <= max_time_gap_s
-        i, j = i[in_time], j[in_time]
-        if i.size == 0:
-            continue
-        close = haversine_array(lats[i], lons[i], lats[j], lons[j]) <= radius_m
-        if close.any():
-            kept_i.append(i[close])
-            kept_j.append(j[close])
-    if not kept_i:
+    order, pairs = _cross_owner_pairs(rows, cols, buckets, user_index)
+    sorted_ts = ts[order]
+    cand_i: List[np.ndarray] = [empty]
+    cand_j: List[np.ndarray] = [empty]
+    for left, right in pairs:
+        in_time = np.abs(sorted_ts[left] - sorted_ts[right]) <= max_time_gap_s
+        cand_i.append(order[left[in_time]])
+        cand_j.append(order[right[in_time]])
+    i = np.concatenate(cand_i)
+    j = np.concatenate(cand_j)
+    if i.size == 0:
         return empty, empty, np.zeros(0), np.zeros(0), np.zeros(0)
 
-    i = np.concatenate(kept_i)
-    j = np.concatenate(kept_j)
-
-    # Canonical dedup: one event per (unordered user pair, merge window),
-    # keeping the smallest (i, j).  lexsort's last key is the primary one.
-    ua, ub = traces.user_index[i], traces.user_index[j]
-    lo_user, hi_user = np.minimum(ua, ub), np.maximum(ua, ub)
+    # Group the candidates by key, in key order.  i < j and user_index is
+    # monotone, so the ordered user pair is (user_index[i], user_index[j]).
     window = (np.minimum(ts[i], ts[j]) // max(merge_gap_s, 1.0)).astype(np.int64)
-    rank = np.lexsort((j, i, window, hi_user, lo_user))
-    lo_s, hi_s, win_s = lo_user[rank], hi_user[rank], window[rank]
-    first = np.ones(rank.size, dtype=bool)
-    first[1:] = (
-        (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1]) | (win_s[1:] != win_s[:-1])
-    )
-    i, j = i[rank[first]], j[rank[first]]
+    window -= window.min()
+    n_users, n_windows = traces.n_users, int(window.max()) + 1
+    if n_users * n_users * n_windows < 2**63:
+        key = (user_index[i] * n_users + user_index[j]) * n_windows + window
+    else:  # dense lexicographic ranks of the (lo user, hi user, window) rows
+        key = np.unique(
+            np.stack([user_index[i], user_index[j], window], axis=1),
+            axis=0, return_inverse=True,
+        )[1].reshape(-1)
+    group = np.argsort(key)
+    starts = _run_starts(key[group])
+    # (i, j) as one int64 ordered like the pair (n_points**2 < 2**63).
+    n = traces.n_points
+    code = i[group] * n + j[group]
+
+    # First witness.  Round one confirms every key's smallest candidate.
+    best = np.minimum.reduceat(code, starts)
+    witness = np.where(_within(best, n, lats, lons, radius_m), best, -1)
+    # The keys whose smallest candidate failed rank their larger candidates
+    # and confirm them in windows that double each round; a key settles on
+    # the first candidate of a window that passes.
+    failed = np.flatnonzero(witness < 0)
+    sizes = np.diff(np.append(starts, code.size))[failed]
+    rest = concat_ranges(starts[failed], sizes)
+    of = np.repeat(failed, sizes)
+    larger = code[rest] > best[of]
+    code, of = code[rest][larger], of[larger]
+    ranked = np.lexsort((code, of))
+    code, of = code[ranked], of[ranked]
+    lo = _run_starts(of)
+    end = np.append(lo[1:], code.size)
+    width = 1
+    while lo.size:
+        hi = np.minimum(lo + width, end)
+        probe = concat_ranges(lo, hi - lo)
+        passed = np.where(_within(code[probe], n, lats, lons, radius_m), probe, code.size)
+        hit = np.minimum.reduceat(passed, np.cumsum(hi - lo) - (hi - lo))
+        found = hit < code.size
+        witness[of[lo[found]]] = code[hit[found]]
+        still = ~found & (hi < end)
+        lo, end = hi[still], end[still]
+        width *= 2
+    i, j = np.divmod(witness[witness >= 0], n)
 
     mid_lat = (lats[i] + lats[j]) / 2.0
     mid_lon = (lons[i] + lons[j]) / 2.0
     mid_ts = (ts[i] + ts[j]) / 2.0
     return i, j, mid_lat, mid_lon, mid_ts
+
+
+def _within(
+    code: np.ndarray, n: int, lats: np.ndarray, lons: np.ndarray, radius_m: float
+) -> np.ndarray:
+    """The radius test of the point pairs ``(i, j) = divmod(code, n)``."""
+    i, j = np.divmod(code, n)
+    return haversine_array(lats[i], lons[i], lats[j], lons[j]) <= radius_m
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ directly from the co-location structure of the dataset:
    (cell size = zone radius) and a time bucket (bucket size = the temporal
    tolerance).  Two fixes of *different* users that fall in the same or
    adjacent cells and in the same or adjacent time buckets are candidate
-   co-locations; exact distance and time tests confirm them.  This keeps the
+   co-locations; fixes of one user are never paired.  This keeps the
    complexity near-linear in the number of points instead of quadratic in the
    number of users.
-2. **Crossing events.**  Each confirmed co-location produces a crossing event
-   (midpoint position, midpoint time, the two users involved), deduplicated
-   to one event per (user pair, merge window).
+2. **Crossing events.**  Each (user pair, merge window) gets one crossing
+   event (midpoint position, midpoint time, the two users involved): its
+   *first witness*, the candidate with the smallest point-index pair that
+   passes the exact time and distance tests.  Candidates are confirmed in
+   that order, key by key, and a key stops at its first confirmed
+   candidate, so only the candidates that can become the event get a
+   distance computed.
 3. **Zone clustering.**  Crossing events that are close in space (within one
    zone diameter) and time (within ``merge_gap_s``) are merged with a
    union-find pass; each resulting cluster becomes one :class:`MixZone` whose
@@ -22,13 +26,16 @@ directly from the co-location structure of the dataset:
    events padded by the tolerance, and whose participants are every user
    involved in any of its events.
 
-The candidate search and confirmation run entirely on the columnar kernel
-layer (:mod:`repro.geo.kernels`): the dataset's cached flattened view is
-bin-joined with numpy index arrays, distances are confirmed with one batched
-haversine call per bin neighborhood, and deduplication is a single lexsort —
-no Python loop ever touches individual fixes.  A scalar implementation of
-the exact same semantics is retained as
-:meth:`MixZoneDetector.detect_reference` /
+The whole search runs on the columnar kernel layer
+(:mod:`repro.geo.kernels`): the dataset's cached flattened view is
+bin-joined on per-user runs with numpy index arrays, the in-time candidates
+are grouped by key once, and each round confirms every open key's smallest
+candidate with one batched haversine call — no Python loop ever touches
+individual fixes.  :meth:`MixZoneDetector.detect` clusters the kernel's
+event arrays directly; :meth:`MixZoneDetector.zones_from_crossings` clusters
+:class:`CrossingEvent` objects (the streaming detector's output) and is the
+oracle of the array clustering.  A scalar implementation of the crossing
+search is retained as :meth:`MixZoneDetector.detect_reference` /
 :meth:`MixZoneDetector.find_crossings_reference`, the correctness oracles for
 the vectorized path.
 
@@ -39,13 +46,14 @@ cannot be mixed with anyone).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.trajectory import MobilityDataset
 from ..geo.distance import haversine, haversine_array
 from ..geo.kernels import (
+    ColumnarTraces,
     colocation_events,
     connected_components,
     iter_neighbor_pairs,
@@ -111,8 +119,20 @@ class MixZoneDetector:
     # -- public API -------------------------------------------------------------
 
     def detect(self, dataset: MobilityDataset) -> List[MixZone]:
-        """Return the mix-zones of ``dataset``, ordered chronologically."""
-        return self.zones_from_crossings(self.find_crossings(dataset))
+        """Return the mix-zones of ``dataset``, ordered chronologically.
+
+        Clusters the co-location kernel's arrays directly: the same zones as
+        ``zones_from_crossings(find_crossings(dataset))``, without building
+        one :class:`CrossingEvent` per event.
+        """
+        traces = dataset.columnar()
+        i, j, mid_lat, mid_lon, mid_ts = self._colocations(traces)
+        return self._kept(
+            self._cluster_columns(
+                mid_lat, mid_lon, mid_ts,
+                traces.user_index[i], traces.user_index[j], traces.user_ids,
+            )
+        )
 
     def detect_reference(self, dataset: MobilityDataset) -> List[MixZone]:
         """Scalar oracle of :meth:`detect`, built on :meth:`find_crossings_reference`."""
@@ -120,9 +140,7 @@ class MixZoneDetector:
 
     def zones_from_crossings(self, events: List[CrossingEvent]) -> List[MixZone]:
         """Cluster crossing events into the kept zones, ordered chronologically."""
-        zones = self._cluster_events(events)
-        zones = [z for z in zones if z.n_participants >= self.config.min_users]
-        return sorted(zones, key=lambda z: z.midpoint_time)
+        return self._kept(self._cluster_events(events))
 
     def find_crossings(self, dataset: MobilityDataset) -> List[CrossingEvent]:
         """Return every confirmed pairwise co-location of the dataset.
@@ -132,13 +150,7 @@ class MixZoneDetector:
         pair in the dataset's flattened (columnar) order.
         """
         traces = dataset.columnar()
-        cfg = self.config
-        i, j, mid_lat, mid_lon, mid_ts = colocation_events(
-            traces,
-            radius_m=cfg.radius_m,
-            max_time_gap_s=cfg.max_time_gap_s,
-            merge_gap_s=cfg.merge_gap_s,
-        )
+        i, j, mid_lat, mid_lon, mid_ts = self._colocations(traces)
         users = traces.user_ids
         user_index = traces.user_index
         return [
@@ -209,8 +221,22 @@ class MixZoneDetector:
 
     # -- internals --------------------------------------------------------------
 
-    def _cluster_events(self, events: List[CrossingEvent]) -> List[MixZone]:
-        """Merge crossing events into mix-zones by vectorized transitive closure.
+    def _colocations(self, traces: ColumnarTraces) -> Tuple[np.ndarray, ...]:
+        cfg = self.config
+        return colocation_events(
+            traces,
+            radius_m=cfg.radius_m,
+            max_time_gap_s=cfg.max_time_gap_s,
+            merge_gap_s=cfg.merge_gap_s,
+        )
+
+    def _kept(self, zones: List[MixZone]) -> List[MixZone]:
+        """The zones with enough participants, ordered chronologically."""
+        zones = [z for z in zones if z.n_participants >= self.config.min_users]
+        return sorted(zones, key=lambda z: z.midpoint_time)
+
+    def _zone_labels(self, lats: np.ndarray, lons: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Cluster labels of crossing events by vectorized transitive closure.
 
         Events are bin-joined exactly like fixes (cell size = one zone
         diameter, bucket size = the merge gap), candidate pairs are confirmed
@@ -218,23 +244,10 @@ class MixZoneDetector:
         components of the confirmed-pair graph.
         """
         cfg = self.config
-        if not events:
-            return []
-        # Canonical event order: clustering arithmetic (centroid sums) is then
-        # independent of the order the crossing search emitted the events in,
-        # so both crossing searches produce bitwise-identical zones.
-        events = sorted(
-            events, key=lambda e: (e.timestamp, e.lat, e.lon, e.user_a, e.user_b)
-        )
-        times = np.array([e.timestamp for e in events])
-        lats = np.array([e.lat for e in events])
-        lons = np.array([e.lon for e in events])
-
         diameter = 2.0 * cfg.radius_m
         rows, cols, buckets = spatial_time_bins(
             lats, lons, times, diameter, max(cfg.merge_gap_s, 1.0)
         )
-
         edges_a: List[np.ndarray] = []
         edges_b: List[np.ndarray] = []
         for i, j in iter_neighbor_pairs(rows, cols, buckets):
@@ -246,10 +259,31 @@ class MixZoneDetector:
             if close.any():
                 edges_a.append(i[close])
                 edges_b.append(j[close])
-        labels = connected_components(
-            len(events),
+        return connected_components(
+            lats.size,
             np.concatenate(edges_a) if edges_a else np.zeros(0, dtype=np.int64),
             np.concatenate(edges_b) if edges_b else np.zeros(0, dtype=np.int64),
+        )
+
+    def _cluster_events(self, events: List[CrossingEvent]) -> List[MixZone]:
+        """Merge crossing events into mix-zones, one event object at a time.
+
+        The oracle of :meth:`_cluster_columns`, kept for
+        :meth:`zones_from_crossings`.
+        """
+        cfg = self.config
+        if not events:
+            return []
+        # Canonical event order: clustering arithmetic (centroid sums) is then
+        # independent of the order the crossing search emitted the events in,
+        # so both crossing searches produce bitwise-identical zones.
+        events = sorted(
+            events, key=lambda e: (e.timestamp, e.lat, e.lon, e.user_a, e.user_b)
+        )
+        labels = self._zone_labels(
+            np.array([e.lat for e in events]),
+            np.array([e.lon for e in events]),
+            np.array([e.timestamp for e in events]),
         )
 
         clusters: Dict[int, List[CrossingEvent]] = {}
@@ -275,6 +309,67 @@ class MixZoneDetector:
                 )
             )
         return zones
+
+    def _cluster_columns(
+        self,
+        lats: np.ndarray,
+        lons: np.ndarray,
+        times: np.ndarray,
+        user_a: np.ndarray,
+        user_b: np.ndarray,
+        user_ids: Sequence[str],
+    ) -> List[MixZone]:
+        """:meth:`_cluster_events` on event columns (``user_*`` index ``user_ids``).
+
+        Same canonical order — users compare by their ids' ranks — same
+        clusters in the same order of first appearance, and the same
+        arithmetic: every centroid is the ``mean`` of one contiguous row of
+        its cluster's members in canonical order (clusters of equal size
+        share one ``mean(axis=1)`` call).
+        """
+        cfg = self.config
+        if lats.size == 0:
+            return []
+        rank = np.empty(len(user_ids), dtype=np.int64)
+        rank[sorted(range(len(user_ids)), key=user_ids.__getitem__)] = np.arange(len(user_ids))
+        canonical = np.lexsort((rank[user_b], rank[user_a], lons, lats, times))
+        lats, lons, times = lats[canonical], lons[canonical], times[canonical]
+        labels = self._zone_labels(lats, lons, times)
+
+        # Clusters numbered by first appearance, members in canonical order.
+        _, first_seen, cluster = np.unique(labels, return_index=True, return_inverse=True)
+        renumber = np.empty(first_seen.size, dtype=np.int64)
+        renumber[np.argsort(first_seen)] = np.arange(first_seen.size)
+        cluster = renumber[cluster.reshape(-1)]
+        members = np.argsort(cluster, kind="stable")
+        sizes = np.bincount(cluster)
+        starts = np.cumsum(sizes) - sizes
+
+        center_lat = np.empty(sizes.size)
+        center_lon = np.empty(sizes.size)
+        for size in np.unique(sizes).tolist():
+            of_size = np.flatnonzero(sizes == size)
+            rows = members[starts[of_size, None] + np.arange(size)]
+            center_lat[of_size] = lats[rows].mean(axis=1)
+            center_lon[of_size] = lons[rows].mean(axis=1)
+        t_start = np.minimum.reduceat(times[members], starts) - cfg.max_time_gap_s
+        t_end = np.maximum.reduceat(times[members], starts) + cfg.max_time_gap_s
+
+        users = np.stack([user_a[canonical], user_b[canonical]], axis=1)[members].ravel().tolist()
+        return [
+            MixZone(
+                center_lat=lat,
+                center_lon=lon,
+                radius_m=cfg.radius_m,
+                t_start=first,
+                t_end=last,
+                participants=frozenset(user_ids[u] for u in users[2 * lo : 2 * (lo + size)]),
+            )
+            for lat, lon, first, last, lo, size in zip(
+                center_lat.tolist(), center_lon.tolist(), t_start.tolist(), t_end.tolist(),
+                starts.tolist(), sizes.tolist(),
+            )
+        ]
 
 
 def detect_mix_zones(

@@ -31,6 +31,7 @@ from repro.geo.kernels import (
     windowed_stay_spans,
 )
 from repro.io.world_store import WorldStore
+from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 
 from .conftest import CANDIDATE_PATHS, assert_bitwise, hidden_scipy, make_line_trajectory
 
@@ -275,13 +276,43 @@ class TestBinJoin:
             pairs.update(zip(i.tolist(), j.tolist()))
         assert pairs == {(0, 2), (1, 3)}
 
-    def test_same_bin_can_be_excluded(self):
-        rows = np.array([0, 0, 1])
-        zeros = np.zeros(3, dtype=int)
-        pairs = set()
-        for i, j in iter_neighbor_pairs(rows, zeros, zeros, include_same_bin=False):
-            pairs.update(zip(i.tolist(), j.tolist()))
-        assert pairs == {(0, 2), (1, 2)}  # the same-bin (0, 1) is skipped
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_owner_pairs_match_brute_force(self, seed):
+        """Only pairs of two owners, each once, ``i < j``; dense bins split into runs."""
+        rng = np.random.default_rng(seed)
+        n = 70
+        rows = rng.integers(0, 3, n)
+        cols = rng.integers(0, 3, n)
+        buckets = rng.integers(0, 3, n)
+        owners = np.sort(rng.integers(0, 6, n))
+        order, pairs = kernels._cross_owner_pairs(rows, cols, buckets, owners)
+        got = set()
+        for left, right in pairs:
+            i, j = order[left], order[right]
+            assert np.all(i < j)
+            for pair in zip(i.tolist(), j.tolist()):
+                assert pair not in got, "pair emitted twice"
+                got.add(pair)
+        expected = {
+            (i, j)
+            for i, j in brute_force_neighbor_pairs(rows, cols, buckets)
+            if owners[i] != owners[j]
+        }
+        assert got == expected
+
+    def test_wide_extent_keeps_the_adjacency(self):
+        """Coordinates too far apart to pack are renumbered, not rejected."""
+        rng = np.random.default_rng(2)
+        n = 60
+        spread = np.array([0, 1, 2, 4, 10**12, 10**12 + 1, 3 * 10**12, -(10**12)])
+        rows = rng.choice(spread, n)
+        cols = rng.choice(spread, n)
+        buckets = rng.choice(spread, n)
+        got = set()
+        for i, j in iter_neighbor_pairs(rows, cols, buckets):
+            got.update(zip(i.tolist(), j.tolist()))
+        assert got == brute_force_neighbor_pairs(rows, cols, buckets)
+        assert got  # the renumbering kept some neighbours
 
     def test_negative_reach_rejected(self):
         one = np.zeros(2, dtype=int)
@@ -488,6 +519,24 @@ class TestGridDbscan:
                 grid_dbscan(xs, ys, r, min_points), DjCluster._dbscan(xs, ys, r, min_points)
             )
 
+    def test_sub_micrometre_radius_over_a_real_extent(self):
+        """Cells of side 1e-7 over a 500 m square: the bin space is renumbered.
+
+        Regression: the packed int64 bin key overflowed and the kernel
+        raised ``ValueError`` where the scalar DBSCAN labels the points.
+        """
+        r = 1e-7
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(0.0, 500.0, 80)
+        ys = rng.uniform(0.0, 500.0, 80)
+        # Duplicates and near twins make some clusters at this radius.
+        xs = np.concatenate([xs, xs[:6], xs[6:9] + 0.5 * r])
+        ys = np.concatenate([ys, ys[:6], ys[6:9]])
+        for min_points in (1, 2, 3):
+            labels = grid_dbscan(xs, ys, r, min_points)
+            np.testing.assert_array_equal(labels, DjCluster._dbscan(xs, ys, r, min_points))
+        assert grid_dbscan(xs, ys, r, 2).max() == 8
+
     def test_near_margin_radius_keeps_two_bin_coverage(self):
         """Radii just above the margin must still find pairs ~radius apart.
 
@@ -578,6 +627,41 @@ class TestColocationEvents:
         traces = MobilityDataset([make_line_trajectory()]).columnar()
         i, j, *_ = colocation_events(traces, radius_m=100.0, max_time_gap_s=60.0)
         assert i.size == 0
+
+    def test_sub_micrometre_radius_over_a_real_extent(self):
+        """Regression: a 1e-7 m radius over a city overflowed the packed bin key."""
+        rng = np.random.default_rng(1)
+        users = [
+            Trajectory(
+                f"u{k}",
+                np.sort(rng.uniform(0.0, 600.0, 12)),
+                45.76 + rng.uniform(0.0, 0.05, 12),
+                4.83 + rng.uniform(0.0, 0.05, 12),
+            )
+            for k in range(3)
+        ]
+        twin = users[0]
+        users.append(Trajectory("twin", twin.timestamps + 1.0, twin.lats, twin.lons))
+        dataset = MobilityDataset(users)
+        detector = MixZoneDetector(MixZoneDetectionConfig(radius_m=1e-7, merge_gap_s=0.0))
+        events = detector.find_crossings(dataset)
+        assert len(events) == 12  # the twin meets u0 at every fix
+        assert events == sorted(
+            detector.find_crossings_reference(dataset), key=lambda e: e.timestamp
+        )
+        assert detector.detect(dataset) == detector.detect_reference(dataset)
+
+    def test_key_space_too_wide_to_pack(self):
+        """Keys whose (user, user, window) product overflows int64 get dense ranks."""
+        t_far = 4.0e18  # window span 4e18 at merge gap 0: 3 * 3 * 4e18 >= 2**63
+        a = Trajectory("a", [0.0, t_far], [45.76, 45.76], [4.83, 4.83])
+        b = Trajectory("b", [0.0, t_far], [45.76, 45.76], [4.83, 4.83])
+        c = Trajectory("c", [0.0], [46.0], [5.0])
+        dataset = MobilityDataset([a, b, c])
+        detector = MixZoneDetector(MixZoneDetectionConfig(merge_gap_s=0.0))
+        i, j, *_ = colocation_events(dataset.columnar(), 100.0, 120.0, 0.0)
+        assert (i.tolist(), j.tolist()) == ([0, 1], [2, 3])
+        assert detector.find_crossings(dataset) == detector.find_crossings_reference(dataset)
 
 
 class TestConnectedComponents:

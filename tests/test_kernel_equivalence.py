@@ -13,6 +13,7 @@ to the retained scalar oracle of the same semantics — the ``*_reference`` entr
 from __future__ import annotations
 
 from typing import Tuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -30,7 +31,8 @@ from repro.attacks.tracking import MultiTargetTracker, TrackingConfig
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
 from repro.core.speed_smoothing import SpeedSmoother, SpeedSmoothingConfig
 from repro.core.trajectory import MobilityDataset, Trajectory
-from repro.geo.distance import haversine, haversine_array
+from repro.geo import kernels
+from repro.geo.distance import destination_point, haversine, haversine_array
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 from repro.mixzones.swapping import MixZoneSwapper, SwapConfig, SwapPolicy
 from repro.mixzones.zones import MixZone
@@ -59,6 +61,24 @@ def _event_key(event):
     return (event.user_a, event.user_b, event.timestamp, event.lat, event.lon)
 
 
+def _with_tied_meeting(dataset: MobilityDataset) -> MobilityDataset:
+    """``dataset`` plus three users at one fix: three events tied on (t, lat, lon).
+
+    The users are inserted out of name order, so only the canonical sort's
+    user-id tie-break (not the columnar user index) orders those events.
+    """
+    tied = [Trajectory(name, [900.0], [BASE_LAT], [BASE_LON]) for name in ("w3", "w12", "w1")]
+    return MobilityDataset(list(dataset) + tied)
+
+
+def _assert_crossings_identical(dataset: MobilityDataset, config: MixZoneDetectionConfig) -> None:
+    detector = MixZoneDetector(config)
+    vectorized = detector.find_crossings(dataset)
+    reference = detector.find_crossings_reference(dataset)
+    assert sorted(map(_event_key, vectorized)) == sorted(map(_event_key, reference))
+    assert detector.detect(dataset) == detector.detect_reference(dataset)
+
+
 class TestMixZoneEquivalence:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -66,28 +86,82 @@ class TestMixZoneEquivalence:
         n_points=st.integers(min_value=5, max_value=40),
         radius_m=st.floats(min_value=40.0, max_value=300.0),
         max_gap_s=st.floats(min_value=30.0, max_value=300.0),
+        merge_gap_s=st.sampled_from([0.0, 0.5, 600.0, 3600.0]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_crossings_identical_to_reference(self, seed, n_users, n_points, radius_m, max_gap_s):
+    def test_crossings_identical_to_reference(
+        self, seed, n_users, n_points, radius_m, max_gap_s, merge_gap_s
+    ):
         dataset = _random_dataset(seed, n_users, n_points, span_s=3600.0)
-        config = MixZoneDetectionConfig(radius_m=radius_m, max_time_gap_s=max_gap_s)
+        config = MixZoneDetectionConfig(
+            radius_m=radius_m, max_time_gap_s=max_gap_s, merge_gap_s=merge_gap_s
+        )
         vectorized = MixZoneDetector(config).find_crossings(dataset)
         reference = MixZoneDetector(config).find_crossings_reference(dataset)
         assert sorted(map(_event_key, vectorized)) == sorted(map(_event_key, reference))
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        radius_m=st.floats(min_value=40.0, max_value=300.0),
+        merge_gap_s=st.sampled_from([0.0, 0.5, 600.0, 3600.0]),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_zones_identical_to_reference(self, seed):
-        dataset = _random_dataset(seed, n_users=4, n_points=30, span_s=1800.0)
-        vectorized = MixZoneDetector().detect(dataset)
-        reference = MixZoneDetector().detect_reference(dataset)
-        assert len(vectorized) == len(reference)
-        for zone_v, zone_r in zip(vectorized, reference):
-            assert zone_v.participants == zone_r.participants
-            assert zone_v.center_lat == zone_r.center_lat
-            assert zone_v.center_lon == zone_r.center_lon
-            assert zone_v.t_start == zone_r.t_start
-            assert zone_v.t_end == zone_r.t_end
+    def test_zones_identical_to_reference(self, seed, radius_m, merge_gap_s):
+        dataset = _with_tied_meeting(_random_dataset(seed, n_users=4, n_points=30, span_s=1800.0))
+        config = MixZoneDetectionConfig(radius_m=radius_m, merge_gap_s=merge_gap_s)
+        vectorized = MixZoneDetector(config).detect(dataset)
+        reference = MixZoneDetector(config).detect_reference(dataset)
+        assert vectorized == reference
+        assert any({"w1", "w3", "w12"} <= zone.participants for zone in vectorized)
+
+    def test_first_witness_moves_past_out_of_radius_candidates(self):
+        """A key's smallest ``(i, j)`` candidates fail the radius, a later one passes.
+
+        ``a`` approaches the meeting point from 130 m south (bin neighbours,
+        out of the 100 m radius) and reaches it at its fifth fix, so the key
+        (a, b, window 0) fails round one and the windows of 1 and 2 further
+        candidates, then settles in the window of 4.
+        """
+        south = [
+            destination_point(BASE_LAT, BASE_LON, 180.0, d) for d in (130.0, 120.0, 110.0, 101.0)
+        ]
+        a = Trajectory(
+            "a",
+            [0.0, 10.0, 20.0, 30.0, 40.0],
+            [lat for lat, _ in south] + [BASE_LAT],
+            [lon for _, lon in south] + [BASE_LON],
+        )
+        b = Trajectory("b", [20.0], [BASE_LAT], [BASE_LON])
+        far = Trajectory("c", [0.0], [BASE_LAT + 0.1], [BASE_LON])
+        dataset = MobilityDataset([a, b, far])
+        with mock.patch.object(kernels, "haversine_array", wraps=kernels.haversine_array) as calls:
+            i, j, *_ = kernels.colocation_events(dataset.columnar(), 100.0, 60.0, 600.0)
+        assert calls.call_count == 4
+        assert (i.tolist(), j.tolist()) == ([4], [5])
+        _assert_crossings_identical(
+            dataset, MixZoneDetectionConfig(radius_m=100.0, max_time_gap_s=60.0)
+        )
+
+    def test_same_user_fixes_sharing_bins_with_other_users(self):
+        """Several fixes of one user in the same and neighbouring bins as others'.
+
+        Users are inserted out of name order; ``m`` dwells (many same-bin
+        fixes) while ``k`` and ``z`` pass through its bin and the next one.
+        """
+        east = destination_point(BASE_LAT, BASE_LON, 90.0, 60.0)
+        dwell = Trajectory("m", np.arange(0.0, 200.0, 20.0), [BASE_LAT] * 10, [BASE_LON] * 10)
+        k = Trajectory(
+            "k", [15.0, 35.0, 55.0], [BASE_LAT, east[0], BASE_LAT], [BASE_LON, east[1], BASE_LON]
+        )
+        z = Trajectory("z", [30.0, 150.0, 170.0], [east[0]] * 3, [east[1]] * 3)
+        dataset = MobilityDataset([dwell, z, k])
+        for merge_gap_s in (0.0, 0.5, 600.0, 3600.0):
+            for radius_m in (40.0, 100.0):
+                config = MixZoneDetectionConfig(
+                    radius_m=radius_m, max_time_gap_s=60.0, merge_gap_s=merge_gap_s
+                )
+                _assert_crossings_identical(dataset, config)
+        assert MixZoneDetector(MixZoneDetectionConfig(radius_m=100.0)).find_crossings(dataset)
 
 
 def _dwell_and_move_dataset(
