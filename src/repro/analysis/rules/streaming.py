@@ -19,8 +19,8 @@ Scope notes:
 * Finalize paths are exempt: ``finalize()`` legitimately folds whatever
   state remains, and it runs once per stream, not once per point.
 * An append-only buffer that the update paths never *iterate* is legal too
-  (DJ-Cluster retains all stationary fixes by construction; it probes
-  them through its eps-grid, never by scanning).
+  (DJ-Cluster retains all stationary fixes by construction; ``update()``
+  probes them through its eps-grid, never by scanning).
 
 What R6 cannot see:
 
@@ -31,7 +31,9 @@ What R6 cannot see:
   buffer through the grid and never iterates it.
 * Vectorized scans.  ``np.asarray(self._history)`` or a numpy reduction
   over a grown buffer walks it in C, not in a Python loop, and is not
-  flagged.
+  flagged.  Streaming DJ-Cluster's ``update_many`` makes such passes over
+  its resident columns once per chunk (selecting the fixes around the
+  chunk's cells, pointing every fix at its root).
 * Buffers reached through a local (``st = self._users[u]; for x in
   st.xs``): subscripts end the attribute chain, as bucket access should.
 

@@ -137,23 +137,14 @@ class DjCluster:
         )
 
         for k, user_id in enumerate(traces.user_ids):
-            part = labels[lo[k] : hi[k]]
-            if part.size == 0 or not (part >= 0).any():
-                continue
-            # Renumber this user's global cluster ranks to local 0..c-1:
-            # global smallest-core order restricted to one user's contiguous
-            # index range preserves the per-user smallest-core order, so the
-            # ascending remap reproduces the single-user numbering exactly.
-            uniq = np.unique(part[part >= 0])
-            local = np.where(part >= 0, np.searchsorted(uniq, part), -1)
             span = traces.user_slice(k)
-            out[user_id] = self._pois_from_labels(
+            out[user_id] = self._user_pois(
                 user_id,
+                labels[lo[k] : hi[k]],
                 traces.timestamps[span],
                 traces.lats[span],
                 traces.lons[span],
                 idx[lo[k] : hi[k]] - span.start,
-                local,
             )
         return out
 
@@ -183,6 +174,28 @@ class DjCluster:
 
         labels = grid_dbscan(xs, ys, cfg.eps_m, cfg.min_points)
         return self._pois_from_labels(user_id, ts, lats, lons, idx, labels)
+
+    @staticmethod
+    def _user_pois(
+        user_id: str,
+        labels: np.ndarray,
+        ts: np.ndarray,
+        lats: np.ndarray,
+        lons: np.ndarray,
+        idx: np.ndarray,
+    ) -> List[ExtractedPoi]:
+        """One user's POIs from its slice of a dataset-wide labelling.
+
+        The user's global cluster ranks are renumbered to local 0..c-1: the
+        global smallest-core order restricted to one user's fixes (kept in
+        their own order) preserves the per-user smallest-core order, so the
+        ascending remap reproduces the single-user numbering exactly.
+        """
+        if labels.size == 0 or not (labels >= 0).any():
+            return []
+        uniq = np.unique(labels[labels >= 0])
+        local = np.where(labels >= 0, np.searchsorted(uniq, labels), -1)
+        return DjCluster._pois_from_labels(user_id, ts, lats, lons, idx, local)
 
     @staticmethod
     def _pois_from_labels(

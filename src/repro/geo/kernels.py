@@ -48,7 +48,8 @@ rebuilt on:
   :func:`cell_probe_pairs` and :func:`clique_cells` — the chunk joins of the
   streaming tier's ``update_many`` paths: threshold tests decided bitwise as
   the scalar :func:`~repro.geo.distance.haversine` decides them, the pairs of
-  a sliding time window, and the 3x3 cell probe of an incremental grid.
+  a sliding time window, and the 5x5 probe of the certified clique grid
+  that streaming DJ-Cluster maintains incrementally.
 
 Kernels operate on plain numpy arrays (no trajectory types), which keeps this
 module importable from anywhere in the library without cycles.
@@ -1355,38 +1356,55 @@ def trailing_window_pairs(
 def cell_probe_pairs(
     query_cx: np.ndarray,
     query_cy: np.ndarray,
+    query_segments: np.ndarray,
     cand_cx: np.ndarray,
     cand_cy: np.ndarray,
+    cand_segments: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (query, candidate) pair whose integer cells are 3x3-adjacent.
+    """Every (query, candidate) pair of one segment whose cells are 5x5-adjacent.
 
-    The batched form of probing the nine cells around each query in a
-    ``(cx, cy) -> members`` grid: returns ``(q, c)`` index arrays into the
-    query and candidate arrays with ``|dcx| <= 1`` and ``|dcy| <= 1``, in no
-    particular order.
+    The batched form of probing the 25 cells around each query in a
+    ``(segment, cx, cy) -> members`` grid — on :func:`clique_cells`, every
+    cell a radius can reach: returns ``(q, c)`` index arrays into the query
+    and candidate arrays with equal segments, ``|dcx| <= 2`` and
+    ``|dcy| <= 2``, in no particular order.  Cells too fine to pack into
+    int64 keys (a sub-micrometre radius) are renumbered with their order and
+    adjacency kept.
     """
-    qx = np.asarray(query_cx, dtype=np.int64)
-    qy = np.asarray(query_cy, dtype=np.int64)
-    cx = np.asarray(cand_cx, dtype=np.int64)
-    cy = np.asarray(cand_cy, dtype=np.int64)
+    reach = 2
+    n_q = int(np.asarray(query_cx).size)
     empty = np.zeros(0, dtype=np.int64)
-    if qx.size == 0 or cx.size == 0:
+    if n_q == 0 or int(np.asarray(cand_cx).size) == 0:
         return empty, empty.copy()
-    x0 = min(int(qx.min()), int(cx.min())) - 1
-    y0 = min(int(qy.min()), int(cy.min())) - 1
-    span = max(int(qy.max()), int(cy.max())) - y0 + 2
-    if (max(int(qx.max()), int(cx.max())) - x0 + 2) * span >= 2**63:
+    seg, cx, cy = (
+        np.concatenate([np.asarray(q, dtype=np.int64), np.asarray(c, dtype=np.int64)])
+        for q, c in (
+            (query_segments, cand_segments), (query_cx, cand_cx), (query_cy, cand_cy)
+        )
+    )
+
+    def spans() -> List[int]:
+        return [int(v.max()) - int(v.min()) + 2 * reach + 1 for v in (cx, cy)] + [
+            int(seg.max()) - int(seg.min()) + 1
+        ]
+
+    if math.prod(spans()) >= 2**63:
+        cx, cy = _compressed(cx, reach), _compressed(cy, reach)
+    span_x, span_y, span_s = spans()
+    if span_x * span_y * span_s >= 2**63:
         raise ValueError("cell key space too large to pack into int64")
-    keys = (cx - x0) * span + (cy - y0)
+    keys = ((seg - int(seg.min())) * span_x + cx - int(cx.min()) + reach) * span_y + (
+        cy - int(cy.min()) + reach
+    )
+    base, keys = keys[:n_q], keys[n_q:]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    base = (qx - x0) * span + (qy - y0)
-    queries = np.arange(qx.size, dtype=np.int64)
+    queries = np.arange(n_q, dtype=np.int64)
     out_q: List[np.ndarray] = []
     out_c: List[np.ndarray] = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            target = base + (dx * span + dy)
+    for dx in range(-reach, reach + 1):
+        for dy in range(-reach, reach + 1):
+            target = base + (dx * span_y + dy)
             lo = np.searchsorted(sorted_keys, target, side="left")
             count = np.searchsorted(sorted_keys, target, side="right") - lo
             out_q.append(np.repeat(queries, count))

@@ -127,11 +127,9 @@ class MixZoneDetector:
         """
         traces = dataset.columnar()
         i, j, mid_lat, mid_lon, mid_ts = self._colocations(traces)
-        return self._kept(
-            self._cluster_columns(
-                mid_lat, mid_lon, mid_ts,
-                traces.user_index[i], traces.user_index[j], traces.user_ids,
-            )
+        return self.zones_from_columns(
+            mid_lat, mid_lon, mid_ts,
+            traces.user_index[i], traces.user_index[j], traces.user_ids,
         )
 
     def detect_reference(self, dataset: MobilityDataset) -> List[MixZone]:
@@ -139,8 +137,26 @@ class MixZoneDetector:
         return self.zones_from_crossings(self.find_crossings_reference(dataset))
 
     def zones_from_crossings(self, events: List[CrossingEvent]) -> List[MixZone]:
-        """Cluster crossing events into the kept zones, ordered chronologically."""
+        """Cluster crossing events into the kept zones, ordered chronologically.
+
+        The per-object oracle of :meth:`zones_from_columns`.
+        """
         return self._kept(self._cluster_events(events))
+
+    def zones_from_columns(
+        self,
+        lats: np.ndarray,
+        lons: np.ndarray,
+        times: np.ndarray,
+        user_a: np.ndarray,
+        user_b: np.ndarray,
+        user_ids: Sequence[str],
+    ) -> List[MixZone]:
+        """:meth:`zones_from_crossings` of events given as columns.
+
+        ``user_a`` / ``user_b`` index ``user_ids``; the row order is free.
+        """
+        return self._kept(self._cluster_columns(lats, lons, times, user_a, user_b, user_ids))
 
     def find_crossings(self, dataset: MobilityDataset) -> List[CrossingEvent]:
         """Return every confirmed pairwise co-location of the dataset.

@@ -32,7 +32,7 @@ detector's own zone pass — both bitwise-identical to the batch attack.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,8 +159,19 @@ class StreamingCrossingDetector:
         if i.size:
             lo = np.where(user[j] < user[i], j, i)
             hi = np.where(user[j] < user[i], i, j)
+            # Per (merge window, lo user, hi user), only the chunk's smallest
+            # (lo pos, hi pos) can replace the held representative; keys are
+            # folded in the order the per-point scan first meets them.
+            win = (ts[j] // divisor).astype(np.int64)
+            order = np.lexsort((pos[hi], pos[lo], user[hi], user[lo], win))
+            key = np.stack([win, user[lo], user[hi]])[:, order]
+            starts = np.flatnonzero(
+                np.concatenate([[True], (key[:, 1:] != key[:, :-1]).any(axis=0)])
+            )
+            first = order[starts][np.argsort(np.minimum.reduceat(order, starts))]
+            i, j, lo, hi = i[first], j[first], lo[first], hi[first]
             rows = zip(
-                (ts[j] // divisor).tolist(),
+                win[first].tolist(),
                 user[lo].tolist(),
                 user[hi].tolist(),
                 pos[lo].tolist(),
@@ -170,12 +181,12 @@ class StreamingCrossingDetector:
                 ((ts[j] + ts[i]) / 2.0).tolist(),
             )
             pending = self._pending
-            for win, lo_user, hi_user, lo_pos, hi_pos, lat, lon, t in rows:
-                bucket = pending.setdefault(int(win), {})
-                key = (lo_user, hi_user)
-                held = bucket.get(key)
+            for win_k, lo_user, hi_user, lo_pos, hi_pos, lat, lon, t in rows:
+                bucket = pending.setdefault(win_k, {})
+                pair = (lo_user, hi_user)
+                held = bucket.get(pair)
                 if held is None or (lo_pos, hi_pos) < held[:2]:
-                    bucket[key] = (lo_pos, hi_pos, lat, lon, t)
+                    bucket[pair] = (lo_pos, hi_pos, lat, lon, t)
 
         floor_ts = float(ts[-1]) - cfg.max_time_gap_s
         while window and window[0].timestamp < floor_ts:
@@ -205,6 +216,22 @@ class StreamingCrossingDetector:
             self._close(win)
         self._emitted.sort(key=lambda item: item[0])
         return [event for _, event in self._emitted]
+
+    def event_columns(self) -> Tuple[Any, ...]:
+        """Closed events as ``(lats, lons, times, user_a, user_b, user_ids)``.
+
+        ``user_a`` / ``user_b`` index ``user_ids``; rows are in emission order.
+        """
+        events = [event for _, event in self._emitted]
+        keys = np.array([key[:2] for key, _ in self._emitted], dtype=np.int64).reshape(-1, 2)
+        return (
+            np.array([e.lat for e in events], dtype=float),
+            np.array([e.lon for e in events], dtype=float),
+            np.array([e.timestamp for e in events], dtype=float),
+            keys[:, 0],
+            keys[:, 1],
+            self._user_ids,
+        )
 
     def _close(self, win: int) -> List[CrossingEvent]:
         events: List[CrossingEvent] = []
@@ -240,8 +267,14 @@ class StreamingMixZoneDetector:
         return self.crossings.update_many(chunk)
 
     def finalize(self) -> List[MixZone]:
-        """The stream's mix-zones, bitwise-identical to the batch detector."""
-        return self._detector.zones_from_crossings(self.crossings.finalize())
+        """The stream's mix-zones, bitwise-identical to the batch detector.
+
+        Clusters the emitted events' columns with the batch detector's own
+        columnar pass; :meth:`MixZoneDetector.zones_from_crossings` over
+        ``crossings.finalize()`` is its per-object oracle.
+        """
+        self.crossings.finalize()
+        return self._detector.zones_from_columns(*self.crossings.event_columns())
 
 
 def replay_find_crossings(

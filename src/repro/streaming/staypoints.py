@@ -16,31 +16,31 @@ vectorized kernel is in turn pinned against), and centroid emission uses the
 same ``np.mean`` over the same values in the same order.
 
 ``update_many(chunk)`` appends each user's rows of a chunk at once and runs
-the same scan over them, testing each anchor's extent against the rest of
-the buffer with one batched haversine (decided bitwise as the scalar test
-by :func:`~repro.geo.kernels.haversine_above`).  A stay is credited to the
-row whose arrival let the per-point scan reach its closing fix — the
-furthest fix the scan has examined — so the events are exactly the
-concatenated per-point ``update()`` events.
+the same scan over them.  The reach of every anchor of every user's window
+(its first fix past a gap or outside the diameter) is resolved at once in
+batched probe rounds, as the batch kernel
+:func:`~repro.geo.kernels.windowed_stay_spans` does, each probe decided
+bitwise as the scalar test by :func:`~repro.geo.kernels.haversine_above`;
+the scan then steps only through the anchors that emit or stop it.  A stay
+is credited to the row whose arrival let the per-point scan reach its
+closing fix — the furthest fix the scan has examined — so the events are
+exactly the concatenated per-point ``update()`` events.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..attacks.poi_extraction import ExtractedPoi, PoiExtractionConfig, PoiExtractor
 from ..core.trajectory import MobilityDataset
-from ..geo.distance import haversine
-from ..geo.kernels import haversine_above
+from ..geo.distance import haversine, haversine_array
+from ..geo.kernels import _STAY_SKIP_MARGIN_M, haversine_above
 from .sources import ReplaySource, StreamChunk, StreamPoint
 
 __all__ = ["StreamingPoiExtractor", "replay_extract_staypoints"]
-
-#: Fixes an anchor tests one by one before batching the rest of its window:
-#: a moving fix usually breaks the window at once.
-_SCALAR_PROBES = 16
 
 
 class _OpenWindow:
@@ -104,86 +104,88 @@ class StreamingPoiExtractor:
         return [stay for _, stay in self._update_chunk(chunk)]
 
     def _update_chunk(self, chunk: StreamChunk) -> List[Tuple[int, ExtractedPoi]]:
-        """``(arrival row, stay)`` for every stay the chunk closes, in order."""
+        """``(arrival row, stay)`` for every stay the chunk closes, in order.
+
+        Every user's window is extended by its rows at once; the reach of
+        every anchor of every window (its first violating fix) comes from
+        :func:`_window_reaches`, and the scan then visits only the anchors
+        that emit a stay or stop it.
+        """
         if len(chunk) == 0:
             return []
         for user_id in chunk.users_in_order():
             self.register_user(user_id)
-        tagged: List[Tuple[int, ExtractedPoi]] = []
+        cfg = self.config
+        users = []
         for user_id, rows in chunk.rows_by_user():
             window = self._windows[user_id]
-            tagged.extend(self._scan_appended(user_id, window, chunk, rows))
+            users.append((user_id, window, len(window.ts), rows.tolist()))
+            window.ts.extend(chunk.timestamps[rows].tolist())
+            window.lats.extend(chunk.lats[rows].tolist())
+            window.lons.extend(chunk.lons[rows].tolist())
+        sizes = [len(window.ts) for _, window, _, _ in users]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        ts = np.concatenate([window.ts for _, window, _, _ in users])
+        lats = np.concatenate([window.lats for _, window, _, _ in users])
+        lons = np.concatenate([window.lons for _, window, _, _ in users])
+        reach = _window_reaches(ts, lats, lons, offsets, cfg.max_diameter_m, cfg.max_gap_s)
+        idx = np.arange(ts.size)
+        end = np.repeat(offsets[1:], sizes)
+        closed = reach < end
+        last = ts[np.minimum(reach, end) - 1]
+        visit = ~closed | ((last - ts >= cfg.min_duration_s) & (reach - idx >= 2))
+        tagged: List[Tuple[int, ExtractedPoi]] = []
+        for (user_id, window, n_old, arrival), lo, hi in zip(
+            users, offsets[:-1].tolist(), offsets[1:].tolist()
+        ):
+            local = reach[lo:hi] - lo
+            stops = np.flatnonzero(visit[lo:hi]).tolist()
+            tagged.extend(self._emit(user_id, window, n_old, arrival, local, stops))
         tagged.sort(key=lambda item: item[0])
         return tagged
 
-    def _scan_appended(
-        self, user_id: str, window: _OpenWindow, chunk: StreamChunk, rows: np.ndarray
+    def _emit(
+        self,
+        user_id: str,
+        window: _OpenWindow,
+        n_old: int,
+        arrival: List[int],
+        reach: np.ndarray,
+        stops: List[int],
     ) -> List[Tuple[int, ExtractedPoi]]:
-        """:meth:`_resolve` over a window extended by several fixes at once.
+        """The per-point scan over one extended window, given every anchor's reach.
 
-        ``seen`` tracks the furthest fix examined: in the per-point scan,
-        whatever happens while that fix is the newest happens during its
-        ``update()``.
+        Between two emissions the scan steps one anchor at a time without
+        emitting, so it lands on the next anchor that emits a stay or has
+        no violating fix yet (``stops``).  ``seen`` is the furthest fix the
+        visited anchors examined: in the per-point scan, whatever happens
+        while that fix is the newest happens during its ``update()``.
         """
-        cfg = self.config
-        n_old = len(window.ts)
-        window.ts.extend(chunk.timestamps[rows].tolist())
-        window.lats.extend(chunk.lats[rows].tolist())
-        window.lons.extend(chunk.lons[rows].tolist())
         ts, lats, lons = window.ts, window.lats, window.lons
-        ts_arr, lat_arr, lon_arr = np.asarray(ts), np.asarray(lats), np.asarray(lons)
         n = len(ts)
-        arrival = rows.tolist()
         out: List[Tuple[int, ExtractedPoi]] = []
-        anchor, verified, seen = 0, window.verified, n_old - 1
-        while anchor < n:
-            j = anchor + verified + 1
-            cut = -1
-            probes = 0
-            while j < n and probes < _SCALAR_PROBES:
-                if ts[j] - ts[j - 1] > cfg.max_gap_s:
-                    cut = j
-                    break
-                if haversine(lats[anchor], lons[anchor], lats[j], lons[j]) > cfg.max_diameter_m:
-                    cut = j
-                    break
-                j += 1
-                probes += 1
-            block = _SCALAR_PROBES
-            while cut < 0 and j < n:
-                # Blocks grow 4x, so a long stay costs O(its length) in a
-                # few calls and a short one never pays for the whole buffer.
-                block *= 4
-                hi = min(n, j + block)
-                breaks = (ts_arr[j:hi] - ts_arr[j - 1 : hi - 1] > cfg.max_gap_s) | haversine_above(
-                    lats[anchor], lons[anchor], lat_arr[j:hi], lon_arr[j:hi], cfg.max_diameter_m
-                )
-                first = int(np.argmax(breaks))
-                if breaks[first]:
-                    cut = j + first
-                j = hi
-            seen = max(seen, cut if cut >= 0 else n - 1)
-            if cut < 0:
-                verified = n - 1 - anchor
+        anchor, seen, k = 0, n_old - 1, 0
+        while True:
+            k = bisect_left(stops, anchor, k)
+            stop = stops[k]
+            cut = int(reach[stop])
+            seen = max(seen, min(int(reach[anchor : stop + 1].max()), n - 1))
+            if cut >= n:
+                window.verified = n - 1 - stop
+                anchor = stop
                 break
-            duration = ts[cut - 1] - ts[anchor]
-            if duration >= cfg.min_duration_s and cut - anchor >= 2:
-                stay = ExtractedPoi(
-                    user_id=user_id,
-                    lat=float(np.mean(np.asarray(lats[anchor:cut]))),
-                    lon=float(np.mean(np.asarray(lons[anchor:cut]))),
-                    t_start=float(ts[anchor]),
-                    t_end=float(ts[cut - 1]),
-                    n_points=int(cut - anchor),
-                )
-                self._stays[user_id].append(stay)
-                out.append((arrival[seen - n_old], stay))
-                anchor = cut
-            else:
-                anchor += 1
-            verified = 0
+            stay = ExtractedPoi(
+                user_id=user_id,
+                lat=float(np.mean(np.asarray(lats[stop:cut]))),
+                lon=float(np.mean(np.asarray(lons[stop:cut]))),
+                t_start=float(ts[stop]),
+                t_end=float(ts[cut - 1]),
+                n_points=int(cut - stop),
+            )
+            self._stays[user_id].append(stay)
+            out.append((arrival[seen - n_old], stay))
+            anchor = cut
         del ts[:anchor], lats[:anchor], lons[:anchor]
-        window.verified = verified if ts else 0
         return out
 
     def finalize(self) -> Dict[str, List[ExtractedPoi]]:
@@ -244,6 +246,56 @@ class StreamingPoiExtractor:
             del ts[:drop], lats[:drop], lons[:drop]
             window.verified = 0
         return emitted
+
+
+def _window_reaches(
+    ts: np.ndarray,
+    lats: np.ndarray,
+    lons: np.ndarray,
+    offsets: np.ndarray,
+    max_diameter_m: float,
+    max_gap_s: float,
+) -> np.ndarray:
+    """Per anchor of several windows, its first violating fix (or its window's end).
+
+    Window ``k`` holds ``[offsets[k], offsets[k + 1])``.  Fix ``j > a``
+    violates anchor ``a`` when it follows a gap longer than ``max_gap_s`` or
+    when ``haversine(anchor, j) > max_diameter_m``.  Reaches are resolved
+    for every anchor at once in batched probe rounds, as in
+    :func:`~repro.geo.kernels.windowed_stay_spans`: fixes whose travelled
+    path from the anchor is shorter than the diameter are skipped as
+    certified, and each probed fix is decided by
+    :func:`~repro.geo.kernels.haversine_above`, bitwise the scalar test.
+    """
+    n = ts.size
+    idx = np.arange(n, dtype=np.int64)
+    end = np.repeat(offsets[1:], np.diff(offsets))
+    # cap[a]: the first gap break after a, else its window's end.
+    gap = np.flatnonzero(ts[1:] - ts[:-1] > max_gap_s) + 1
+    nxt = np.searchsorted(gap, idx, side="right")
+    cap = np.minimum(np.append(gap, n)[nxt], end)
+    # Travelled path: cum[j] - cum[a] bounds the anchor distance within a
+    # window (segments between windows cancel out of the difference).
+    seg = haversine_array(lats[:-1], lons[:-1], lats[1:], lons[1:])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    reach = cap.copy()
+    probe = np.maximum(
+        np.searchsorted(cum, cum + (max_diameter_m - _STAY_SKIP_MARGIN_M), side="left"), idx + 1
+    )
+    active = np.flatnonzero(probe < cap)
+    probe = probe[active]
+    while active.size:
+        far = haversine_above(
+            lats[active], lons[active], lats[probe], lons[probe], max_diameter_m
+        )
+        reach[active[far]] = probe[far]
+        active, probe = active[~far], probe[~far]
+        d = haversine_array(lats[active], lons[active], lats[probe], lons[probe])
+        slack = (max_diameter_m - d) - _STAY_SKIP_MARGIN_M
+        probe = np.maximum(probe + 1, np.searchsorted(cum, cum[probe] + slack, side="left"))
+        alive = probe < cap[active]
+        active, probe = active[alive], probe[alive]
+    return reach
 
 
 def replay_extract_staypoints(

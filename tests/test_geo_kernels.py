@@ -96,22 +96,25 @@ class TestStreamingChunkJoins:
         ]
         assert list(zip(i.tolist(), j.tolist())) == expected
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000), scale=st.sampled_from([1, 10**12]))
     @settings(max_examples=40, deadline=None)
-    def test_cell_probe_pairs_are_the_3x3_neighbourhoods(self, seed):
+    def test_cell_probe_pairs_are_the_5x5_neighbourhoods(self, seed, scale):
+        # scale=10**12 spreads the cells too far apart to pack into int64
+        # keys, so they are renumbered with their adjacency kept.
         rng = np.random.default_rng(seed)
-        qx, qy = rng.integers(-4, 4, 30), rng.integers(-4, 4, 30)
-        cx, cy = rng.integers(-4, 4, 40), rng.integers(-4, 4, 40)
-        q, c = cell_probe_pairs(qx, qy, cx, cy)
+        qx, qy = rng.integers(-6, 6, 30) * scale, rng.integers(-6, 6, 30)
+        cx, cy = rng.integers(-6, 6, 40) * scale, rng.integers(-6, 6, 40)
+        qs, cs = rng.integers(0, 2, 30), rng.integers(0, 2, 40)
+        q, c = cell_probe_pairs(qx, qy, qs, cx, cy, cs)
         got = sorted(zip(q.tolist(), c.tolist()))
         expected = [
             (a, b)
             for a in range(qx.size)
             for b in range(cx.size)
-            if abs(qx[a] - cx[b]) <= 1 and abs(qy[a] - cy[b]) <= 1
+            if qs[a] == cs[b] and abs(qx[a] - cx[b]) <= 2 and abs(qy[a] - cy[b]) <= 2
         ]
         assert got == expected
-        empty = cell_probe_pairs(qx[:0], qy[:0], cx, cy)
+        empty = cell_probe_pairs(qx[:0], qy[:0], qs[:0], cx, cy, cs)
         assert empty[0].size == empty[1].size == 0
 
     @given(seed=st.integers(0, 10_000), radius=st.sampled_from([1e-7, 0.5, 60.0, 150.0]))

@@ -31,7 +31,9 @@ from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.experiments.engine import EvaluationEngine, ExperimentSpec
 from repro.experiments.worlds import make_world
 from repro.experiments.workloads import split_train_publish
+from repro.geo.distance import meters_per_degree
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
+import repro.streaming.djcluster as stream_djcluster
 from repro.streaming import (
     LiveSource,
     OnlineReidentifier,
@@ -47,6 +49,8 @@ from repro.streaming import (
     replay_find_crossings,
     replay_reidentify,
 )
+
+from .test_kernel_equivalence import _dwell_and_move_dataset, _random_dataset, _with_tied_meeting
 
 BASE_LAT, BASE_LON = 45.764, 4.836
 
@@ -114,6 +118,24 @@ def tied_datasets(draw):
 
 
 @st.composite
+def dense_stay_datasets(draw):
+    """Long, tightly sampled dwells: most clique cells turn dense.
+
+    Every stationary fix then lands in a cell holding ``min_points`` fixes
+    or next to one, so the dense-cell rule, its witness tests and cells
+    turning dense inside a chunk are the rule, not the exception.
+    """
+    return _dwell_and_move_dataset(
+        draw(st.integers(min_value=0, max_value=10_000)),
+        n_users=draw(st.integers(min_value=1, max_value=3)),
+        n_segments=6,
+        interval_s=5.0,
+        dwell_fixes=(30, 150),
+        jitter_deg=draw(st.sampled_from([5e-6, 3e-5, 1.5e-4])),
+    )
+
+
+@st.composite
 def chunk_cuts(draw, points):
     """Chunk boundaries over a point list: ``0 < cut < len(points)``.
 
@@ -146,6 +168,31 @@ def _rows(chunk):
             chunk.lons.tolist(),
         )
     ]
+
+
+def _planar_track(user_id, xy, step_s=100.0):
+    """A trajectory through planar offsets (meters) from its first fix."""
+    lat_m, lon_m = meters_per_degree(BASE_LAT)
+    return Trajectory(
+        user_id,
+        [1_000_000.0 + step_s * k for k in range(len(xy))],
+        [BASE_LAT + y / lat_m for _, y in xy],
+        [BASE_LON + x / lon_m for x, _ in xy],
+    )
+
+
+def _spy_pairs(monkeypatch):
+    """Record the size of every point-pair batch streaming DJ-Cluster builds."""
+    built = []
+    real = stream_djcluster._range_product
+
+    def spy(*args):
+        left, right = real(*args)
+        built.append(left.size)
+        return left, right
+
+    monkeypatch.setattr(stream_djcluster, "_range_product", spy)
+    return built
 
 
 def _chunked(points, user_ids, cuts):
@@ -188,7 +235,7 @@ class TestUpdateManyEqualsUpdate:
     )
     @settings(max_examples=40, deadline=None)
     def test_djcluster(self, data, eps_m, min_points):
-        dataset = data.draw(tied_datasets())
+        dataset = data.draw(st.one_of(tied_datasets(), dense_stay_datasets()))
         source = ReplaySource(dataset)
         points = list(source)
         chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
@@ -351,7 +398,7 @@ class TestStreamingStaypointsProperty:
 
 class TestStreamingDjClusterProperty:
     @given(
-        dataset=random_datasets(),
+        dataset=st.one_of(random_datasets(), dense_stay_datasets()),
         eps_m=st.sampled_from([60.0, 150.0]),
         min_points=st.sampled_from([3, 5]),
     )
@@ -377,6 +424,26 @@ class TestStreamingMixZonesProperty:
         detector = MixZoneDetector(config)
         assert replay_find_crossings(dataset, config) == detector.find_crossings(dataset)
         assert replay_detect_mix_zones(dataset, config) == detector.detect(dataset)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        radius_m=st.floats(min_value=40.0, max_value=300.0),
+        merge_gap_s=st.sampled_from([0.0, 0.5, 600.0, 3600.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_zones_equal_the_per_event_oracle(self, seed, radius_m, merge_gap_s):
+        # Three users meet at one fix, tied on (t, lat, lon) and inserted out
+        # of name order: only the user-id tie-break orders their events.
+        dataset = _with_tied_meeting(
+            _random_dataset(seed, n_users=4, n_points=30, span_s=1800.0)
+        )
+        config = MixZoneDetectionConfig(radius_m=radius_m, merge_gap_s=merge_gap_s)
+        oracle = MixZoneDetector(config).zones_from_crossings(
+            replay_find_crossings(dataset, config)
+        )
+        zones = replay_detect_mix_zones(dataset, config)
+        assert zones == oracle
+        assert any({"w1", "w3", "w12"} <= zone.participants for zone in zones)
 
 
 class TestOnlineReidentProperty:
@@ -551,6 +618,58 @@ class TestUpdateEvents:
         assert len(pois["u0"]) == 1
         # finalize is idempotent: a second call returns the same POIs.
         assert clusterer.finalize() == pois
+
+    def test_dense_cells_build_no_pairs(self, monkeypatch):
+        """New fixes of two dense, linked cells pair with no fix at all.
+
+        The two clique cells (side 70.7 m at eps 100 m) hold 15 and 14
+        fixes after the first chunk and were joined there; the second
+        chunk's fixes are core at their insert, and neither their own cell
+        nor the neighbouring one needs a point pair.
+        """
+        config = DjClusterConfig(eps_m=100.0, min_points=10)
+        track = _planar_track(
+            "u0", [(0.0, 0.0)] + [(30.0, 30.0)] * 14 + [(100.0, 30.0)] * 15
+            + [(30.0, 31.0)] * 5 + [(100.0, 31.0)] * 6
+        )
+        points = list(ReplaySource(MobilityDataset([track])))
+        first, second = _chunked(points, ("u0",), [30])
+        oracle = StreamingDjCluster(config, user_ids=("u0",))
+        expected = [event for point in points for event in oracle.update(point)]
+        chunked = StreamingDjCluster(config, user_ids=("u0",))
+        events = chunked.update_many(first)
+        built = _spy_pairs(monkeypatch)
+        events += chunked.update_many(second)
+        assert events == expected
+        assert sum(built) == 0
+        assert chunked.finalize() == oracle.finalize()
+
+    def test_witness_miss_falls_back_to_every_fix(self, monkeypatch):
+        """A dense cell's witness misses a new fix that another of its fixes reaches.
+
+        Cell A (x < 70.7 m) holds fixes at (60, 5) and (60, 55); cell B two
+        columns east holds 12 fixes at x = 175 m, out of A's reach.  The
+        next chunk brings (150, 0) and (150, 64) into B: A's fix nearest to
+        their mean is (60, 55), 105 m from (150, 0), so only the exhaustive
+        check finds (60, 5) at 90 m and merges the clusters at (150, 0).
+        """
+        config = DjClusterConfig(eps_m=100.0, min_points=10)
+        track = _planar_track(
+            "u0", [(0.0, 0.0)] + [(60.0, 5.0)] * 6 + [(60.0, 55.0)] * 6
+            + [(175.0, 30.0)] * 12 + [(150.0, 0.0), (150.0, 64.0), (150.0, 30.0)]
+        )
+        points = list(ReplaySource(MobilityDataset([track])))
+        first, second = _chunked(points, ("u0",), [25])
+        oracle = StreamingDjCluster(config, user_ids=("u0",))
+        expected = [event for point in points for event in oracle.update(point)]
+        chunked = StreamingDjCluster(config, user_ids=("u0",))
+        events = chunked.update_many(first)
+        built = _spy_pairs(monkeypatch)
+        events += chunked.update_many(second)
+        assert events == expected
+        assert expected.count(stream_djcluster.ClusterEvent("u0", "merge", 25)) == 2
+        assert sum(built) > 0
+        assert chunked.finalize() == oracle.finalize()
 
     def test_crossing_event_emitted_once_window_closes(self):
         config = MixZoneDetectionConfig(
