@@ -23,12 +23,19 @@ linkage stage (similarity matrix + assignment) with extraction precomputed:
 the stay-point scan was ported and benchmarked in the E1 bench (PR 3), and
 both engines of this attack share it.  The end-to-end ``attack()`` wall
 (extraction included) is recorded alongside as an informational cell.
+
+The ``e4_engine_publish`` cell times the E4 variants' publications alone:
+an attack-free :class:`~repro.experiments.engine.ExperimentSpec` through
+``EvaluationEngine.run``.  Its baseline is the same run before the engine
+shared seedless stages between mechanisms, when the five variants smoothed
+the published half four times and detected its mix-zones three times.
 """
 
 from __future__ import annotations
 
 from repro.attacks.reident import FootprintReidentifier, Reidentifier
 from repro.attacks.tracking import MultiTargetTracker
+from repro.experiments.engine import EvaluationEngine, ExperimentSpec
 from repro.experiments.formatting import format_table
 from repro.experiments.runner import run_reidentification
 from repro.experiments.workloads import split_train_publish
@@ -83,6 +90,20 @@ PRE_REFACTOR_S = {
     ("tracking", "small"): 0.0126,
     ("tracking", "medium"): 0.573,
 }
+
+
+#: Wall seconds of the ``e4_engine_publish`` cell by scale at commit d867c70,
+#: where each mechanism published alone: min of 7 runs on a 2-vCPU container.
+ENGINE_PUBLISH_PARENT_S = {"small": 0.0499, "medium": 0.1887}
+
+#: The E4 variants of ``run_reidentification`` at seed 0.
+E4_VARIANTS = [
+    ("pseudonyms-only", "pseudonyms:seed=0"),
+    ("smoothing+pseudonyms", "smoothing:epsilon_m=100.0|pseudonyms:seed=0"),
+] + [
+    (f"paper-full(swap={policy})", f"promesse:swap={policy},seed=0")
+    for policy in ("never", "coin_flip", "always")
+]
 
 
 def _reident_results_equal(a, b) -> bool:
@@ -158,6 +179,24 @@ def test_e4_attack_engines(
         assert linkage_v.outgoing == linkage_r.outgoing
     record("tracking", vec_samples, ref_samples)
 
+    # -- the E4 publications through the engine, no attack ---------------------
+    publish_spec = ExperimentSpec(
+        name="e4-engine-publish",
+        mechanisms=E4_VARIANTS,
+        worlds=["world"],
+        input="publish-half:train_fraction=0.5",
+    )
+    _, samples = bench_timer(
+        lambda: EvaluationEngine(cache=False).run(publish_spec, worlds={"world": world})
+    )
+    parent_s = ENGINE_PUBLISH_PARENT_S.get(evaluation_scale)
+    timings["e4_engine_publish"] = {
+        "wall_s": min(samples),
+        "wall_s_samples": samples,
+        "parent_wall_s": parent_s,
+        "speedup_vs_parent": parent_s / min(samples) if parent_s else None,
+    }
+
     path = bench_artifact(
         "e4_reident",
         timings=timings,
@@ -169,6 +208,7 @@ def test_e4_attack_engines(
                 if scale == evaluation_scale
             },
             "measured_at_commit": "pre-PR (a172a2e)",
+            "e4_engine_publish_parent": ENGINE_PUBLISH_PARENT_S.get(evaluation_scale),
         },
         extra={
             "workload": {

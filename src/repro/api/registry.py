@@ -34,7 +34,21 @@ from __future__ import annotations
 import difflib
 import inspect
 import threading
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from .stages import StageMemo
 
 __all__ = [
     "RegistryError",
@@ -324,6 +338,7 @@ def make_mechanism(
     *,
     defaults: Optional[Mapping[str, Any]] = None,
     wrap: bool = True,
+    memo: Optional["StageMemo"] = None,
 ) -> Any:
     """Build a mechanism from a spec string.
 
@@ -332,20 +347,26 @@ def make_mechanism(
     ``"smoothing:epsilon_m=100|pseudonyms:seed=3"`` builds a
     :class:`~repro.api.adapters.ChainMechanism`.
 
+    ``memo`` is bound to every built stage that is a
+    :class:`~repro.api.stages.SharedStages`, so mechanisms built with one
+    memo run each shared seedless stage once.
+
     ``wrap`` is accepted and ignored.  It is kept only because the frozen
     benchmark harness (``perfbench/harness.py``) still passes ``wrap=False``.
     """
-    _load_builtin_plugins()
-    if isinstance(spec, str) and "|" in spec:
-        from .adapters import ChainMechanism
+    from .adapters import ChainMechanism
+    from .stages import SharedStages
 
-        parts = [part.strip() for part in spec.split("|") if part.strip()]
-        if not parts:
-            raise RegistryError(f"empty chain spec {spec!r}")
-        return ChainMechanism(
-            [MECHANISMS.create(part, defaults=defaults) for part in parts]
-        )
-    return MECHANISMS.create(spec, defaults=defaults)
+    _load_builtin_plugins()
+    chained = isinstance(spec, str) and "|" in spec
+    parts = [part.strip() for part in spec.split("|") if part.strip()] if chained else [spec]
+    if not parts:
+        raise RegistryError(f"empty chain spec {spec!r}")
+    stages = [MECHANISMS.create(part, defaults=defaults) for part in parts]
+    for stage in stages:
+        if isinstance(stage, SharedStages):
+            stage.memo = memo
+    return ChainMechanism(stages) if chained else stages[0]
 
 
 def make_attack(spec: str, *, defaults: Optional[Mapping[str, Any]] = None) -> Any:

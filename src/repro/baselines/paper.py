@@ -11,10 +11,11 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..api.registry import register_mechanism
 from ..api.result import PublicationResult
+from ..api.stages import SharedStages, Stage
 from ..core.pipeline import Anonymizer, AnonymizerConfig
 from ..core.speed_smoothing import SpeedSmoother, SpeedSmoothingConfig
 from ..core.trajectory import MobilityDataset
@@ -25,8 +26,12 @@ from .base import PublicationMechanism
 __all__ = ["SpeedSmoothingMechanism"]
 
 
-class SpeedSmoothingMechanism(PublicationMechanism):
-    """The paper's constant-speed transformation, as a standalone mechanism."""
+class SpeedSmoothingMechanism(PublicationMechanism, SharedStages):
+    """The paper's constant-speed transformation, as a standalone mechanism.
+
+    Smoothing takes no seed, so it goes through the bound
+    :class:`~repro.api.stages.StageMemo` when there is one.
+    """
 
     name = "speed-smoothing"
 
@@ -38,10 +43,14 @@ class SpeedSmoothingMechanism(PublicationMechanism):
         """The smoothing configuration in use."""
         return self._smoother.config
 
+    def input_stages(self) -> Tuple[Stage, ...]:
+        return (("smooth", self.config),)
+
     def publish(self, dataset: MobilityDataset) -> PublicationResult:
-        return PublicationResult(
-            self._smoother.smooth_dataset(dataset), mechanism=self.name
+        smoothed = self._stage(
+            "smooth", self.config, dataset, lambda: self._smoother.smooth_dataset(dataset)
         )
+        return PublicationResult(smoothed, mechanism=self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ Section III and Figure 1:
 evaluation: detected zones, swap records, suppression counts and ground-truth
 segment ownership.  The registered ``promesse`` mechanism is an
 :class:`Anonymizer`.
+
+As stages, the pipeline is ``detect(input)`` and ``smooth(input)``, then
+``swap``.  Detection and smoothing take no seed: an :class:`Anonymizer` is a
+:class:`~repro.api.stages.SharedStages`, so when built with
+``make_mechanism(spec, memo=...)`` it runs them through the memo, and every
+mechanism built with the same memo reuses their outputs (``smoothing:`` runs
+the same ``smooth`` stage).  The swap takes the seed and always runs.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..api.result import PublicationResult
+from ..api.stages import SharedStages, Stage
 from ..mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 from ..mixzones.swapping import MixZoneSwapper, SwapConfig, SwapRecord, SwapResult
 from ..mixzones.zones import MixZone
@@ -90,8 +98,13 @@ class AnonymizationReport:
         )
 
 
-class Anonymizer:
-    """End-to-end privacy-preserving publication of a mobility dataset."""
+class Anonymizer(SharedStages):
+    """End-to-end privacy-preserving publication of a mobility dataset.
+
+    Detection and smoothing take no seed, so they go through the bound
+    :class:`~repro.api.stages.StageMemo` when there is one; the seeded swap
+    always runs.
+    """
 
     name = "promesse"
 
@@ -101,6 +114,9 @@ class Anonymizer:
         self._detector = MixZoneDetector(self.config.detection)
         self._swapper = MixZoneSwapper(self.config.swapping)
 
+    def input_stages(self) -> Tuple[Stage, ...]:
+        return (("detect", self.config.detection), ("smooth", self.config.smoothing))
+
     def publish(self, dataset: MobilityDataset) -> PublicationResult:
         """Anonymize ``dataset``; the result's ``report`` holds the provenance.
 
@@ -108,8 +124,13 @@ class Anonymizer:
         """
         # Zones are detected on the *original* data: real co-locations are
         # defined by where users actually were, not by the smoothed points.
-        zones: List[MixZone] = self._detector.detect(dataset)
-        smoothed = self._smoother.smooth_dataset(dataset)
+        config = self.config
+        zones: List[MixZone] = self._stage(
+            "detect", config.detection, dataset, lambda: self._detector.detect(dataset)
+        )
+        smoothed = self._stage(
+            "smooth", config.smoothing, dataset, lambda: self._smoother.smooth_dataset(dataset)
+        )
         swap_result: SwapResult = self._swapper.apply(smoothed, zones)
         published = swap_result.dataset
         report = AnonymizationReport(
@@ -117,7 +138,7 @@ class Anonymizer:
             input_points=dataset.n_points,
             published_users=len(published),
             published_points=published.n_points,
-            zones=zones,
+            zones=list(zones),
             swap_records=swap_result.records,
             suppressed_points=swap_result.suppressed_points,
             pseudonym_of=swap_result.pseudonym_of,

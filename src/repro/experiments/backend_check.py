@@ -202,12 +202,19 @@ def legs(work_dir: str, log_dir: Optional[str] = None) -> List[Leg]:
     # candidate runs in one fresh interpreter.  One label names two
     # different worlds and a seeded mechanism runs each seed alone, so a
     # memo keyed by the label, or by anything but the seed, hands the
-    # in-process reference a stale world or publication.
+    # in-process reference a stale world or publication.  The smoothing and
+    # promesse mechanisms share a smoothed dataset inside their group; a
+    # stage memo that outlived the group, keyed by config alone, would serve
+    # the other world's smoothed dataset.
     fresh = f"work-queue:workers=1,timeout_s={TIMEOUT_S}"
     for world, seed in [(CHECK_WORLD, 0), (CHECK_WORLD, 1), (OTHER_WORLD, 0)]:
         state = ExperimentSpec(
             name="module-state",
-            mechanisms=["geo-ind:epsilon_per_m=0.01"],
+            mechanisms=[
+                "geo-ind:epsilon_per_m=0.01",
+                "smoothing:epsilon_m=100.0",
+                "promesse:swap=always",
+            ],
             metrics=["spatial-distortion"],
             worlds=[("module-state", world)],
             seeds=[seed],

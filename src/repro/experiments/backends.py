@@ -1,7 +1,8 @@
 """Scheduler backends: *how* the evaluation engine executes cell groups.
 
 The :class:`~repro.experiments.engine.EvaluationEngine` reduces a spec to a
-list of picklable *group payloads* (one per (world, seed, mechanism) — see
+list of picklable *group payloads* (the mechanisms of one (world, seed) that
+share a seedless stage, or one mechanism alone — see
 ``engine._evaluate_group``) and hands them to a :class:`SchedulerBackend`:
 
 * :class:`SerialBackend` — evaluate in-process, in order.

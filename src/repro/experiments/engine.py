@@ -3,9 +3,17 @@
 An :class:`ExperimentSpec` names *what* to evaluate — the cross product of
 mechanisms x attacks x metric groups x worlds x seeds, every component given
 as a registry spec string — and the :class:`EvaluationEngine` decides *how*:
-sequentially or with :mod:`multiprocessing` fan-out, publishing each
-(world, seed, mechanism) combination exactly once per run and caching
-finished result cells across runs.
+sequentially or with :mod:`multiprocessing` fan-out, caching finished result
+cells across runs.
+
+Each (world, seed, mechanism) publishes once per run, and each seedless
+publication stage once per group: mechanisms of one (world, seed) that run a
+seedless stage (mix-zone detection, speed smoothing) with the same config on
+the same input share one group, whose
+:class:`~repro.api.stages.StageMemo` runs that stage once for all of them.
+``smoothing:epsilon_m=100.0`` and the three ``promesse:swap=…`` variants of
+E4 smooth the published half once, not four times.  Seeded stages (swap,
+pseudonyms, noise) always run, and no group spans two seeds or worlds.
 
 Every experiment of the reproduction (the ``run_*`` functions in
 :mod:`repro.experiments.runner`) is a thin spec executed by this engine::
@@ -37,7 +45,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from itertools import groupby
+from operator import itemgetter
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..api.registry import (
     ATTACKS,
@@ -46,6 +67,7 @@ from ..api.registry import (
     make_mechanism,
     parse_spec,
 )
+from ..api.stages import StageMemo, input_stages
 from ..core.trajectory import MobilityDataset
 from .backends import SchedulerBackend, make_backend
 from .cache import CellCacheStore, make_cache_store
@@ -241,14 +263,22 @@ def _note_stream_fallback(name: str) -> None:
 
 
 def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
-    """Evaluate every cell sharing one (world, seed, mechanism) publication.
+    """Evaluate the cells of one group: mechanisms of one (world, seed).
+
+    ``payload`` is ``(world, world_label, input_spec, seed, mode, mechanisms,
+    cells)``: ``mechanisms`` are the group's ``(label, spec)`` pairs and each
+    cell is ``(index, position in mechanisms, attack label, attack spec,
+    metric group)``, ordered by position.  Each mechanism publishes once.  A
+    :class:`~repro.api.stages.StageMemo` made here and dropped with the call
+    lets the group's mechanisms run each shared seedless stage (detection,
+    smoothing) once; seeded stages always run.
 
     Module-level so worker processes can unpickle it; all component
     construction happens here, inside the worker, from spec strings.
     """
-    (world, world_label, input_spec, seed, mech_label, mech_item, cell_args, mode) = payload
+    (world, world_label, input_spec, seed, mode, mechanisms, cell_args) = payload
     input_dataset = _resolve_input(world, input_spec)
-    result = make_mechanism(mech_item, defaults={"seed": seed}).publish(input_dataset)
+    memo = StageMemo(input_dataset)
     context = EvalContext(
         world=world, world_key=world_label, input_dataset=input_dataset, seed=seed
     )
@@ -257,7 +287,24 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
     attack_defaults = {"execution": "stream"} if mode == "stream" else None
 
     out: List[Tuple[int, Dict[str, Any]]] = []
-    for index, attack_label, attack_item, metric_group in cell_args:
+    for position, mech_cells in groupby(cell_args, key=itemgetter(1)):
+        mech_label, mech_item = mechanisms[position]
+        mechanism = make_mechanism(mech_item, defaults={"seed": seed}, memo=memo)
+        result = mechanism.publish(input_dataset)
+        out.extend(_evaluate_cells(result, context, mech_label, mech_cells, attack_defaults))
+    return out
+
+
+def _evaluate_cells(
+    result: Any,
+    context: EvalContext,
+    mech_label: str,
+    cell_args: Iterable[Tuple],
+    attack_defaults: Optional[Dict[str, Any]],
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """One row per cell of one publication."""
+    out: List[Tuple[int, Dict[str, Any]]] = []
+    for index, _, attack_label, attack_item, metric_group in cell_args:
         columns: Dict[str, Any] = {}
         stream_fallback = False
         if attack_item is not None:
@@ -281,10 +328,10 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
         for metric_spec in metric_group:
             name, params, prefix = _pop_prefix(metric_spec)
             metric = METRICS.create_parsed(name, params)
-            columns.update(_apply_prefix(metric(input_dataset, result), prefix))
+            columns.update(_apply_prefix(metric(context.input_dataset, result), prefix))
         row: Dict[str, Any] = {
-            "world": world_label,
-            "seed": seed,
+            "world": context.world_key,
+            "seed": context.seed,
             "mechanism": mech_label,
             "attack": attack_label or None,
         }
@@ -316,6 +363,37 @@ def _world_fingerprint(world: Any) -> Tuple:
     return world.dataset.content_fingerprint()
 
 
+def _plan_groups(units: Mapping[Tuple, List[Dict[str, Any]]]) -> List[List[Tuple]]:
+    """Join (world, seed, mechanism) units that share a seedless stage.
+
+    Two units of one (world, seed) share a group when their mechanisms run a
+    seedless stage with the same config on their input (see
+    :func:`~repro.api.stages.input_stages`), transitively.  Seeds and worlds
+    never merge, so a group's stage memo never spans two of them.  Groups
+    come in the order of their first unit; units stay in cell order.
+    """
+    order = list(units)
+    parent = list(range(len(order)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    owner: Dict[Tuple, int] = {}
+    for i, unit in enumerate(order):
+        world_label, seed, _ = unit
+        mechanism = make_mechanism(units[unit][0]["mech_item"], defaults={"seed": seed})
+        for stage in input_stages(mechanism):
+            j = find(owner.setdefault((world_label, seed, stage), i))
+            root = find(i)
+            parent[max(root, j)] = min(root, j)
+    groups: Dict[int, List[Tuple]] = {}
+    for i, unit in enumerate(order):
+        groups.setdefault(find(i), []).append(unit)
+    return list(groups.values())
+
+
 class EvaluationEngine:
     """Executes :class:`ExperimentSpec` cross products, optionally in parallel.
 
@@ -323,9 +401,10 @@ class EvaluationEngine:
     ----------
     workers:
         Number of processes.  ``1`` (default) evaluates in-process;
-        ``workers > 1`` fans (world, seed, mechanism) groups out over a
-        :mod:`multiprocessing` pool (unless ``backend`` overrides the
-        scheduler).  Exceptions propagate either way.
+        ``workers > 1`` fans groups out over a :mod:`multiprocessing` pool
+        (unless ``backend`` overrides the scheduler).  A group is the
+        mechanisms of one (world, seed) that share a seedless stage, or one
+        mechanism alone.  Exceptions propagate either way.
     cache:
         Where finished cells live across :meth:`run` calls: ``True`` (an
         in-memory store, the default), ``False`` (off), a spec string
@@ -417,11 +496,10 @@ class EvaluationEngine:
         )
         rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
 
-        # Serve cached cells, group the rest by (world, seed, mechanism).
-        groups: Dict[Tuple, Dict[str, Any]] = {}
+        # Serve cached cells; the rest, per (world, seed, mechanism) unit.
+        units: Dict[Tuple, List[Dict[str, Any]]] = {}
         pending_keys: Dict[int, Optional[Tuple]] = {}
         for cell in cells:
-            world = world_objects[cell["world_label"]]
             key = self._cell_key(spec, fingerprints[cell["world_label"]], cell)
             if key is not None:
                 cached = self.cache_store.get(key)
@@ -431,40 +509,38 @@ class EvaluationEngine:
                     continue
             self.cache_misses += 1
             pending_keys[cell["index"]] = key
-            group_key = (cell["world_label"], cell["seed"], cell["mech_index"])
-            group = groups.setdefault(
-                group_key,
-                {
-                    "world": world,
-                    "world_label": cell["world_label"],
-                    "seed": cell["seed"],
-                    "mech_label": cell["mech_label"],
-                    "mech_item": cell["mech_item"],
-                    "cells": [],
-                },
-            )
-            group["cells"].append(
+            unit = (cell["world_label"], cell["seed"], cell["mech_index"])
+            units.setdefault(unit, []).append(cell)
+
+        payloads: List[Tuple] = []
+        for group in _plan_groups(units):
+            world_label, seed, _ = group[0]
+            mechanisms: List[Tuple[str, str]] = []
+            group_cells: List[Tuple] = []
+            for position, unit in enumerate(group):
+                first = units[unit][0]
+                mechanisms.append((first["mech_label"], first["mech_item"]))
+                group_cells.extend(
+                    (
+                        cell["index"],
+                        position,
+                        cell["attack_label"],
+                        cell["attack_item"],
+                        cell["metric_group"],
+                    )
+                    for cell in units[unit]
+                )
+            payloads.append(
                 (
-                    cell["index"],
-                    cell["attack_label"],
-                    cell["attack_item"],
-                    cell["metric_group"],
+                    world_objects[world_label],
+                    world_label,
+                    spec.input,
+                    seed,
+                    spec.mode,
+                    tuple(mechanisms),
+                    group_cells,
                 )
             )
-
-        payloads = [
-            (
-                group["world"],
-                group["world_label"],
-                spec.input,
-                group["seed"],
-                group["mech_label"],
-                group["mech_item"],
-                group["cells"],
-                spec.mode,
-            )
-            for group in groups.values()
-        ]
 
         if payloads:
             # Every backend ships rows back; this loop is the only writer of

@@ -81,6 +81,11 @@ __all__ = ["ClusterEvent", "StreamingDjCluster", "replay_extract_djclusters"]
 #: Promotion time of a fix that is not (yet) core.
 _NEVER = np.iinfo(np.int64).max
 
+#: A chunk's promotions: resident ids in fold order, the insert that promoted
+#: each, and each one's number of merge events.
+_Promotions = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_NO_PROMOTIONS: _Promotions = (np.zeros(0, np.int64),) * 3
+
 #: Relative band around ``max_stationary_speed_mps`` inside which a chunk's
 #: batched speeds are re-decided with the scalar :meth:`_segment_below`.
 _SPEED_BAND = 1e-9
@@ -201,13 +206,17 @@ class StreamingDjCluster:
 
     def update_many(self, chunk: StreamChunk) -> List[ClusterEvent]:
         """Feed a chunk; the concatenated events of per-point ``update()``."""
+        return self._events(*self._advance(chunk))
+
+    def _advance(self, chunk: StreamChunk) -> _Promotions:
+        """Feed a chunk; its promotions, from which :meth:`_events` builds events."""
         if len(chunk) == 0:
-            return []
+            return _NO_PROMOTIONS
         for user_id in chunk.users_in_order():
             self.register_user(user_id)
         codes, ts, lats, lons = self._resolve_chunk(chunk)
         if not codes.size:
-            return []
+            return _NO_PROMOTIONS
         return self._insert_many(codes, ts, lats, lons)
 
     def finalize(self) -> Dict[str, List[ExtractedPoi]]:
@@ -383,8 +392,8 @@ class StreamingDjCluster:
 
     def _insert_many(
         self, codes: np.ndarray, ts: np.ndarray, lats: np.ndarray, lons: np.ndarray
-    ) -> List[ClusterEvent]:
-        """Index a chunk's stationary fixes; the events per-point inserts emit."""
+    ) -> _Promotions:
+        """Index a chunk's stationary fixes; the promotions per-point inserts make."""
         eps = self.config.eps_m
         mp = self.config.min_points
         r2 = eps * eps
@@ -498,7 +507,7 @@ class StreamingDjCluster:
         promoted = np.flatnonzero((when >= n_old) & (when != _NEVER))
         fx.core[ids[promoted]] = True
         if not promoted.size:
-            return []
+            return _NO_PROMOTIONS
 
         # Each cell's earliest core among the gathered fixes (every fix of an
         # old-dense cell is an old core): one stands for the cell's cores.
@@ -615,8 +624,8 @@ class StreamingDjCluster:
         nb_when: np.ndarray,
         dense_at: np.ndarray,
         n_old: int,
-    ) -> List[ClusterEvent]:
-        """Events of the chunk's promotions, unions applied.
+    ) -> _Promotions:
+        """The chunk's promotions in event order, unions applied.
 
         The core neighbours of a fix ``p`` promoted at insert ``t`` are those
         promoted no later than ``t``.  Those promoted before ``t`` are already
@@ -700,24 +709,35 @@ class StreamingDjCluster:
                     parent[r] = root
             merges[p] = len(roots) - 1
         self._compress()
+        return ids[seq], when[seq], merges[seq]
 
-        # Per insert: every "core" event, then each promoted fix's merges.
-        group = np.cumsum(np.concatenate([[True], when[seq][1:] != when[seq][:-1]]))
-        count = merges[seq]
-        at = np.repeat(np.arange(seq.size), count)
+    def _events(
+        self, promoted: np.ndarray, when: np.ndarray, merges: np.ndarray
+    ) -> List[ClusterEvent]:
+        """Per insert: every "core" event, then each promoted fix's merges.
+
+        ``promoted`` are resident ids in fold order, ``when`` the insert that
+        promoted each and ``merges`` its number of merge events.
+        """
+        if not promoted.size:
+            return []
+        fx = self._fixes
+        n = promoted.size
+        group = np.cumsum(np.concatenate([[True], when[1:] != when[:-1]]))
+        at = np.repeat(np.arange(n), merges)
         order = np.lexsort((
-            np.concatenate([np.arange(seq.size), at]),
-            np.concatenate([np.zeros(seq.size, np.int64), np.ones(at.size, np.int64)]),
+            np.concatenate([np.arange(n), at]),
+            np.concatenate([np.zeros(n, np.int64), np.ones(at.size, np.int64)]),
             np.concatenate([group, group[at]]),
         ))
-        entry = ids[seq[np.concatenate([np.arange(seq.size), at])[order]]]
+        entry = promoted[np.concatenate([np.arange(n), at])[order]]
         present, slot = np.unique(fx.user[entry], return_inverse=True)
         names = [self._by_code[code].user_id for code in present.tolist()]
         kinds = ("core", "merge")
         return [
             ClusterEvent(names[user], kinds[merge], index)
             for user, merge, index in zip(
-                slot.reshape(-1).tolist(), (order >= seq.size).tolist(), fx.local[entry].tolist()
+                slot.reshape(-1).tolist(), (order >= n).tolist(), fx.local[entry].tolist()
             )
         ]
 
@@ -939,5 +959,5 @@ def replay_extract_djclusters(
     source = ReplaySource(dataset)
     clusterer = StreamingDjCluster(config, user_ids=source.user_ids)
     for chunk in source.chunks():
-        clusterer.update_many(chunk)
+        clusterer._advance(chunk)  # nobody reads the events of a replay
     return clusterer.finalize()
