@@ -53,7 +53,8 @@ from .core.speed_smoothing import (
 )
 from .core.trajectory import MobilityDataset, Point, Trajectory
 from .datagen.mobility import SyntheticWorld, generate_world
-from .experiments.engine import EvaluationEngine, ExperimentSpec, make_world
+from .experiments.engine import EvaluationEngine, ExperimentSpec
+from .experiments.worlds import make_world
 from .mixzones.detection import MixZoneDetector, detect_mix_zones
 from .mixzones.swapping import MixZoneSwapper, SwapPolicy, swap_dataset
 from .mixzones.zones import MixZone

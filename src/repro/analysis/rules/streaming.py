@@ -19,21 +19,19 @@ Scope notes:
 * Finalize paths are exempt: ``finalize()`` legitimately folds whatever
   state remains, and it runs once per stream, not once per point.
 * An append-only buffer that the update paths never *iterate* is legal too
-  (DJ-Cluster retains all stationary fixes by construction; ``update()``
-  probes them through its eps-grid, never by scanning).
+  (DJ-Cluster retains all stationary fixes by construction; its update
+  paths only append to them, and only ``finalize()`` reads them).
 
 What R6 cannot see:
 
-* Resident state.  A buffer that is probed, not iterated, passes however
-  large it grows: streaming DJ-Cluster keeps every stationary fix
-  (``BENCH_stream.small.json`` records 77 % of the stream's points
-  resident at its peak), and R6 passes it because ``update()`` probes that
-  buffer through the grid and never iterates it.
+* Resident state.  A buffer that is appended to or probed, not iterated,
+  passes however large it grows: streaming DJ-Cluster keeps every
+  stationary fix (``BENCH_stream.small.json`` records 77 % of the
+  stream's points resident at its peak), and R6 passes it because its
+  update paths only append to those columns.
 * Vectorized scans.  ``np.asarray(self._history)`` or a numpy reduction
   over a grown buffer walks it in C, not in a Python loop, and is not
-  flagged.  Streaming DJ-Cluster's ``update_many`` makes such passes over
-  its resident columns once per chunk (selecting the fixes around the
-  chunk's cells, pointing every fix at its root).
+  flagged, so a per-chunk pass over resident columns would go unseen.
 * Buffers reached through a local (``st = self._users[u]; for x in
   st.xs``): subscripts end the attribute chain, as bucket access should.
 

@@ -72,18 +72,12 @@ from ..core.trajectory import MobilityDataset
 from .backends import SchedulerBackend, make_backend
 from .cache import CellCacheStore, make_cache_store
 from .workloads import split_train_publish
-
-# World resolution lives in the registry module; re-exported here because the
-# engine is where world specs are consumed (and for backward compatibility).
-from .worlds import WORLDS, make_world, register_world
+from .worlds import make_world
 
 __all__ = [
     "ExperimentSpec",
     "EvaluationEngine",
     "EvalContext",
-    "WORLDS",
-    "make_world",
-    "register_world",
 ]
 
 
@@ -143,8 +137,9 @@ class ExperimentSpec:
         whose columns merge into the same row.  Groups multiply the cross
         product; specs inside a group do not.
     worlds:
-        Workload axis: world specs (see :data:`WORLDS`), ``(label, spec)``
-        pairs, or names resolved through the ``worlds`` mapping passed to
+        Workload axis: world specs (see
+        :data:`~repro.experiments.worlds.WORLDS`), ``(label, spec)`` pairs,
+        or names resolved through the ``worlds`` mapping passed to
         :meth:`EvaluationEngine.run`.
     seeds:
         Seed axis; each seed is injected into mechanism factories that

@@ -44,12 +44,10 @@ rebuilt on:
   the polyline of its segment (per-user spatial distortion: each published
   fix against its own user's original path), evaluated only on a candidate
   set of polyline edges that provably holds each point's nearest one;
-* :func:`haversine_above`, :func:`trailing_window_pairs`,
-  :func:`cell_probe_pairs` and :func:`clique_cells` — the chunk joins of the
-  streaming tier's ``update_many`` paths: threshold tests decided bitwise as
-  the scalar :func:`~repro.geo.distance.haversine` decides them, the pairs of
-  a sliding time window, and the 5x5 probe of the certified clique grid
-  that streaming DJ-Cluster maintains incrementally.
+* :func:`haversine_above` and :func:`trailing_window_pairs` — the chunk
+  joins of the streaming tier's ``update_many`` paths: threshold tests
+  decided bitwise as the scalar :func:`~repro.geo.distance.haversine`
+  decides them, and the pairs of a sliding time window.
 
 Kernels operate on plain numpy arrays (no trajectory types), which keeps this
 module importable from anywhere in the library without cycles.
@@ -85,8 +83,6 @@ __all__ = [
     "polyline_distances",
     "haversine_above",
     "trailing_window_pairs",
-    "cell_probe_pairs",
-    "clique_cells",
 ]
 
 
@@ -1351,79 +1347,3 @@ def trailing_window_pairs(
     lo = np.searchsorted(ts, ts[start:] - horizon, side="left").astype(np.int64)
     count = np.maximum(later - lo, 0)
     return np.repeat(later, count), concat_ranges(lo, count)
-
-
-def cell_probe_pairs(
-    query_cx: np.ndarray,
-    query_cy: np.ndarray,
-    query_segments: np.ndarray,
-    cand_cx: np.ndarray,
-    cand_cy: np.ndarray,
-    cand_segments: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (query, candidate) pair of one segment whose cells are 5x5-adjacent.
-
-    The batched form of probing the 25 cells around each query in a
-    ``(segment, cx, cy) -> members`` grid — on :func:`clique_cells`, every
-    cell a radius can reach: returns ``(q, c)`` index arrays into the query
-    and candidate arrays with equal segments, ``|dcx| <= 2`` and
-    ``|dcy| <= 2``, in no particular order.  Cells too fine to pack into
-    int64 keys (a sub-micrometre radius) are renumbered with their order and
-    adjacency kept.
-    """
-    reach = 2
-    n_q = int(np.asarray(query_cx).size)
-    empty = np.zeros(0, dtype=np.int64)
-    if n_q == 0 or int(np.asarray(cand_cx).size) == 0:
-        return empty, empty.copy()
-    seg, cx, cy = (
-        np.concatenate([np.asarray(q, dtype=np.int64), np.asarray(c, dtype=np.int64)])
-        for q, c in (
-            (query_segments, cand_segments), (query_cx, cand_cx), (query_cy, cand_cy)
-        )
-    )
-
-    def spans() -> List[int]:
-        return [int(v.max()) - int(v.min()) + 2 * reach + 1 for v in (cx, cy)] + [
-            int(seg.max()) - int(seg.min()) + 1
-        ]
-
-    if math.prod(spans()) >= 2**63:
-        cx, cy = _compressed(cx, reach), _compressed(cy, reach)
-    span_x, span_y, span_s = spans()
-    if span_x * span_y * span_s >= 2**63:
-        raise ValueError("cell key space too large to pack into int64")
-    keys = ((seg - int(seg.min())) * span_x + cx - int(cx.min()) + reach) * span_y + (
-        cy - int(cy.min()) + reach
-    )
-    base, keys = keys[:n_q], keys[n_q:]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    queries = np.arange(n_q, dtype=np.int64)
-    out_q: List[np.ndarray] = []
-    out_c: List[np.ndarray] = []
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            target = base + (dx * span_y + dy)
-            lo = np.searchsorted(sorted_keys, target, side="left")
-            count = np.searchsorted(sorted_keys, target, side="right") - lo
-            out_q.append(np.repeat(queries, count))
-            out_c.append(order[concat_ranges(lo.astype(np.int64), count)])
-    return np.concatenate(out_q), np.concatenate(out_c)
-
-
-def clique_cells(
-    xs: np.ndarray, ys: np.ndarray, radius: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer cells of :func:`grid_dbscan`'s certified grid.
-
-    Cells have side ``(radius - margin) / sqrt(2)``, so any two points that
-    share a cell pass the exact ``dx*dx + dy*dy <= radius*radius`` test.
-    The origin is the planar origin (not the data minimum), so cells stay
-    stable as points are appended.
-    """
-    side = _clique_side(radius)
-    return (
-        np.floor(np.asarray(xs, dtype=float) / side).astype(np.int64),
-        np.floor(np.asarray(ys, dtype=float) / side).astype(np.int64),
-    )

@@ -12,17 +12,21 @@ Every component also exposes ``update_many(chunk) -> events`` over a
 :class:`StreamChunk` of column arrays.  It returns exactly the concatenation
 of the events per-point ``update()`` would return over the chunk's rows, in
 the same order, and leaves the same state behind; ``update()`` stays the
-oracle it is tested against.  Sources yield chunks through ``chunks()`` in
-exactly their ``__iter__`` order, at most about :data:`CHUNK_POINTS` rows
-each, and the ``replay_*`` helpers — hence ``mode="stream"`` — replay chunk
-by chunk.  No setting selects between the two paths.
+oracle it is tested against.  DJ-Cluster is the exception that emits no
+events: its density clusters are defined over the whole history, so both
+of its update paths only filter stationary fixes into resident columns and
+``finalize()`` clusters them once.  Sources yield chunks through
+``chunks()`` in exactly their ``__iter__`` order, at most about
+:data:`CHUNK_POINTS` rows each, and the ``replay_*`` helpers — hence
+``mode="stream"`` — replay chunk by chunk.  No setting selects between the
+two paths.
 
 Components:
 
 * :class:`ReplaySource` / :class:`LiveSource` — where points come from;
 * :class:`StreamingPoiExtractor` — appendable-window stay-point extraction;
-* :class:`StreamingDjCluster` — incremental density clustering (grid +
-  union-find);
+* :class:`StreamingDjCluster` — online stationarity filter, clustered by
+  the batch grid DBSCAN at ``finalize()``;
 * :class:`StreamingCrossingDetector` / :class:`StreamingMixZoneDetector` —
   sliding-window mix-zone crossing detection;
 * :class:`OnlineReidentifier` — per-arrival re-identification score rows.
@@ -31,7 +35,7 @@ Experiments opt in with ``ExperimentSpec(mode="stream")``, which routes the
 evaluators that declare an ``execution`` parameter through this tier.
 """
 
-from .djcluster import ClusterEvent, StreamingDjCluster, replay_extract_djclusters
+from .djcluster import StreamingDjCluster, replay_extract_djclusters
 from .mixzones import (
     StreamingCrossingDetector,
     StreamingMixZoneDetector,
@@ -51,7 +55,6 @@ from .staypoints import StreamingPoiExtractor, replay_extract_staypoints
 
 __all__ = [
     "CHUNK_POINTS",
-    "ClusterEvent",
     "LiveSource",
     "OnlineReidentifier",
     "ReplaySource",

@@ -6,13 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api.registry import ATTACKS, RegistryError, register_attack
-from repro.experiments.engine import (
-    EvaluationEngine,
-    ExperimentSpec,
-    make_world,
-)
+from repro.experiments.engine import EvaluationEngine, ExperimentSpec
 from repro.experiments.runner import run_poi_retrieval, run_spatial_distortion
 from repro.experiments.workloads import standard_world
+from repro.experiments.worlds import make_world
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +211,10 @@ class TestRunnerSchemaParity:
 
     def test_reidentification_through_engine(self):
         from repro.experiments.runner import run_reidentification
-        from repro.experiments.workloads import crossing_rich_world
 
-        rows = run_reidentification(crossing_rich_world("tiny", seed=3))
+        # A world whose published half holds mix-zones, so the three swap
+        # policies publish different data and a broken swap shows.
+        rows = run_reidentification(make_world("generate:n_users=8,n_days=2,seed=0"))
         assert [row["variant"] for row in rows] == [
             "pseudonyms-only",
             "smoothing+pseudonyms",
@@ -227,3 +225,8 @@ class TestRunnerSchemaParity:
         for row in rows:
             assert 0.0 <= row["poi_attack_rate"] <= 1.0
             assert 0.0 <= row["footprint_attack_rate"] <= 1.0
+        never, always = rows[2], rows[4]
+        assert never["n_zones"] > 0
+        assert never["n_swaps"] == 0
+        assert always["n_swaps"] > never["n_swaps"]
+        assert always["footprint_attack_rate"] < never["footprint_attack_rate"]

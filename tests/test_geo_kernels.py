@@ -18,8 +18,6 @@ from repro.geo.distance import haversine
 from repro.geo.kernels import (
     ColumnarTraces,
     SyncedDistances,
-    cell_probe_pairs,
-    clique_cells,
     colocation_events,
     connected_components,
     grid_dbscan,
@@ -44,7 +42,8 @@ def small_dataset_trio() -> MobilityDataset:
 
 
 class TestStreamingChunkJoins:
-    """The chunk joins of the streaming tier against their per-point loops."""
+    """The chunk joins of the streaming tier against their per-point loops,
+    and the certified clique grid ``grid_dbscan`` bins on."""
 
     @given(seed=st.integers(0, 10_000), threshold=st.sampled_from([0.0, 1.0, 100.0, 250.0]))
     @settings(max_examples=40, deadline=None)
@@ -96,34 +95,16 @@ class TestStreamingChunkJoins:
         ]
         assert list(zip(i.tolist(), j.tolist())) == expected
 
-    @given(seed=st.integers(0, 10_000), scale=st.sampled_from([1, 10**12]))
-    @settings(max_examples=40, deadline=None)
-    def test_cell_probe_pairs_are_the_5x5_neighbourhoods(self, seed, scale):
-        # scale=10**12 spreads the cells too far apart to pack into int64
-        # keys, so they are renumbered with their adjacency kept.
-        rng = np.random.default_rng(seed)
-        qx, qy = rng.integers(-6, 6, 30) * scale, rng.integers(-6, 6, 30)
-        cx, cy = rng.integers(-6, 6, 40) * scale, rng.integers(-6, 6, 40)
-        qs, cs = rng.integers(0, 2, 30), rng.integers(0, 2, 40)
-        q, c = cell_probe_pairs(qx, qy, qs, cx, cy, cs)
-        got = sorted(zip(q.tolist(), c.tolist()))
-        expected = [
-            (a, b)
-            for a in range(qx.size)
-            for b in range(cx.size)
-            if qs[a] == cs[b] and abs(qx[a] - cx[b]) <= 2 and abs(qy[a] - cy[b]) <= 2
-        ]
-        assert got == expected
-        empty = cell_probe_pairs(qx[:0], qy[:0], qs[:0], cx, cy, cs)
-        assert empty[0].size == empty[1].size == 0
-
     @given(seed=st.integers(0, 10_000), radius=st.sampled_from([1e-7, 0.5, 60.0, 150.0]))
     @settings(max_examples=40, deadline=None)
     def test_clique_cell_members_pass_the_exact_radius_test(self, seed, radius):
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-5.0, 5.0, 300) * radius + rng.uniform(-2e4, 2e4)
         ys = rng.uniform(-5.0, 5.0, 300) * radius + rng.uniform(-2e4, 2e4)
-        fx, fy = clique_cells(xs, ys, radius)
+        # Cells of the certified side grid_dbscan bins with; the property
+        # holds wherever the grid starts.
+        side = kernels._clique_side(radius)
+        fx, fy = np.floor(xs / side).astype(np.int64), np.floor(ys / side).astype(np.int64)
         for cell in set(zip(fx.tolist(), fy.tolist())):
             members = np.flatnonzero((fx == cell[0]) & (fy == cell[1]))
             dx = xs[members][:, None] - xs[members][None, :]

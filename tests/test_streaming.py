@@ -6,9 +6,10 @@ asserts that every incremental attack's ``finalize()`` equals the batch
 attack exactly (``==`` on the emitted dataclasses, which are float-for-float
 comparisons), and that every consumer's chunked ``update_many`` returns
 exactly the concatenated events of its per-point ``update()`` oracle over
-random chunk boundaries.  Deterministic tests cover the source ordering
-contract, the per-arrival event APIs, the engine's ``mode="stream"`` routing
-and the validation surfaces.
+random chunk boundaries (DJ-Cluster, which emits no events, must leave
+bitwise-equal resident columns).  Deterministic tests cover the source
+ordering contract, the per-arrival event APIs, the engine's
+``mode="stream"`` routing and the validation surfaces.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.experiments.engine import EvaluationEngine, ExperimentSpec
 from repro.experiments.worlds import make_world
 from repro.experiments.workloads import split_train_publish
-from repro.geo.distance import meters_per_degree
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
-import repro.streaming.djcluster as stream_djcluster
 from repro.streaming import (
     LiveSource,
     OnlineReidentifier,
@@ -50,6 +49,7 @@ from repro.streaming import (
     replay_reidentify,
 )
 
+from .conftest import assert_bitwise
 from .test_kernel_equivalence import _dwell_and_move_dataset, _random_dataset, _with_tied_meeting
 
 BASE_LAT, BASE_LON = 45.764, 4.836
@@ -119,11 +119,11 @@ def tied_datasets(draw):
 
 @st.composite
 def dense_stay_datasets(draw):
-    """Long, tightly sampled dwells: most clique cells turn dense.
+    """Long, tightly sampled dwells: most fixes are stationary and resident.
 
-    Every stationary fix then lands in a cell holding ``min_points`` fixes
-    or next to one, so the dense-cell rule, its witness tests and cells
-    turning dense inside a chunk are the rule, not the exception.
+    Every stationary fix then lands in a clique cell holding ``min_points``
+    fixes or next to one, so ``finalize()``'s grid DBSCAN runs its
+    dense-cell rule and witness tests as the rule, not the exception.
     """
     return _dwell_and_move_dataset(
         draw(st.integers(min_value=0, max_value=10_000)),
@@ -170,37 +170,21 @@ def _rows(chunk):
     ]
 
 
-def _planar_track(user_id, xy, step_s=100.0):
-    """A trajectory through planar offsets (meters) from its first fix."""
-    lat_m, lon_m = meters_per_degree(BASE_LAT)
-    return Trajectory(
-        user_id,
-        [1_000_000.0 + step_s * k for k in range(len(xy))],
-        [BASE_LAT + y / lat_m for _, y in xy],
-        [BASE_LON + x / lon_m for x, _ in xy],
-    )
-
-
-def _spy_pairs(monkeypatch):
-    """Record the size of every point-pair batch streaming DJ-Cluster builds."""
-    built = []
-    real = stream_djcluster._range_product
-
-    def spy(*args):
-        left, right = real(*args)
-        built.append(left.size)
-        return left, right
-
-    monkeypatch.setattr(stream_djcluster, "_range_product", spy)
-    return built
-
-
 def _chunked(points, user_ids, cuts):
     bounds = [0] + list(cuts) + [len(points)]
     return [
         StreamChunk.from_points(points[lo:hi], user_ids)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def _assert_same_resident(a, b):
+    """Two DJ-Cluster consumers hold bitwise-equal resident columns."""
+    n = a.stationary_points
+    assert b.stationary_points == n
+    for name in ("x", "y", "lat", "lon", "ts"):
+        assert_bitwise(getattr(a._fixes, name)[:n], getattr(b._fixes, name)[:n])
+    assert np.array_equal(a._fixes.user[:n], b._fixes.user[:n])
 
 
 def _oracle_and_chunked(make, points, chunks):
@@ -240,11 +224,43 @@ class TestUpdateManyEqualsUpdate:
         points = list(source)
         chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
         config = DjClusterConfig(eps_m=eps_m, min_points=min_points)
-        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
-            lambda: StreamingDjCluster(config, user_ids=source.user_ids), points, chunks
-        )
-        assert per_chunk == per_point
+        oracle = StreamingDjCluster(config, user_ids=source.user_ids)
+        chunked = StreamingDjCluster(config, user_ids=source.user_ids)
+        for point in points:
+            oracle.update(point)
+        for chunk in chunks:
+            chunked.update_many(chunk)
+        _assert_same_resident(chunked, oracle)
         assert chunked.finalize() == oracle.finalize()
+        _assert_same_resident(chunked, oracle)
+
+    def test_djcluster_zero_duration_segment_is_slow(self):
+        """A repeated fix (same stamp, same place) is stationary in both paths.
+
+        Its batched speed is 0/0; only the scalar re-check decides it slow,
+        as :meth:`Trajectory.speeds` does.
+        """
+        far = 5_000.0 / 111_195.0
+        traj = Trajectory(
+            "u0",
+            [1_000_000.0, 1_000_000.0, 1_000_100.0, 1_000_200.0],
+            [BASE_LAT, BASE_LAT, BASE_LAT + far, BASE_LAT + 2 * far],
+            [BASE_LON] * 4,
+        )
+        dataset = MobilityDataset([traj])
+        source = ReplaySource(dataset)
+        points = list(source)
+        config = DjClusterConfig(min_points=2)
+        oracle = StreamingDjCluster(config, user_ids=source.user_ids)
+        for point in points:
+            oracle.update(point)
+        assert oracle.stationary_points == 2
+        for cuts in ([], [1, 2, 3]):
+            chunked = StreamingDjCluster(config, user_ids=source.user_ids)
+            for chunk in _chunked(points, source.user_ids, cuts):
+                chunked.update_many(chunk)
+            _assert_same_resident(chunked, oracle)
+            assert chunked.finalize() == DjCluster(config).extract_dataset(dataset)
 
     @given(
         data=st.data(),
@@ -339,15 +355,18 @@ class TestUpdateManyEqualsUpdate:
         ]
         for make in makers:
             oracle, mixed = make(), make()
-            expected = [e for p in points for e in oracle.update(p)]
+            expected = [e for p in points for e in oracle.update(p) or ()]
             got = []
             for k, lo in enumerate(range(0, len(points), 97)):
                 part = points[lo : lo + 97]
                 if k % 2:
-                    got.extend(e for p in part for e in mixed.update(p))
+                    got.extend(e for p in part for e in mixed.update(p) or ())
                 else:
-                    got.extend(mixed.update_many(StreamChunk.from_points(part, source.user_ids)))
+                    chunk = StreamChunk.from_points(part, source.user_ids)
+                    got.extend(mixed.update_many(chunk) or ())
             assert got == expected
+            if isinstance(oracle, StreamingDjCluster):
+                _assert_same_resident(mixed, oracle)
             assert mixed.finalize() == oracle.finalize()
 
     def test_online_reident_interleaves(self):
@@ -603,73 +622,23 @@ class TestUpdateEvents:
         assert len(emitted) == 1
         assert emitted[0].n_points == 20
 
-    def test_djcluster_core_events(self):
-        """Enough co-located fixes promote a core and report it from update()."""
+    def test_djcluster_stationarity_resolves_on_the_next_fix(self):
+        """A fix turns resident when the fix after it arrives; the last at finalize."""
         times = [1_000_000.0 + 30.0 * i for i in range(10)]
         traj = Trajectory("u0", times, [BASE_LAT] * 10, [BASE_LON] * 10)
         clusterer = StreamingDjCluster(
             DjClusterConfig(eps_m=100.0, min_points=4), user_ids=("u0",)
         )
-        events = []
         for point in ReplaySource(MobilityDataset([traj])):
-            events.extend(clusterer.update(point))
-        assert any(e.kind == "core" for e in events)
+            assert clusterer.update(point) is None
+        assert clusterer.stationary_points == 9
         pois = clusterer.finalize()
+        assert clusterer.stationary_points == 10
         assert len(pois["u0"]) == 1
+        assert pois["u0"][0].n_points == 10
         # finalize is idempotent: a second call returns the same POIs.
         assert clusterer.finalize() == pois
-
-    def test_dense_cells_build_no_pairs(self, monkeypatch):
-        """New fixes of two dense, linked cells pair with no fix at all.
-
-        The two clique cells (side 70.7 m at eps 100 m) hold 15 and 14
-        fixes after the first chunk and were joined there; the second
-        chunk's fixes are core at their insert, and neither their own cell
-        nor the neighbouring one needs a point pair.
-        """
-        config = DjClusterConfig(eps_m=100.0, min_points=10)
-        track = _planar_track(
-            "u0", [(0.0, 0.0)] + [(30.0, 30.0)] * 14 + [(100.0, 30.0)] * 15
-            + [(30.0, 31.0)] * 5 + [(100.0, 31.0)] * 6
-        )
-        points = list(ReplaySource(MobilityDataset([track])))
-        first, second = _chunked(points, ("u0",), [30])
-        oracle = StreamingDjCluster(config, user_ids=("u0",))
-        expected = [event for point in points for event in oracle.update(point)]
-        chunked = StreamingDjCluster(config, user_ids=("u0",))
-        events = chunked.update_many(first)
-        built = _spy_pairs(monkeypatch)
-        events += chunked.update_many(second)
-        assert events == expected
-        assert sum(built) == 0
-        assert chunked.finalize() == oracle.finalize()
-
-    def test_witness_miss_falls_back_to_every_fix(self, monkeypatch):
-        """A dense cell's witness misses a new fix that another of its fixes reaches.
-
-        Cell A (x < 70.7 m) holds fixes at (60, 5) and (60, 55); cell B two
-        columns east holds 12 fixes at x = 175 m, out of A's reach.  The
-        next chunk brings (150, 0) and (150, 64) into B: A's fix nearest to
-        their mean is (60, 55), 105 m from (150, 0), so only the exhaustive
-        check finds (60, 5) at 90 m and merges the clusters at (150, 0).
-        """
-        config = DjClusterConfig(eps_m=100.0, min_points=10)
-        track = _planar_track(
-            "u0", [(0.0, 0.0)] + [(60.0, 5.0)] * 6 + [(60.0, 55.0)] * 6
-            + [(175.0, 30.0)] * 12 + [(150.0, 0.0), (150.0, 64.0), (150.0, 30.0)]
-        )
-        points = list(ReplaySource(MobilityDataset([track])))
-        first, second = _chunked(points, ("u0",), [25])
-        oracle = StreamingDjCluster(config, user_ids=("u0",))
-        expected = [event for point in points for event in oracle.update(point)]
-        chunked = StreamingDjCluster(config, user_ids=("u0",))
-        events = chunked.update_many(first)
-        built = _spy_pairs(monkeypatch)
-        events += chunked.update_many(second)
-        assert events == expected
-        assert expected.count(stream_djcluster.ClusterEvent("u0", "merge", 25)) == 2
-        assert sum(built) > 0
-        assert chunked.finalize() == oracle.finalize()
+        assert clusterer.stationary_points == 10
 
     def test_crossing_event_emitted_once_window_closes(self):
         config = MixZoneDetectionConfig(
