@@ -6,7 +6,8 @@ Replays the evaluation workloads through the incremental attacks of
 per attack cell:
 
 * ``wall_s`` / ``wall_s_samples`` — best-of-k replay wall time and the raw
-  repeat samples (the regression gate compares the minimum);
+  repeat samples, timed by the ``bench_timer`` fixture after one untimed
+  warm-up replay (the regression gate compares the minimum);
 * ``update_latency_us`` — mean per-point cost of the replay (+ the final
   ``finalize()``), the number a live pipeline budgets against;
 * ``peak_resident_points`` — the largest point-derived state the streaming
@@ -25,8 +26,6 @@ by ``compare_artifacts.py`` like every other bench artifact.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.attacks.djcluster import DjCluster, DjClusterConfig
 from repro.attacks.poi_extraction import PoiExtractionConfig, PoiExtractor
@@ -50,20 +49,20 @@ from repro.streaming import (
 
 
 def _stream_timing(
-    source, consumer_factory, finish, peak_of, n_points: int, repeats: int = 3
+    timer, source, consumer_factory, finish, peak_of, n_points: int
 ) -> dict:
-    """Timed chunked replays plus one per-point pass for peak state.
+    """Chunked replays timed by ``timer`` plus one per-point pass for peak state.
 
     Returns the timings and the last replay's ``finish(consumer)`` result.
     """
-    samples = []
-    for _ in range(repeats):
+
+    def replay():
         consumer = consumer_factory()
-        start = time.perf_counter()
         for chunk in source.chunks():
             consumer.update_many(chunk)
-        result = finish(consumer)
-        samples.append(time.perf_counter() - start)
+        return finish(consumer)
+
+    result, samples = timer(replay)
     wall_s = min(samples)
 
     consumer = consumer_factory()
@@ -161,7 +160,7 @@ def test_stream(
     timings = {}
     results = {}
     for cell, args in cells.items():
-        timings[cell], results[cell] = _stream_timing(*args)
+        timings[cell], results[cell] = _stream_timing(bench_timer, *args)
 
     batch = {
         "stream_staypoints": lambda: PoiExtractor(poi_config).extract_dataset(standard),

@@ -207,10 +207,12 @@ class PoiRetrievalEvaluator:
 class ReidentEvaluator:
     """POI-matching and footprint linkage attacks with split-trained knowledge.
 
-    ``execution="stream"`` replays the published dataset point by point
-    through :class:`~repro.streaming.OnlineReidentifier` (knowledge is
-    attacker training data and stays batch-built either way); the final
-    scores are pinned bitwise-identical to batch.
+    ``execution="stream"`` replays the published dataset chunk by chunk
+    through :class:`~repro.streaming.OnlineReidentifier`, which builds the
+    pseudonyms' stay-points and footprints as fixes arrive and scores them
+    once, at ``finalize()`` (knowledge is attacker training data and stays
+    batch-built either way); the scores are pinned bitwise-identical to
+    batch.
     """
 
     train_fraction: float = 0.5

@@ -1,23 +1,20 @@
 """Streaming incremental evaluation tier.
 
 This package re-runs the repository's attacks *online*: points arrive one at
-a time (replayed from a dataset / ``WorldStore`` world or synthesised live),
-every component exposes ``update(point) -> events`` with per-point cost
-bounded by its sliding window — never by the stream's history — and every
-``finalize()`` is pinned bitwise-identical to the corresponding batch attack
-on the same data.  The stream legs of the CI ``equivalence`` job hold that
-pin through ``python -m repro.experiments.backend_check equivalence``.
+a time (replayed from a dataset / ``WorldStore`` world or synthesised live)
+and every consumer has one contract — feed it with ``update(point)`` or
+``update_many(chunk)``, both of which return ``None``, then read
+``finalize()``.  Per-point cost is bounded by the consumer's sliding
+window, never by the stream's history, and every ``finalize()`` is pinned
+bitwise-identical to the corresponding batch attack on the same data.  The
+stream legs of the CI ``equivalence`` job hold that pin through
+``python -m repro.experiments.backend_check equivalence``.
 
-Every component also exposes ``update_many(chunk) -> events`` over a
-:class:`StreamChunk` of column arrays.  It returns exactly the concatenation
-of the events per-point ``update()`` would return over the chunk's rows, in
-the same order, and leaves the same state behind; ``update()`` stays the
-oracle it is tested against.  DJ-Cluster is the exception that emits no
-events: its density clusters are defined over the whole history, so both
-of its update paths only filter stationary fixes into resident columns and
-``finalize()`` clusters them once.  Sources yield chunks through
-``chunks()`` in exactly their ``__iter__`` order, at most about
-:data:`CHUNK_POINTS` rows each, and the ``replay_*`` helpers — hence
+``update_many(chunk)`` takes a :class:`StreamChunk` of column arrays and
+leaves exactly the state per-point ``update()`` leaves over the chunk's
+rows; ``update()`` stays the oracle it is tested against.  Sources yield
+chunks through ``chunks()`` in exactly their ``__iter__`` order, at most
+about :data:`CHUNK_POINTS` rows each, and the ``replay_*`` helpers — hence
 ``mode="stream"`` — replay chunk by chunk.  No setting selects between the
 two paths.
 
@@ -29,7 +26,9 @@ Components:
   the batch grid DBSCAN at ``finalize()``;
 * :class:`StreamingCrossingDetector` / :class:`StreamingMixZoneDetector` —
   sliding-window mix-zone crossing detection;
-* :class:`OnlineReidentifier` — per-arrival re-identification score rows.
+* :class:`OnlineReidentifier` — incrementally built stay-points and
+  footprints, scored by both batch re-identification attacks at
+  ``finalize()``.
 
 Experiments opt in with ``ExperimentSpec(mode="stream")``, which routes the
 evaluators that declare an ``execution`` parameter through this tier.
@@ -42,7 +41,7 @@ from .mixzones import (
     replay_detect_mix_zones,
     replay_find_crossings,
 )
-from .reident import OnlineReidentifier, ScoreEvent, replay_reidentify
+from .reident import OnlineReidentifier, replay_reidentify
 from .sources import (
     CHUNK_POINTS,
     LiveSource,
@@ -58,7 +57,6 @@ __all__ = [
     "LiveSource",
     "OnlineReidentifier",
     "ReplaySource",
-    "ScoreEvent",
     "StreamChunk",
     "StreamPoint",
     "StreamSource",

@@ -8,29 +8,30 @@ each arrival is tested against that window with the batch confirmation tests
 (distinct users, time gap, exact haversine radius), and the canonical
 representative of every (user pair, merge window) is maintained as the
 candidate with the smallest position pair — exactly the event the batch
-kernel's lexsort keeps.  A merge window is *emitted* once the stream's time
-has advanced past the point where any future arrival could still contribute
-to it, so ``update()`` yields crossing events with bounded latency and the
-resident state is O(window) + O(open merge windows), never O(history).
+kernel's lexsort keeps.  A merge window is *closed* into the event list once
+the stream's time has advanced past the point where any future arrival could
+still contribute to it, so the resident state is O(window) + O(open merge
+windows) + the closed events, never O(history).  ``update(point)`` and
+``update_many(chunk)`` return ``None``.
 
 ``update_many(chunk)`` consumes a :class:`~repro.streaming.sources.
-StreamChunk` and returns exactly the concatenation of the events per-point
-``update()`` would return over its rows.  It joins the chunk against (the
-window + the chunk's earlier rows) with one batched time-window pair list
-and one batched radius test (decided bitwise as the scalar ``haversine``
-decides it), folds the confirmed pairs into the open merge windows in
-per-point order, and closes the merge windows behind the chunk's last
-boundary: a merge window can only close after its last candidate arrived,
-so closing them at the end of the chunk yields the per-point events in the
-per-point order.
+StreamChunk` and leaves the state per-point ``update()`` would leave over
+its rows.  It joins the chunk against (the window + the chunk's earlier
+rows) with one batched time-window pair list and one batched radius test
+(decided bitwise as the scalar ``haversine`` decides it), folds the
+confirmed pairs into the open merge windows in per-point order, and closes
+the merge windows behind the chunk's last boundary: a merge window can only
+close after its last candidate arrived, so closing them at the end of the
+chunk closes them in the per-point order.
 
 ``finalize()`` returns the full crossing list in the batch kernel's order
-and :meth:`StreamingMixZoneDetector.zones` clusters it with the batch
+and :meth:`StreamingMixZoneDetector.finalize` clusters it with the batch
 detector's own zone pass — both bitwise-identical to the batch attack.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -89,8 +90,8 @@ class StreamingCrossingDetector:
 
     # -- online updates ---------------------------------------------------------
 
-    def update(self, point: StreamPoint) -> List[CrossingEvent]:
-        """Feed one fix; return crossing events whose merge windows closed."""
+    def update(self, point: StreamPoint) -> None:
+        """Feed one fix; close the merge windows it puts behind the stream."""
         cfg = self.config
         self.register_user(point.user_id)
         window = self._window
@@ -126,19 +127,13 @@ class StreamingCrossingDetector:
         window.append(point)
         # A future pair's earliest timestamp is at least now - gap, so any
         # merge window strictly before that boundary is final.
-        boundary = int(floor_ts // divisor)
-        closed = [win for win in self._pending if win < boundary]
-        events: List[CrossingEvent] = []
-        for win in sorted(closed):
-            events.extend(self._close(win))
-        return events
+        self._close_before(int(floor_ts // divisor))
 
-    def update_many(self, chunk: StreamChunk) -> List[CrossingEvent]:
-        """Feed a chunk; the concatenated events of per-point ``update()``."""
+    def update_many(self, chunk: StreamChunk) -> None:
+        """Feed a chunk; leaves the state per-point ``update()`` leaves."""
         cfg = self.config
-        n = len(chunk)
-        if n == 0:
-            return []
+        if len(chunk) == 0:
+            return
         for user_id in chunk.users_in_order():
             self.register_user(user_id)
         window = self._window
@@ -204,16 +199,11 @@ class StreamingCrossingDetector:
         )
         # As in update(): merge windows before the last row's boundary are
         # final, and none of them can have closed earlier in the chunk.
-        boundary = int(floor_ts // divisor)
-        events: List[CrossingEvent] = []
-        for win in sorted(win for win in self._pending if win < boundary):
-            events.extend(self._close(win))
-        return events
+        self._close_before(int(floor_ts // divisor))
 
     def finalize(self) -> List[CrossingEvent]:
         """All crossing events, in the batch kernel's canonical order."""
-        for win in sorted(self._pending):
-            self._close(win)
+        self._close_before(math.inf)
         self._emitted.sort(key=lambda item: item[0])
         return [event for _, event in self._emitted]
 
@@ -233,19 +223,18 @@ class StreamingCrossingDetector:
             self._user_ids,
         )
 
-    def _close(self, win: int) -> List[CrossingEvent]:
-        events: List[CrossingEvent] = []
-        for (lo_user, hi_user), candidate in self._pending.pop(win).items():
-            event = CrossingEvent(
-                lat=candidate[2],
-                lon=candidate[3],
-                timestamp=candidate[4],
-                user_a=self._user_ids[lo_user],
-                user_b=self._user_ids[hi_user],
-            )
-            self._emitted.append(((lo_user, hi_user, win), event))
-            events.append(event)
-        return events
+    def _close_before(self, boundary: float) -> None:
+        """Move the open merge windows before ``boundary`` to ``_emitted``."""
+        for win in sorted(w for w in self._pending if w < boundary):
+            for (lo_user, hi_user), candidate in self._pending.pop(win).items():
+                event = CrossingEvent(
+                    lat=candidate[2],
+                    lon=candidate[3],
+                    timestamp=candidate[4],
+                    user_a=self._user_ids[lo_user],
+                    user_b=self._user_ids[hi_user],
+                )
+                self._emitted.append(((lo_user, hi_user, win), event))
 
 
 class StreamingMixZoneDetector:
@@ -260,11 +249,11 @@ class StreamingMixZoneDetector:
         self._detector = MixZoneDetector(self.config)
         self.crossings = StreamingCrossingDetector(self.config, user_ids=user_ids)
 
-    def update(self, point: StreamPoint) -> List[CrossingEvent]:
-        return self.crossings.update(point)
+    def update(self, point: StreamPoint) -> None:
+        self.crossings.update(point)
 
-    def update_many(self, chunk: StreamChunk) -> List[CrossingEvent]:
-        return self.crossings.update_many(chunk)
+    def update_many(self, chunk: StreamChunk) -> None:
+        self.crossings.update_many(chunk)
 
     def finalize(self) -> List[MixZone]:
         """The stream's mix-zones, bitwise-identical to the batch detector.

@@ -4,9 +4,11 @@ The batch attack (:class:`~repro.attacks.poi_extraction.PoiExtractor`) scans
 a finished trace with a two-pointer window.  Here the same scan runs *online*
 as an appendable window: each user keeps only the fixes of the currently open
 candidate stay, a new point is verified against the open window's anchor as
-it arrives, and a stay is emitted the moment a violating point (or a
-too-large sampling gap) closes the window — memory is O(open window) per
-user, never O(history).
+it arrives, and a stay is recorded the moment a violating point (or a
+too-large sampling gap) closes the window — the window is then drained, so
+memory is O(open window) per user plus the closed stays, never O(history).
+``update(point)`` and ``update_many(chunk)`` return ``None``; the stream's
+one answer is ``finalize()``.
 
 ``finalize()`` drains the open windows and runs the batch extractor's own
 merge pass, so its output is bitwise-identical to
@@ -16,21 +18,19 @@ vectorized kernel is in turn pinned against), and centroid emission uses the
 same ``np.mean`` over the same values in the same order.
 
 ``update_many(chunk)`` appends each user's rows of a chunk at once and runs
-the same scan over them.  The reach of every anchor of every user's window
+the same scan over them, leaving the stays and open windows per-point
+``update()`` leaves.  The reach of every anchor of every user's window
 (its first fix past a gap or outside the diameter) is resolved at once in
 batched probe rounds, as the batch kernel
 :func:`~repro.geo.kernels.windowed_stay_spans` does, each probe decided
 bitwise as the scalar test by :func:`~repro.geo.kernels.haversine_above`;
-the scan then steps only through the anchors that emit or stop it.  A stay
-is credited to the row whose arrival let the per-point scan reach its
-closing fix — the furthest fix the scan has examined — so the events are
-exactly the concatenated per-point ``update()`` events.
+the scan then steps only through the anchors that emit or stop it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +58,9 @@ class _OpenWindow:
 
 
 class StreamingPoiExtractor:
-    """Online stay-point extraction with ``update(point) -> stays``.
+    """Online stay-point extraction fed by ``update`` / ``update_many``.
 
-    Stays are emitted unmerged as their windows close; :meth:`finalize`
+    Stays are recorded unmerged as their windows close; :meth:`finalize`
     returns the per-user merged POIs of the whole stream, pinned
     bitwise-identical to the batch ``extract_dataset``.
     """
@@ -90,21 +90,17 @@ class StreamingPoiExtractor:
 
     # -- online updates ---------------------------------------------------------
 
-    def update(self, point: StreamPoint) -> List[ExtractedPoi]:
-        """Append one fix; return the stays whose windows it closed."""
+    def update(self, point: StreamPoint) -> None:
+        """Append one fix; close every window it resolves."""
         self.register_user(point.user_id)
         window = self._windows[point.user_id]
         window.ts.append(point.timestamp)
         window.lats.append(point.lat)
         window.lons.append(point.lon)
-        return self._resolve(point.user_id, window, final=False)
+        self._resolve(point.user_id, window, final=False)
 
-    def update_many(self, chunk: StreamChunk) -> List[ExtractedPoi]:
-        """Feed a chunk; the concatenated stays of per-point ``update()``."""
-        return [stay for _, stay in self._update_chunk(chunk)]
-
-    def _update_chunk(self, chunk: StreamChunk) -> List[Tuple[int, ExtractedPoi]]:
-        """``(arrival row, stay)`` for every stay the chunk closes, in order.
+    def update_many(self, chunk: StreamChunk) -> None:
+        """Feed a chunk; leaves the state per-point ``update()`` leaves.
 
         Every user's window is extended by its rows at once; the reach of
         every anchor of every window (its first violating fix) comes from
@@ -112,64 +108,48 @@ class StreamingPoiExtractor:
         that emit a stay or stop it.
         """
         if len(chunk) == 0:
-            return []
+            return
         for user_id in chunk.users_in_order():
             self.register_user(user_id)
         cfg = self.config
         users = []
         for user_id, rows in chunk.rows_by_user():
             window = self._windows[user_id]
-            users.append((user_id, window, len(window.ts), rows.tolist()))
+            users.append((user_id, window))
             window.ts.extend(chunk.timestamps[rows].tolist())
             window.lats.extend(chunk.lats[rows].tolist())
             window.lons.extend(chunk.lons[rows].tolist())
-        sizes = [len(window.ts) for _, window, _, _ in users]
+        sizes = [len(window.ts) for _, window in users]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        ts = np.concatenate([window.ts for _, window, _, _ in users])
-        lats = np.concatenate([window.lats for _, window, _, _ in users])
-        lons = np.concatenate([window.lons for _, window, _, _ in users])
+        ts = np.concatenate([window.ts for _, window in users])
+        lats = np.concatenate([window.lats for _, window in users])
+        lons = np.concatenate([window.lons for _, window in users])
         reach = _window_reaches(ts, lats, lons, offsets, cfg.max_diameter_m, cfg.max_gap_s)
         idx = np.arange(ts.size)
         end = np.repeat(offsets[1:], sizes)
         closed = reach < end
         last = ts[np.minimum(reach, end) - 1]
         visit = ~closed | ((last - ts >= cfg.min_duration_s) & (reach - idx >= 2))
-        tagged: List[Tuple[int, ExtractedPoi]] = []
-        for (user_id, window, n_old, arrival), lo, hi in zip(
-            users, offsets[:-1].tolist(), offsets[1:].tolist()
-        ):
-            local = reach[lo:hi] - lo
+        for (user_id, window), lo, hi in zip(users, offsets[:-1].tolist(), offsets[1:].tolist()):
             stops = np.flatnonzero(visit[lo:hi]).tolist()
-            tagged.extend(self._emit(user_id, window, n_old, arrival, local, stops))
-        tagged.sort(key=lambda item: item[0])
-        return tagged
+            self._emit(user_id, window, reach[lo:hi] - lo, stops)
 
     def _emit(
-        self,
-        user_id: str,
-        window: _OpenWindow,
-        n_old: int,
-        arrival: List[int],
-        reach: np.ndarray,
-        stops: List[int],
-    ) -> List[Tuple[int, ExtractedPoi]]:
+        self, user_id: str, window: _OpenWindow, reach: np.ndarray, stops: List[int]
+    ) -> None:
         """The per-point scan over one extended window, given every anchor's reach.
 
         Between two emissions the scan steps one anchor at a time without
         emitting, so it lands on the next anchor that emits a stay or has
-        no violating fix yet (``stops``).  ``seen`` is the furthest fix the
-        visited anchors examined: in the per-point scan, whatever happens
-        while that fix is the newest happens during its ``update()``.
+        no violating fix yet (``stops``).
         """
         ts, lats, lons = window.ts, window.lats, window.lons
         n = len(ts)
-        out: List[Tuple[int, ExtractedPoi]] = []
-        anchor, seen, k = 0, n_old - 1, 0
+        anchor, k = 0, 0
         while True:
             k = bisect_left(stops, anchor, k)
             stop = stops[k]
             cut = int(reach[stop])
-            seen = max(seen, min(int(reach[anchor : stop + 1].max()), n - 1))
             if cut >= n:
                 window.verified = n - 1 - stop
                 anchor = stop
@@ -183,10 +163,8 @@ class StreamingPoiExtractor:
                 n_points=int(cut - stop),
             )
             self._stays[user_id].append(stay)
-            out.append((arrival[seen - n_old], stay))
             anchor = cut
         del ts[:anchor], lats[:anchor], lons[:anchor]
-        return out
 
     def finalize(self) -> Dict[str, List[ExtractedPoi]]:
         """Drain open windows; per-user merged POIs (batch-identical)."""
@@ -199,7 +177,7 @@ class StreamingPoiExtractor:
 
     # -- the appendable-window scan ---------------------------------------------
 
-    def _resolve(self, user_id: str, window: _OpenWindow, final: bool) -> List[ExtractedPoi]:
+    def _resolve(self, user_id: str, window: _OpenWindow, final: bool) -> None:
         """Advance the two-pointer scan as far as the buffered fixes allow.
 
         Exactly the batch scan with the trace cut at the buffer end: extend
@@ -210,7 +188,6 @@ class StreamingPoiExtractor:
         """
         cfg = self.config
         ts, lats, lons = window.ts, window.lats, window.lons
-        emitted: List[ExtractedPoi] = []
         while ts:
             n = len(ts)
             j = window.verified + 1
@@ -239,13 +216,11 @@ class StreamingPoiExtractor:
                     n_points=int(cut),
                 )
                 self._stays[user_id].append(stay)
-                emitted.append(stay)
                 drop = cut
             else:
                 drop = 1
             del ts[:drop], lats[:drop], lons[:drop]
             window.verified = 0
-        return emitted
 
 
 def _window_reaches(

@@ -4,11 +4,10 @@ The property suite generates randomized multi-user datasets — gappy sampling,
 duplicate timestamps, stationary dwells, users with zero or one fix — and
 asserts that every incremental attack's ``finalize()`` equals the batch
 attack exactly (``==`` on the emitted dataclasses, which are float-for-float
-comparisons), and that every consumer's chunked ``update_many`` returns
-exactly the concatenated events of its per-point ``update()`` oracle over
-random chunk boundaries (DJ-Cluster, which emits no events, must leave
-bitwise-equal resident columns).  Deterministic tests cover the source
-ordering contract, the per-arrival event APIs, the engine's
+comparisons), and that every consumer's chunked ``update_many`` leaves the
+same state as its per-point ``update()`` oracle over random chunk
+boundaries, with both returning ``None``.  Deterministic tests cover the
+source ordering contract, when state leaves the windows, the engine's
 ``mode="stream"`` routing and the validation surfaces.
 """
 
@@ -41,6 +40,7 @@ from repro.streaming import (
     StreamPoint,
     StreamingCrossingDetector,
     StreamingDjCluster,
+    StreamingMixZoneDetector,
     StreamingPoiExtractor,
     replay_detect_mix_zones,
     replay_extract_djclusters,
@@ -187,16 +187,57 @@ def _assert_same_resident(a, b):
     assert np.array_equal(a._fixes.user[:n], b._fixes.user[:n])
 
 
+def _assert_same_state(a, b):
+    """Two consumers of one class hold equal state (floats compared with ==)."""
+    if isinstance(a, StreamingDjCluster):
+        _assert_same_resident(a, b)
+    elif isinstance(a, StreamingMixZoneDetector):
+        _assert_same_state(a.crossings, b.crossings)
+    elif isinstance(a, StreamingPoiExtractor):
+        assert a._stays == b._stays
+        assert a._windows.keys() == b._windows.keys()
+        for user_id, window in a._windows.items():
+            other = b._windows[user_id]
+            assert (window.ts, window.lats, window.lons, window.verified) == (
+                other.ts, other.lats, other.lons, other.verified
+            )
+    elif isinstance(a, StreamingCrossingDetector):
+        assert list(a._window) == list(b._window)
+        assert [(win, list(bucket.items())) for win, bucket in a._pending.items()] == [
+            (win, list(bucket.items())) for win, bucket in b._pending.items()
+        ]
+        assert a._emitted == b._emitted
+    else:
+        assert isinstance(a, OnlineReidentifier)
+        assert a.footprints().keys() == b.footprints().keys()
+        for user_id, cells in a.footprints().items():
+            assert np.array_equal(b.footprints()[user_id], cells)
+        _assert_same_state(a._extractor, b._extractor)
+
+
 def _oracle_and_chunked(make, points, chunks):
-    """Per-point events of one consumer and chunked events of another."""
+    """One consumer fed per point, another per chunk; both return ``None``."""
     oracle, chunked = make(), make()
-    per_point = [event for point in points for event in oracle.update(point)]
-    per_chunk = [event for chunk in chunks for event in chunked.update_many(chunk)]
-    return oracle, chunked, per_point, per_chunk
+    for point in points:
+        assert oracle.update(point) is None
+    for chunk in chunks:
+        assert chunked.update_many(chunk) is None
+    return oracle, chunked
+
+
+def _feed_alternating(consumer, points, user_ids, size):
+    """Feed ``points`` in parts of ``size``: chunked and per-point in turn."""
+    for k, lo in enumerate(range(0, len(points), size)):
+        part = points[lo : lo + size]
+        if k % 2:
+            for p in part:
+                assert consumer.update(p) is None
+        else:
+            assert consumer.update_many(StreamChunk.from_points(part, user_ids)) is None
 
 
 class TestUpdateManyEqualsUpdate:
-    """``update_many`` over any chunking == concatenated ``update()`` events."""
+    """``update_many`` over any chunking leaves the per-point ``update()`` state."""
 
     @given(data=st.data(), min_duration_s=st.sampled_from([120.0, 600.0]))
     @settings(max_examples=40, deadline=None)
@@ -206,10 +247,10 @@ class TestUpdateManyEqualsUpdate:
         points = list(source)
         chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
         config = PoiExtractionConfig(min_duration_s=min_duration_s, max_diameter_m=150.0)
-        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+        oracle, chunked = _oracle_and_chunked(
             lambda: StreamingPoiExtractor(config, user_ids=source.user_ids), points, chunks
         )
-        assert per_chunk == per_point
+        _assert_same_state(chunked, oracle)
         assert chunked.finalize() == oracle.finalize()
 
     @given(
@@ -224,12 +265,9 @@ class TestUpdateManyEqualsUpdate:
         points = list(source)
         chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
         config = DjClusterConfig(eps_m=eps_m, min_points=min_points)
-        oracle = StreamingDjCluster(config, user_ids=source.user_ids)
-        chunked = StreamingDjCluster(config, user_ids=source.user_ids)
-        for point in points:
-            oracle.update(point)
-        for chunk in chunks:
-            chunked.update_many(chunk)
+        oracle, chunked = _oracle_and_chunked(
+            lambda: StreamingDjCluster(config, user_ids=source.user_ids), points, chunks
+        )
         _assert_same_resident(chunked, oracle)
         assert chunked.finalize() == oracle.finalize()
         _assert_same_resident(chunked, oracle)
@@ -276,13 +314,12 @@ class TestUpdateManyEqualsUpdate:
         config = MixZoneDetectionConfig(
             radius_m=radius_m, max_time_gap_s=180.0, merge_gap_s=merge_gap_s
         )
-        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+        oracle, chunked = _oracle_and_chunked(
             lambda: StreamingCrossingDetector(config, user_ids=source.user_ids),
             points,
             chunks,
         )
-        assert per_chunk == per_point
-        assert chunked.window_points == oracle.window_points
+        _assert_same_state(chunked, oracle)
         assert chunked.finalize() == oracle.finalize()
 
     @given(data=st.data())
@@ -300,7 +337,7 @@ class TestUpdateManyEqualsUpdate:
         fp_knowledge = fp_attacker.knowledge_from_dataset(
             training, bbox=training.bbox.expanded(500.0)
         )
-        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
+        oracle, chunked = _oracle_and_chunked(
             lambda: OnlineReidentifier(
                 poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
                 user_ids=source.user_ids,
@@ -308,37 +345,11 @@ class TestUpdateManyEqualsUpdate:
             points,
             chunks,
         )
-        assert per_chunk == per_point
-        assert chunked.footprints().keys() == oracle.footprints().keys()
-        for user_id, cells in oracle.footprints().items():
-            assert np.array_equal(chunked.footprints()[user_id], cells)
+        _assert_same_state(chunked, oracle)
         if published.n_points:
             (a_poi, a_fp), (b_poi, b_fp) = chunked.finalize(published), oracle.finalize(published)
             assert (a_poi.scores, a_poi.predicted) == (b_poi.scores, b_poi.predicted)
             assert (a_fp.scores, a_fp.predicted) == (b_fp.scores, b_fp.predicted)
-
-    def test_footprint_knowledge_with_repeated_cells_uses_the_row_oracle(self):
-        """Knowledge footprints that are not sorted unique sets still match."""
-        world = make_world("standard:scale=tiny,seed=5")
-        training, published = split_train_publish(world, 0.5)
-        poi_attacker = Reidentifier()
-        poi_knowledge = poi_attacker.knowledge_from_dataset(training)
-        fp_attacker = FootprintReidentifier()
-        fp_knowledge = {
-            user: np.concatenate([cells, cells[:1]])
-            for user, cells in fp_attacker.knowledge_from_dataset(training).items()
-        }
-        source = ReplaySource(published)
-        points = list(source)
-        oracle, chunked, per_point, per_chunk = _oracle_and_chunked(
-            lambda: OnlineReidentifier(
-                poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
-                grid=fp_attacker._knowledge_grid, user_ids=source.user_ids,
-            ),
-            points,
-            list(source.chunks()),
-        )
-        assert per_chunk == per_point
 
     def test_update_and_update_many_interleave(self):
         """Per-point and chunked calls may alternate on one consumer."""
@@ -352,21 +363,16 @@ class TestUpdateManyEqualsUpdate:
             lambda: StreamingCrossingDetector(
                 MixZoneDetectionConfig(radius_m=300.0), user_ids=source.user_ids
             ),
+            lambda: StreamingMixZoneDetector(
+                MixZoneDetectionConfig(radius_m=300.0), user_ids=source.user_ids
+            ),
         ]
         for make in makers:
             oracle, mixed = make(), make()
-            expected = [e for p in points for e in oracle.update(p) or ()]
-            got = []
-            for k, lo in enumerate(range(0, len(points), 97)):
-                part = points[lo : lo + 97]
-                if k % 2:
-                    got.extend(e for p in part for e in mixed.update(p) or ())
-                else:
-                    chunk = StreamChunk.from_points(part, source.user_ids)
-                    got.extend(mixed.update_many(chunk) or ())
-            assert got == expected
-            if isinstance(oracle, StreamingDjCluster):
-                _assert_same_resident(mixed, oracle)
+            for p in points:
+                oracle.update(p)
+            _feed_alternating(mixed, points, source.user_ids, 97)
+            _assert_same_state(mixed, oracle)
             assert mixed.finalize() == oracle.finalize()
 
     def test_online_reident_interleaves(self):
@@ -386,15 +392,13 @@ class TestUpdateManyEqualsUpdate:
             )
 
         oracle, mixed = make(), make()
-        expected = [e for p in points for e in oracle.update(p)]
-        got = []
-        for k, lo in enumerate(range(0, len(points), 7)):
-            part = points[lo : lo + 7]
-            if k % 2:
-                got.extend(e for p in part for e in mixed.update(p))
-            else:
-                got.extend(mixed.update_many(StreamChunk.from_points(part, source.user_ids)))
-        assert got == expected
+        for p in points:
+            oracle.update(p)
+        _feed_alternating(mixed, points, source.user_ids, 7)
+        _assert_same_state(mixed, oracle)
+        (a_poi, a_fp), (b_poi, b_fp) = mixed.finalize(published), oracle.finalize(published)
+        assert (a_poi.scores, a_poi.predicted) == (b_poi.scores, b_poi.predicted)
+        assert (a_fp.scores, a_fp.predicted) == (b_fp.scores, b_fp.predicted)
 
 
 class TestStreamingStaypointsProperty:
@@ -598,13 +602,13 @@ class TestLiveSource:
 
 
 # ---------------------------------------------------------------------------
-# Per-arrival event APIs
+# Per-arrival state: what leaves the windows before finalize()
 # ---------------------------------------------------------------------------
 
 
 class TestUpdateEvents:
     def test_staypoint_emitted_at_window_close_not_finalize(self):
-        """A stay followed by a departure must surface from update()."""
+        """A stay followed by a departure is recorded, and drained, by update()."""
         dwell = [(1_000_000.0 + 60.0 * i, BASE_LAT, BASE_LON) for i in range(20)]
         away = [(1_000_000.0 + 60.0 * 20 + 30.0 * i, BASE_LAT + 0.05, BASE_LON) for i in range(5)]
         traj = Trajectory(
@@ -613,14 +617,16 @@ class TestUpdateEvents:
             [lat for _, lat, _ in dwell + away],
             [lon for _, _, lon in dwell + away],
         )
-        emitted = []
         extractor = StreamingPoiExtractor(
             PoiExtractionConfig(min_duration_s=600.0), user_ids=("u0",)
         )
         for point in ReplaySource(MobilityDataset([traj])):
-            emitted.extend(extractor.update(point))
-        assert len(emitted) == 1
-        assert emitted[0].n_points == 20
+            extractor.update(point)
+        stays = extractor._stays["u0"]
+        assert len(stays) == 1
+        assert stays[0].n_points == 20
+        # The dwell's fixes left the window when the stay closed.
+        assert extractor._windows["u0"].ts == [t for t, _, _ in away]
 
     def test_djcluster_stationarity_resolves_on_the_next_fix(self):
         """A fix turns resident when the fix after it arrives; the last at finalize."""
@@ -649,21 +655,23 @@ class TestUpdateEvents:
             "b", [5.0, 15.0, 10_000.0], [BASE_LAT] * 3, [BASE_LON, BASE_LON, BASE_LON + 1.0]
         )
         detector = StreamingCrossingDetector(config, user_ids=("a", "b"))
-        live_events = []
         for point in ReplaySource(MobilityDataset([a, b])):
-            live_events.extend(detector.update(point))
+            detector.update(point)
         # The far-future fix of user b pushed time past the merge window, so
-        # the crossing surfaced from update(), before finalize.
-        assert len(live_events) == 1
-        assert {live_events[0].user_a, live_events[0].user_b} == {"a", "b"}
-        assert detector.finalize() == live_events
+        # update() closed the crossing, before finalize.
+        assert detector._pending == {}
+        closed = [event for _, event in detector._emitted]
+        assert len(closed) == 1
+        assert {closed[0].user_a, closed[0].user_b} == {"a", "b"}
+        assert detector.finalize() == closed
 
     def test_crossing_keeps_the_smallest_position_pair(self):
         """A later-arriving candidate with smaller positions replaces the held one.
 
         (a1, b0) is confirmed at t=20, (a0, b1) only at t=30, both in merge
         window 0; the batch kernel keeps the smallest (pos_a, pos_b), i.e.
-        (0, 1), so both stream paths must swap it in.
+        (0, 1), so both stream paths must swap it in — the chunked one
+        within a chunk and across chunks.
         """
         far = BASE_LON + 0.05
         a = Trajectory("a", [0.0, 20.0], [BASE_LAT] * 2, [BASE_LON, far])
@@ -676,30 +684,13 @@ class TestUpdateEvents:
         per_point = StreamingCrossingDetector(config, user_ids=source.user_ids)
         for point in source:
             per_point.update(point)
-        chunked = StreamingCrossingDetector(config, user_ids=source.user_ids)
-        for chunk in source.chunks():
-            chunked.update_many(chunk)
         assert per_point.finalize() == batch
-        assert chunked.finalize() == batch
-
-    def test_online_reident_score_events(self):
-        world = make_world("standard:scale=tiny,seed=5")
-        training, published = split_train_publish(world, 0.5)
-        poi_attacker = Reidentifier()
-        poi_knowledge = poi_attacker.knowledge_from_dataset(training)
-        fp_attacker = FootprintReidentifier()
-        fp_knowledge = fp_attacker.knowledge_from_dataset(training)
-        source = ReplaySource(published)
-        online = OnlineReidentifier(
-            poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
-            user_ids=source.user_ids,
-        )
-        kinds = set()
-        for point in source:
-            for event in online.update(point):
-                kinds.add(event.kind)
-                assert set(event.scores) == set(poi_knowledge)
-        assert "footprint" in kinds  # every first fix opens at least one cell
+        points = list(source)
+        for chunks in (source.chunks(), _chunked(points, source.user_ids, [1, 2, 3])):
+            chunked = StreamingCrossingDetector(config, user_ids=source.user_ids)
+            for chunk in chunks:
+                chunked.update_many(chunk)
+            assert chunked.finalize() == batch
 
     def test_online_reident_requires_a_grid(self):
         with pytest.raises(ValueError):
