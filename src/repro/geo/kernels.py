@@ -44,10 +44,9 @@ rebuilt on:
   the polyline of its segment (per-user spatial distortion: each published
   fix against its own user's original path), evaluated only on a candidate
   set of polyline edges that provably holds each point's nearest one;
-* :func:`haversine_above` and :func:`trailing_window_pairs` — the chunk
-  joins of the streaming tier's ``update_many`` paths: threshold tests
-  decided bitwise as the scalar :func:`~repro.geo.distance.haversine`
-  decides them, and the pairs of a sliding time window.
+* :func:`haversine_above` — the threshold test of the streaming tier's
+  ``update_many`` paths, decided bitwise as the scalar
+  :func:`~repro.geo.distance.haversine` decides it.
 
 Kernels operate on plain numpy arrays (no trajectory types), which keeps this
 module importable from anywhere in the library without cycles.
@@ -82,7 +81,6 @@ __all__ = [
     "concat_ranges",
     "polyline_distances",
     "haversine_above",
-    "trailing_window_pairs",
 ]
 
 
@@ -101,6 +99,10 @@ def spatial_time_bins(
     the data (degree spans only widen toward the equator-side of it), so the
     adjacency prefilter never drops a true pair however the data spreads in
     latitude.
+
+    Longitude is not wrapped: two fixes either side of ±180° are binned a
+    whole circle apart, so a ±1-bin join never pairs them, however close
+    they are.
     """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
@@ -1328,22 +1330,3 @@ def haversine_above(
             float(lat1.flat[k]), float(lon1.flat[k]), float(lat2.flat[k]), float(lon2.flat[k])
         ) > threshold
     return above
-
-
-def trailing_window_pairs(
-    timestamps: np.ndarray, start: int, horizon: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairs of each point from ``start`` on with its sliding time window.
-
-    ``timestamps`` is non-decreasing (arrival order).  For every ``i >=
-    start`` the window is every earlier point ``j < i`` with
-    ``timestamps[j] >= timestamps[i] - horizon`` — the deque a per-point
-    consumer holds after evicting entries older than ``horizon``.  Returns
-    ``(i, j)`` int64 arrays ordered by ``i``, then ``j``: the order a
-    per-point loop visits its window.
-    """
-    ts = np.asarray(timestamps, dtype=float)
-    later = np.arange(start, ts.size, dtype=np.int64)
-    lo = np.searchsorted(ts, ts[start:] - horizon, side="left").astype(np.int64)
-    count = np.maximum(later - lo, 0)
-    return np.repeat(later, count), concat_ranges(lo, count)

@@ -79,6 +79,9 @@ class CrossingEvent:
 class MixZoneDetectionConfig:
     """Parameters controlling the search for natural mix-zones.
 
+    Co-locations across the antimeridian (±180° longitude) are not found:
+    the candidate bins do not wrap longitude.
+
     Attributes
     ----------
     radius_m:

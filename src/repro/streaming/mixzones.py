@@ -16,13 +16,19 @@ windows) + the closed events, never O(history).  ``update(point)`` and
 
 ``update_many(chunk)`` consumes a :class:`~repro.streaming.sources.
 StreamChunk` and leaves the state per-point ``update()`` would leave over
-its rows.  It joins the chunk against (the window + the chunk's earlier
-rows) with one batched time-window pair list and one batched radius test
-(decided bitwise as the scalar ``haversine`` decides it), folds the
-confirmed pairs into the open merge windows in per-point order, and closes
-the merge windows behind the chunk's last boundary: a merge window can only
-close after its last candidate arrived, so closing them at the end of the
-chunk closes them in the per-point order.
+its rows.  It bins (the window + the chunk) on the batch kernel's
+spatio-temporal grid (cell = radius, bucket = time gap, longitude step
+taken from these rows' own extreme latitude) and joins them through the
+batch kernel's cross-user ±1 bin join, which builds no same-user pair,
+keeping the pairs whose later row is in the chunk.  Those pairs pass the
+per-point tests (time gap, then one batched radius test decided bitwise as
+the scalar ``haversine`` decides it), are put back in per-point scan order
+with one ``lexsort``, and are folded into the open merge windows; then the
+merge windows behind the chunk's last boundary are closed: a merge window
+can only close after its last candidate arrived, so closing them at the
+end of the chunk closes them in the per-point order.  Like the batch
+detector's, these bins do not wrap longitude, so fixes either side of
+±180° are not joined; ``update()`` has no bin prefilter.
 
 ``finalize()`` returns the full crossing list in the batch kernel's order
 and :meth:`StreamingMixZoneDetector.finalize` clusters it with the batch
@@ -39,7 +45,7 @@ import numpy as np
 
 from ..core.trajectory import MobilityDataset
 from ..geo.distance import haversine
-from ..geo.kernels import haversine_above, trailing_window_pairs
+from ..geo.kernels import _cross_owner_pairs, haversine_above, spatial_time_bins
 from ..mixzones.detection import CrossingEvent, MixZoneDetectionConfig, MixZoneDetector
 from ..mixzones.zones import MixZone
 from .sources import ReplaySource, StreamChunk, StreamPoint
@@ -91,7 +97,13 @@ class StreamingCrossingDetector:
     # -- online updates ---------------------------------------------------------
 
     def update(self, point: StreamPoint) -> None:
-        """Feed one fix; close the merge windows it puts behind the stream."""
+        """Feed one fix; close the merge windows it puts behind the stream.
+
+        Tests the fix against every window entry, with no bin prefilter:
+        the oracle of ``update_many``.  It therefore also confirms pairs
+        across the antimeridian, which the bins of ``update_many`` (and of
+        the batch detector) do not join.
+        """
         cfg = self.config
         self.register_user(point.user_id)
         window = self._window
@@ -144,12 +156,31 @@ class StreamingCrossingDetector:
         lats = np.concatenate([[p.lat for p in window], chunk.lats])
         lons = np.concatenate([[p.lon for p in window], chunk.lons])
 
-        # Row i is the arrival, row j < i a window entry it is tested against.
-        i, j = trailing_window_pairs(ts, w, cfg.max_time_gap_s)
-        keep = user[i] != user[j]
-        i, j = i[keep], j[keep]
+        # The batch kernel's cross-user ±1 bin join over (window + chunk), on
+        # the rows stably sorted by user (its owners must be non-decreasing).
+        # Of each pair, the later row i is the arrival and the earlier row j
+        # the window entry the per-point scan tests it against; only pairs
+        # whose arrival is in the chunk are new.
+        gap = cfg.max_time_gap_s
+        by_user = np.argsort(user, kind="stable")
+        rows, cols, buckets = spatial_time_bins(lats, lons, ts, cfg.radius_m, gap)
+        order, pairs = _cross_owner_pairs(
+            rows[by_user], cols[by_user], buckets[by_user], user[by_user]
+        )
+        row_of = by_user[order]
+        found_i: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        found_j: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        for left, right in pairs:
+            a, b = row_of[left], row_of[right]
+            i, j = np.maximum(a, b), np.minimum(a, b)
+            keep = (i >= w) & (ts[j] >= ts[i] - gap)
+            found_i.append(i[keep])
+            found_j.append(j[keep])
+        i, j = np.concatenate(found_i), np.concatenate(found_j)
         keep = ~haversine_above(lats[j], lons[j], lats[i], lons[i], cfg.radius_m)
-        i, j = i[keep], j[keep]
+        # Back to the per-point scan's order: by arrival, then window entry.
+        order = np.lexsort((j[keep], i[keep]))
+        i, j = i[keep][order], j[keep][order]
         divisor = max(cfg.merge_gap_s, 1.0)
         if i.size:
             lo = np.where(user[j] < user[i], j, i)
@@ -183,7 +214,7 @@ class StreamingCrossingDetector:
                 if held is None or (lo_pos, hi_pos) < held[:2]:
                     bucket[pair] = (lo_pos, hi_pos, lat, lon, t)
 
-        floor_ts = float(ts[-1]) - cfg.max_time_gap_s
+        floor_ts = float(ts[-1]) - gap
         while window and window[0].timestamp < floor_ts:
             window.popleft()
         first = w + int(np.searchsorted(ts[w:], floor_ts, side="left"))

@@ -22,7 +22,6 @@ from repro.geo.kernels import (
     connected_components,
     grid_dbscan,
     haversine_above,
-    trailing_window_pairs,
     iter_neighbor_pairs,
     polyline_distances,
     segmented_searchsorted,
@@ -42,8 +41,8 @@ def small_dataset_trio() -> MobilityDataset:
 
 
 class TestStreamingChunkJoins:
-    """The chunk joins of the streaming tier against their per-point loops,
-    and the certified clique grid ``grid_dbscan`` bins on."""
+    """The streaming tier's batched radius test against the scalar one, and
+    the certified clique grid ``grid_dbscan`` bins on."""
 
     @given(seed=st.integers(0, 10_000), threshold=st.sampled_from([0.0, 1.0, 100.0, 250.0]))
     @settings(max_examples=40, deadline=None)
@@ -76,24 +75,6 @@ class TestStreamingChunkJoins:
                 assert bool(haversine_above(lat1, lon1, la, lo, float(threshold))[()]) == (
                     d > threshold
                 )
-
-    @given(
-        stamps=st.lists(st.integers(0, 40), min_size=0, max_size=40),
-        start=st.integers(0, 40),
-        horizon=st.sampled_from([0.0, 3.0, 10.0]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_trailing_window_pairs_match_a_deque(self, stamps, start, horizon):
-        ts = np.sort(np.asarray(stamps, dtype=float))
-        start = min(start, ts.size)
-        i, j = trailing_window_pairs(ts, start, horizon)
-        expected = [
-            (a, b)
-            for a in range(start, ts.size)
-            for b in range(a)
-            if ts[b] >= ts[a] - horizon
-        ]
-        assert list(zip(i.tolist(), j.tolist())) == expected
 
     @given(seed=st.integers(0, 10_000), radius=st.sampled_from([1e-7, 0.5, 60.0, 150.0]))
     @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ source ordering contract, when state leaves the windows, the engine's
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.experiments.engine import EvaluationEngine, ExperimentSpec
 from repro.experiments.worlds import make_world
 from repro.experiments.workloads import split_train_publish
+from repro.geo import kernels
+from repro.geo.distance import haversine
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
+import repro.streaming.mixzones as stream_mixzones
 from repro.streaming import (
     LiveSource,
     OnlineReidentifier,
@@ -115,6 +119,66 @@ def tied_datasets(draw):
         )
         dataset = MobilityDataset(list(dataset) + [twin])
     return dataset
+
+
+@st.composite
+def latitude_spread_datasets(draw):
+    """``tied_datasets`` with every other user moved from 45° to 70° north.
+
+    Moved users keep their shape in meters (longitude offsets scaled by
+    the cosine ratio), and the first of them gains twins 140 m and 380 m to
+    its east.  At 70° each twin is nearly two 45° bins of longitude away at
+    the radius it falls within (150 m, 400 m), so a chunk binned with a
+    longitude step taken from an earlier, 45°-only chunk misses them.
+    Sometimes the moved users start two hours late, so the early chunks
+    hold 45° fixes only.
+    """
+    dataset = draw(tied_datasets())
+    north = 70.0
+    delay = draw(st.sampled_from([0.0, 7200.0]))
+    scale = np.cos(np.radians(BASE_LAT)) / np.cos(np.radians(north))
+    users = [
+        Trajectory(
+            t.user_id,
+            t.timestamps + delay,
+            t.lats + (north - BASE_LAT),
+            BASE_LON + (t.lons - BASE_LON) * scale,
+        )
+        if k % 2
+        else t
+        for k, t in enumerate(dataset)
+    ]
+    moved = [t for t in users[1::2] if len(t) > 0]
+    if moved:
+        t = moved[0]
+        metres_per_deg = 111_195.0 * np.cos(np.radians(t.lats))
+        users += [
+            Trajectory(f"{t.user_id}-e{east_m:.0f}", t.timestamps, t.lats,
+                       t.lons + east_m / metres_per_deg)
+            for east_m in (140.0, 380.0)
+        ]
+    return MobilityDataset(users)
+
+
+@st.composite
+def near_twin_datasets(draw):
+    """``random_datasets`` plus co-locations at sub-micrometre distances.
+
+    u0 gains a twin on its own fixes 1 s later (0 m apart) and a shadow
+    3e-7 m north at its own times, so radii of 1e-7 m and 5e-7 m both
+    confirm crossings.  A user 3 km off spans the extent that makes
+    sub-micrometre bins overflow int64 keys.
+    """
+    dataset = draw(random_datasets())
+    first = next(iter(dataset))
+    extra = [Trajectory("far", [1_000_000.0, 1_000_100.0], [BASE_LAT + 0.03] * 2,
+                        [BASE_LON + 0.03] * 2)]
+    if len(first) > 0:
+        extra += [
+            Trajectory("twin", first.timestamps + 1.0, first.lats, first.lons),
+            Trajectory("shadow", first.timestamps, first.lats + 3e-7 / 111_195.0, first.lons),
+        ]
+    return MobilityDataset(list(dataset) + extra)
 
 
 @st.composite
@@ -307,7 +371,7 @@ class TestUpdateManyEqualsUpdate:
     )
     @settings(max_examples=40, deadline=None)
     def test_crossings(self, data, radius_m, merge_gap_s):
-        dataset = data.draw(tied_datasets())
+        dataset = data.draw(st.one_of(tied_datasets(), latitude_spread_datasets()))
         source = ReplaySource(dataset)
         points = list(source)
         chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
@@ -435,7 +499,7 @@ class TestStreamingDjClusterProperty:
 
 class TestStreamingMixZonesProperty:
     @given(
-        dataset=random_datasets(),
+        dataset=st.one_of(random_datasets(), latitude_spread_datasets()),
         radius_m=st.sampled_from([150.0, 400.0]),
         merge_gap_s=st.sampled_from([0.0, 600.0]),
     )
@@ -467,6 +531,51 @@ class TestStreamingMixZonesProperty:
         zones = replay_detect_mix_zones(dataset, config)
         assert zones == oracle
         assert any({"w1", "w3", "w12"} <= zone.participants for zone in zones)
+
+    @given(data=st.data(), radius_m=st.sampled_from([1e-7, 5e-7, 5_000.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_bin_edge_radii_equal_batch(self, data, radius_m):
+        """Sub-micrometre cells (renumbered bins) and 5 km cells (dense bins).
+
+        At 1e-7 and 5e-7 m the bin space of (window + chunk) overflows int64
+        keys and is renumbered by ``_compressed``; at 5 km a few bins hold
+        every fix, and the pair batches are capped at 7 pairs.
+        """
+        dataset = data.draw(near_twin_datasets())
+        source = ReplaySource(dataset)
+        points = list(source)
+        cuts = data.draw(chunk_cuts(points))
+        config = MixZoneDetectionConfig(radius_m=radius_m, max_time_gap_s=180.0)
+        detector = MixZoneDetector(config)
+        crossings, zones = detector.find_crossings(dataset), detector.detect(dataset)
+        with mock.patch.object(kernels, "_MAX_PAIRS_PER_BATCH", 7), mock.patch.object(
+            kernels, "_compressed", wraps=kernels._compressed
+        ) as compressed:
+            assert replay_find_crossings(dataset, config) == crossings
+            assert replay_detect_mix_zones(dataset, config) == zones
+            chunked = StreamingCrossingDetector(config, user_ids=source.user_ids)
+            for chunk in _chunked(points, source.user_ids, cuts):
+                chunked.update_many(chunk)
+            assert chunked.finalize() == crossings
+        assert compressed.called == (radius_m < 1.0)
+
+    def test_antimeridian_replay_equals_batch(self):
+        """Two users 11 m apart across ±180°: longitude is not wrapped.
+
+        The batch detector and its scalar reference find no crossing, and
+        neither does the replay, whose bins are the batch kernel's.
+        """
+        times = [0.0, 30.0, 60.0]
+        east = Trajectory("east", times, [0.0] * 3, [179.99995] * 3)
+        west = Trajectory("west", times, [0.0] * 3, [-179.99995] * 3)
+        assert haversine(0.0, 179.99995, 0.0, -179.99995) < 12.0
+        dataset = MobilityDataset([east, west])
+        config = MixZoneDetectionConfig()
+        detector = MixZoneDetector(config)
+        batch = detector.find_crossings(dataset)
+        assert batch == detector.find_crossings_reference(dataset)
+        assert replay_find_crossings(dataset, config) == batch
+        assert replay_detect_mix_zones(dataset, config) == detector.detect(dataset)
 
 
 class TestOnlineReidentProperty:
@@ -691,6 +800,35 @@ class TestUpdateEvents:
             for chunk in chunks:
                 chunked.update_many(chunk)
             assert chunked.finalize() == batch
+
+    def test_far_apart_users_reach_no_radius_test(self, monkeypatch):
+        """Two users in lockstep 5 km apart: the bins keep every pair away.
+
+        Every fix of one user is inside the other's time window, so a join
+        over the whole window would send each pair to ``haversine_above``.
+        """
+        n = 30
+        times = np.arange(n) * 10.0
+        far = BASE_LON + 5_000.0 / (111_195.0 * np.cos(np.radians(BASE_LAT)))
+        a = Trajectory("a", times, [BASE_LAT] * n, [BASE_LON] * n)
+        b = Trajectory("b", times, [BASE_LAT] * n, [far] * n)
+        source = ReplaySource(MobilityDataset([a, b]))
+        points = list(source)
+        tested = []
+        real = stream_mixzones.haversine_above
+
+        def spy(lat1, lon1, lat2, lon2, threshold):
+            tested.append(np.size(lat1))
+            return real(lat1, lon1, lat2, lon2, threshold)
+
+        monkeypatch.setattr(stream_mixzones, "haversine_above", spy)
+        config = MixZoneDetectionConfig(radius_m=100.0, max_time_gap_s=120.0)
+        for chunks in (source.chunks(), _chunked(points, source.user_ids, range(1, len(points)))):
+            detector = StreamingCrossingDetector(config, user_ids=source.user_ids)
+            for chunk in chunks:
+                detector.update_many(chunk)
+            assert detector.finalize() == []
+        assert tested and not any(tested)
 
     def test_online_reident_requires_a_grid(self):
         with pytest.raises(ValueError):
