@@ -12,11 +12,12 @@ per attack cell:
   ``finalize()``), the number a live pipeline budgets against;
 * ``peak_resident_points`` — the largest point-derived state the streaming
   consumer held at any moment, versus the full dataset the batch attack
-  loads (``resident_fraction``).  It is sampled after every per-point
-  ``update()`` of one extra pass: the chunked path ends each chunk in the
-  same state and holds at most one chunk more.  Stay-point windows and the
-  mix-zone deque are O(window); DJ-Cluster retains the *stationary* fixes
-  only (density clusters are defined over the whole history), and the
+  loads (``resident_fraction``).  It is sampled after every row of one
+  extra, untimed pass that feeds the same chunks one point at a time: any
+  chunking leaves the same state at a chunk's end, and the timed replay
+  holds at most one chunk more.  Stay-point windows and the mix-zone
+  window are O(window); DJ-Cluster retains the *stationary* fixes only
+  (density clusters are defined over the whole history), and the
   re-identifier holds the footprint cells of every pseudonym.
 * ``batch_wall_s`` — the batch attack on the same data, for context.
 
@@ -34,14 +35,13 @@ from repro.attacks.reident import (
     ReidentificationConfig,
     Reidentifier,
 )
-from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.experiments.formatting import format_table
 from repro.experiments.workloads import split_train_publish
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 from repro.streaming import (
-    LiveSource,
     OnlineReidentifier,
     ReplaySource,
+    StreamChunk,
     StreamingCrossingDetector,
     StreamingDjCluster,
     StreamingPoiExtractor,
@@ -51,7 +51,7 @@ from repro.streaming import (
 def _stream_timing(
     timer, source, consumer_factory, finish, peak_of, n_points: int
 ) -> dict:
-    """Chunked replays timed by ``timer`` plus one per-point pass for peak state.
+    """Chunked replays timed by ``timer`` plus a pass of one-point chunks for peak state.
 
     Returns the timings and the last replay's ``finish(consumer)`` result.
     """
@@ -67,9 +67,10 @@ def _stream_timing(
 
     consumer = consumer_factory()
     peak = 0
-    for point in source:
-        consumer.update(point)
-        peak = max(peak, peak_of(consumer))
+    for chunk in source.chunks():
+        for k in range(len(chunk)):
+            consumer.update_many(_row(chunk, k))
+            peak = max(peak, peak_of(consumer))
     return {
         "wall_s": wall_s,
         "wall_s_samples": samples,
@@ -80,16 +81,16 @@ def _stream_timing(
     }, result
 
 
-def _live_dataset(source: LiveSource) -> MobilityDataset:
-    """The live stream's points as a dataset, for the batch comparison."""
-    per_user = {user_id: ([], [], []) for user_id in source.user_ids}
-    for point in source:
-        ts, lats, lons = per_user[point.user_id]
-        ts.append(point.timestamp)
-        lats.append(point.lat)
-        lons.append(point.lon)
-    return MobilityDataset(
-        [Trajectory(user_id, *columns) for user_id, columns in per_user.items()]
+def _row(chunk: StreamChunk, k: int) -> StreamChunk:
+    """Row ``k`` of ``chunk`` as a one-point chunk."""
+    rows = slice(k, k + 1)
+    return StreamChunk(
+        chunk.user_ids,
+        chunk.user_index[rows],
+        chunk.pos[rows],
+        chunk.timestamps[rows],
+        chunk.lats[rows],
+        chunk.lons[rows],
     )
 
 
@@ -112,7 +113,6 @@ def test_stream(
     standard_source = ReplaySource(standard)
     crossing_source = ReplaySource(crossing)
     published_source = ReplaySource(published)
-    live = LiveSource(n_users=8, n_points=5000, seed=7)
 
     def finalize(consumer):
         return consumer.finalize()
@@ -149,13 +149,6 @@ def test_stream(
             lambda c: c.footprint_cells + c._extractor.open_points,
             published.n_points,
         ),
-        "live_staypoints": (
-            live,
-            lambda: StreamingPoiExtractor(poi_config, user_ids=live.user_ids),
-            finalize,
-            lambda c: c.open_points,
-            live.n_points,
-        ),
     }
     timings = {}
     results = {}
@@ -180,8 +173,6 @@ def test_stream(
         else:
             got = results[cell]
         assert got == expected, f"{cell}: streaming finalize() differs from batch"
-    live_batch = PoiExtractor(poi_config).extract_dataset(_live_dataset(live))
-    assert results["live_staypoints"] == live_batch, "live_staypoints differs from batch"
 
     rows = [
         {
@@ -203,7 +194,6 @@ def test_stream(
                 "standard_points": standard.n_points,
                 "crossing_points": crossing.n_points,
                 "published_points": published.n_points,
-                "live_points": live.n_points,
             }
         },
     )
@@ -219,11 +209,11 @@ def test_stream(
     ))
 
     # O(window), not O(history): the appendable stay window and the mix-zone
-    # deque must stay far below the dataset they replayed.  (DJ-Cluster's
+    # window must stay far below the dataset they replayed.  (DJ-Cluster's
     # state is all stationary fixes by construction, and the re-identifier's
     # every footprint cell — reported, not bounded.)
     if evaluation_scale not in ("tiny",):
-        for cell in ("stream_staypoints", "stream_mixzones", "live_staypoints"):
+        for cell in ("stream_staypoints", "stream_mixzones"):
             fraction = timings[cell]["resident_fraction"]
             assert fraction is not None and fraction < 0.5, (
                 f"{cell}: peak resident state is {fraction:.0%} of the stream — "

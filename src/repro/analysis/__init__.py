@@ -27,8 +27,8 @@ Five project-specific rule families run over a shared
   calls in hot-path modules are findings unless the enclosing function is
   (reachable only from) a ``*_reference`` oracle or carries a
   waiver; the rule doubles as the inventory of scalar residuals.
-* **R6 streaming incrementality** — streaming ``update()`` paths must stay
-  O(window), never rescanning unbounded history state.
+* **R6 streaming incrementality** — streaming ``update_many()`` paths must
+  stay O(window), never rescanning unbounded history state.
 * **R9 handle lifecycle** — sqlite connections, sockets, file handles and
   ``WorldStoreWriter``s must be closed/finalized on all paths (``with`` or
   a ``finally:``), with escape analysis for ownership transfer; findings on

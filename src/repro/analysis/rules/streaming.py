@@ -1,13 +1,14 @@
 """R6 — streaming incrementality: update paths must not rescan history.
 
 The streaming tier (``repro.streaming``) promises O(window) work per
-arriving point: every incremental consumer exposes ``update(point)`` and
-its chunked form ``update_many(chunk)``, and the state they scan on each
-call must be *pruned* — a sliding window, a closable bucket — never the
-full history.  This rule flags the canonical regression: a ``for`` loop or
-comprehension inside ``update()`` or ``update_many()`` (or a private helper
-reachable from either) that iterates an instance buffer the class only
-ever grows (``append``/``add``/``extend``/item assignment) and never prunes
+arriving point: every incremental consumer is fed through
+``update_many(chunk)``, and the state it scans on each call must be
+*pruned* — a sliding window, a closable bucket — never the full history.
+This rule flags the canonical regression: a ``for`` loop or comprehension
+inside an update root (``update_many()``, or an ``update()`` should a
+consumer define one) or a private helper reachable from it that iterates
+an instance buffer the class only ever grows
+(``append``/``add``/``extend``/item assignment) and never prunes
 (``pop``/``popleft``/``remove``/``clear``/``del``/reassignment).  Such a
 loop makes per-point cost O(history) and turns the streaming tier into a
 re-run of the batch attack.
@@ -52,7 +53,7 @@ __all__ = ["StreamingIncrementalityRule"]
 
 _TARGETS = ("repro/streaming/",)
 
-#: The per-arrival entry points: the per-point ``update`` and its chunked form.
+#: The per-arrival entry points: ``update_many``, and ``update`` if defined.
 _UPDATE_ROOTS = ("update", "update_many")
 
 #: Method calls on an instance buffer that grow it.

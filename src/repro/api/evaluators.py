@@ -119,7 +119,7 @@ class PoiRetrievalEvaluator:
 
     ``execution`` selects how the publication is consumed: ``"batch"``
     (default) the vectorized attack over the finished dataset, ``"stream"``
-    a point-by-point replay through :mod:`repro.streaming`'s incremental
+    a chunked replay through :mod:`repro.streaming`'s incremental
     extractors (pinned bitwise-identical to batch).  The engine injects
     ``execution="stream"`` when the spec sets ``mode="stream"``.
     """

@@ -15,13 +15,12 @@ up to date: the stream resolves *which* fixes the clustering sees, and
   anchor the batch engines use) and appended to growable numpy columns
   shared by all users: ``x, y, lat, lon, ts, user``.
 
-``update()`` is the per-point oracle: the scalar :meth:`_segment_below` and
-a one-row append.  ``update_many(chunk)`` resolves a chunk for every user at
-once with one batched haversine, decided bitwise as the scalar test (speeds
-within a relative band of the threshold are re-decided by the scalar
-method), and appends the chunk's stationary fixes in the order per-point
-``update()`` would.  The two leave the same columns behind, may alternate on
-one consumer, and return nothing.
+``update_many(chunk)`` resolves a chunk for every user at once with one
+batched haversine, decided bitwise as the scalar test (speeds within a
+relative band of the threshold are re-decided by the scalar
+:meth:`_segment_below`), and appends the chunk's stationary fixes in the
+order the fix after each arrived, so any chunking of a stream leaves the
+same columns behind.  It returns nothing.
 
 ``finalize()`` labels the resident fixes with the batch kernel itself (one
 ``grid_dbscan`` call keyed by user) and emits per-cluster POIs with the
@@ -41,7 +40,7 @@ from ..attacks.poi_extraction import ExtractedPoi
 from ..core.trajectory import MobilityDataset
 from ..geo.distance import haversine, haversine_array, meters_per_degree
 from ..geo.kernels import grid_dbscan
-from .sources import ReplaySource, StreamChunk, StreamPoint
+from .sources import ReplaySource, StreamChunk
 
 __all__ = ["StreamingDjCluster", "replay_extract_djclusters"]
 
@@ -76,10 +75,9 @@ class _Columns:
 class _UserState:
     """Per-user stream state; the fixes themselves live in the shared columns."""
 
-    __slots__ = ("code", "anchor", "prev", "prev_below")
+    __slots__ = ("anchor", "prev", "prev_below")
 
-    def __init__(self, code: int) -> None:
-        self.code = code
+    def __init__(self) -> None:
         # (lat0, lon0, lat_m, lon_m) — set by the user's first fix.
         self.anchor: Optional[Tuple[float, float, float, float]] = None
         # The latest fix (ts, lat, lon), stationarity not yet resolved.
@@ -88,25 +86,23 @@ class _UserState:
 
 
 class StreamingDjCluster:
-    """Online stationarity filter with a batch-pinned ``finalize()``."""
+    """Online stationarity filter with a batch-pinned ``finalize()``.
+
+    ``user_ids`` is the source's roster; a user's position in it is the
+    ``user`` code of its resident fixes.
+    """
 
     def __init__(
         self,
         config: Optional[DjClusterConfig] = None,
-        user_ids: Sequence[str] = (),
+        *,
+        user_ids: Sequence[str],
     ) -> None:
         self.config = config or DjClusterConfig()
-        self._users: Dict[str, _UserState] = {}
-        self._by_code: List[_UserState] = []
+        self._user_ids = tuple(user_ids)
+        self._states = [_UserState() for _ in self._user_ids]
         # Every stationary fix, all users, in insertion order.
         self._fixes = _Columns(x=float, y=float, lat=float, lon=float, ts=float, user=np.int64)
-        for user_id in user_ids:
-            self.register_user(user_id)
-
-    def register_user(self, user_id: str) -> None:
-        if user_id not in self._users:
-            self._users[user_id] = _UserState(len(self._by_code))
-            self._by_code.append(self._users[user_id])
 
     @property
     def stationary_points(self) -> int:
@@ -115,41 +111,25 @@ class StreamingDjCluster:
 
     # -- online updates ---------------------------------------------------------
 
-    def update(self, point: StreamPoint) -> None:
-        """Feed one fix; resolve the previous fix's stationarity."""
-        self.register_user(point.user_id)
-        st = self._users[point.user_id]
-        if st.anchor is None:
-            lat_m, lon_m = meters_per_degree(point.lat)
-            st.anchor = (point.lat, point.lon, lat_m, lon_m)
-        if st.prev is not None:
-            prev_ts, prev_lat, prev_lon = st.prev
-            below = self._segment_below(
-                prev_ts, prev_lat, prev_lon, point.timestamp, point.lat, point.lon
-            )
-            if st.prev_below or below:
-                self._insert(st, prev_ts, prev_lat, prev_lon)
-            st.prev_below = below
-        st.prev = (point.timestamp, point.lat, point.lon)
-
     def update_many(self, chunk: StreamChunk) -> None:
-        """Feed a chunk; the same resident fixes as per-point ``update()``."""
+        """Feed a chunk; resolve the stationarity of each fix it follows."""
+        chunk.require_roster(self._user_ids)
         if len(chunk) == 0:
             return
-        for user_id in chunk.users_in_order():
-            self.register_user(user_id)
         codes, ts, lats, lons = self._resolve_chunk(chunk)
         if codes.size:
             self._append(codes, ts, lats, lons)
 
     def finalize(self) -> Dict[str, List[ExtractedPoi]]:
         """Per-user cluster POIs, bitwise-identical to the batch attack."""
-        held = [st for st in self._users.values() if st.prev is not None and st.prev_below]
+        held = [
+            code for code, st in enumerate(self._states) if st.prev is not None and st.prev_below
+        ]
         if held:
-            ts, lats, lons = np.array([st.prev for st in held], dtype=float).T
-            self._append(np.array([st.code for st in held], dtype=np.int64), ts, lats, lons)
-            for st in held:
-                st.prev_below = False  # resolved; finalize stays idempotent
+            ts, lats, lons = np.array([self._states[code].prev for code in held], dtype=float).T
+            self._append(np.array(held, dtype=np.int64), ts, lats, lons)
+            for code in held:
+                self._states[code].prev_below = False  # resolved; finalize stays idempotent
         fx = self._fixes
         n = fx.size
         labels = grid_dbscan(
@@ -158,10 +138,10 @@ class StreamingDjCluster:
         )
         # Per user, its fixes in insertion order (resident ids ascend in it).
         order = np.argsort(fx.user[:n], kind="stable")
-        bounds = np.searchsorted(fx.user[:n][order], np.arange(len(self._by_code) + 1))
+        bounds = np.searchsorted(fx.user[:n][order], np.arange(len(self._states) + 1))
         out: Dict[str, List[ExtractedPoi]] = {}
-        for user_id, st in self._users.items():
-            rows = order[bounds[st.code] : bounds[st.code + 1]]
+        for code, user_id in enumerate(self._user_ids):
+            rows = order[bounds[code] : bounds[code + 1]]
             out[user_id] = DjCluster._user_pois(
                 user_id, labels[rows], fx.ts[rows], fx.lat[rows], fx.lon[rows],
                 np.arange(rows.size),
@@ -211,13 +191,14 @@ class StreamingDjCluster:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The stationary fixes a chunk resolves, every user at once.
 
-        Returns ``(user codes, ts, lats, lons)`` in the order per-point
-        ``update()`` would insert them (the arrival of the fix after each).
+        Returns ``(user codes, ts, lats, lons)`` in the arrival order of the
+        fix after each, which no chunking changes.
         """
         order = np.argsort(chunk.user_index, kind="stable")
         roster = chunk.user_index[order]
         first = np.flatnonzero(np.concatenate([[True], roster[1:] != roster[:-1]]))
-        states = [self._users[chunk.user_ids[k]] for k in roster[first].tolist()]
+        present = roster[first]
+        states = [self._states[code] for code in present.tolist()]
         ts, lats, lons = chunk.timestamps[order], chunk.lats[order], chunk.lons[order]
         for st, row in zip(states, first.tolist()):
             if st.anchor is None:
@@ -252,28 +233,17 @@ class StreamingDjCluster:
             if length > 1:
                 st.prev_below = bool(below[last - 1])
         fixes = fixes[np.argsort(rows[fixes + 1], kind="stable")]
-        codes = np.array([st.code for st in states], dtype=np.int64)[run[fixes]]
-        return codes, ts[fixes], lats[fixes], lons[fixes]
+        return present[run[fixes]], ts[fixes], lats[fixes], lons[fixes]
 
     # -- resident columns -------------------------------------------------------
-
-    def _insert(self, st: _UserState, ts: float, lat: float, lon: float) -> None:
-        """Project one resolved stationary fix and append it."""
-        assert st.anchor is not None
-        lat0, lon0, lat_m, lon_m = st.anchor
-        fx = self._fixes
-        i = fx.grow(1).start
-        fx.x[i], fx.y[i] = (lon - lon0) * lon_m, (lat - lat0) * lat_m
-        fx.lat[i], fx.lon[i], fx.ts[i], fx.user[i] = lat, lon, ts, st.code
-        fx.size = i + 1
 
     def _append(
         self, codes: np.ndarray, ts: np.ndarray, lats: np.ndarray, lons: np.ndarray
     ) -> None:
-        """:meth:`_insert` of many fixes, in order."""
+        """Project resolved stationary fixes against their users' anchors; append them."""
         present, slot = np.unique(codes, return_inverse=True)
         anchors = np.array(
-            [self._by_code[code].anchor for code in present.tolist()], dtype=float
+            [self._states[code].anchor for code in present.tolist()], dtype=float
         ).reshape(-1, 4)
         lat0, lon0, lat_m, lon_m = anchors[slot.reshape(-1)].T
         fx = self._fixes

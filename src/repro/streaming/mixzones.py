@@ -3,32 +3,32 @@
 The batch detector (:class:`~repro.mixzones.detection.MixZoneDetector`)
 bin-joins every pair of fixes and deduplicates confirmed co-locations to one
 crossing event per (user pair, merge window).  Here the same events are found
-online: a deque holds only the fixes of the last ``max_time_gap_s`` seconds,
-each arrival is tested against that window with the batch confirmation tests
-(distinct users, time gap, exact haversine radius), and the canonical
-representative of every (user pair, merge window) is maintained as the
-candidate with the smallest position pair — exactly the event the batch
-kernel's lexsort keeps.  A merge window is *closed* into the event list once
-the stream's time has advanced past the point where any future arrival could
-still contribute to it, so the resident state is O(window) + O(open merge
-windows) + the closed events, never O(history).  ``update(point)`` and
-``update_many(chunk)`` return ``None``.
+online: a sliding window holds only the fixes of the last ``max_time_gap_s``
+seconds, each arrival is tested against that window with the batch
+confirmation tests (distinct users, time gap, exact haversine radius), and
+the canonical representative of every (user pair, merge window) is
+maintained as the candidate with the smallest position pair — exactly the
+event the batch kernel's lexsort keeps.  A merge window is *closed* into the
+event list once the stream's time has advanced past the point where any
+future arrival could still contribute to it, so the resident state is
+O(window) + O(open merge windows) + the closed events, never O(history).
 
 ``update_many(chunk)`` consumes a :class:`~repro.streaming.sources.
-StreamChunk` and leaves the state per-point ``update()`` would leave over
-its rows.  It bins (the window + the chunk) on the batch kernel's
-spatio-temporal grid (cell = radius, bucket = time gap, longitude step
-taken from these rows' own extreme latitude) and joins them through the
-batch kernel's cross-user ±1 bin join, which builds no same-user pair,
-keeping the pairs whose later row is in the chunk.  Those pairs pass the
-per-point tests (time gap, then one batched radius test decided bitwise as
-the scalar ``haversine`` decides it), are put back in per-point scan order
-with one ``lexsort``, and are folded into the open merge windows; then the
-merge windows behind the chunk's last boundary are closed: a merge window
-can only close after its last candidate arrived, so closing them at the
-end of the chunk closes them in the per-point order.  Like the batch
-detector's, these bins do not wrap longitude, so fixes either side of
-±180° are not joined; ``update()`` has no bin prefilter.
+StreamChunk` and returns ``None``.  It bins (the window + the chunk) on the
+batch kernel's spatio-temporal grid (cell = radius, bucket = time gap,
+longitude step taken from these rows' own extreme latitude) and joins them
+through the batch kernel's cross-user ±1 bin join, which builds no
+same-user pair, keeping the pairs whose later row is in the chunk.  Those
+pairs pass the confirmation tests (time gap, then one batched radius test
+decided bitwise as the scalar ``haversine`` decides it), are put in arrival
+order (by later row, then earlier row) with one ``lexsort``, and are folded
+into the open merge windows; then the merge windows behind the chunk's last
+boundary are closed: a merge window can only close after its last
+candidate arrived, so closing them at the end of the chunk closes them in
+the same order under any chunking.  The window itself is five columns
+(user, pos, ts, lat, lon): the tail of (window + chunk) from the chunk's
+last boundary on.  Like the batch detector's, these bins do not wrap
+longitude, so fixes either side of ±180° are not joined.
 
 ``finalize()`` returns the full crossing list in the batch kernel's order
 and :meth:`StreamingMixZoneDetector.finalize` clusters it with the batch
@@ -38,17 +38,15 @@ detector's own zone pass — both bitwise-identical to the batch attack.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.trajectory import MobilityDataset
-from ..geo.distance import haversine
 from ..geo.kernels import _cross_owner_pairs, haversine_above, spatial_time_bins
 from ..mixzones.detection import CrossingEvent, MixZoneDetectionConfig, MixZoneDetector
 from ..mixzones.zones import MixZone
-from .sources import ReplaySource, StreamChunk, StreamPoint
+from .sources import ReplaySource, StreamChunk
 
 __all__ = [
     "StreamingCrossingDetector",
@@ -62,105 +60,54 @@ _Candidate = Tuple[int, int, float, float, float]
 
 
 class StreamingCrossingDetector:
-    """Online co-location detection with batch-identical deduplication."""
+    """Online co-location detection with batch-identical deduplication.
+
+    ``user_ids`` is the source's roster, which ``chunk.user_index`` indexes.
+    """
 
     def __init__(
         self,
         config: Optional[MixZoneDetectionConfig] = None,
-        user_ids: Sequence[str] = (),
+        *,
+        user_ids: Sequence[str],
     ) -> None:
         self.config = config or MixZoneDetectionConfig()
-        self._user_ids: List[str] = []
-        self._known: Dict[str, int] = {}
-        for user_id in user_ids:
-            self.register_user(user_id)
-        #: Fixes of the last ``max_time_gap_s`` seconds (the sliding window).
-        self._window: Deque[StreamPoint] = deque()
+        self._user_ids = tuple(user_ids)
+        #: Fixes of the last ``max_time_gap_s`` seconds (the sliding window),
+        #: as columns (user, pos, ts, lat, lon) in arrival order.
+        index, values = np.zeros(0, dtype=np.int64), np.zeros(0)
+        self._window: Tuple[np.ndarray, ...] = (index, index, values, values, values)
         #: Open merge windows: win -> (lo_user, hi_user) -> representative.
         self._pending: Dict[int, Dict[Tuple[int, int], _Candidate]] = {}
         #: Closed events with their sort key (lo_user, hi_user, win).
         self._emitted: List[Tuple[Tuple[int, int, int], CrossingEvent]] = []
 
-    def register_user(self, user_id: str) -> int:
-        index = self._known.get(user_id)
-        if index is None:
-            index = len(self._user_ids)
-            self._known[user_id] = index
-            self._user_ids.append(user_id)
-        return index
-
     @property
     def window_points(self) -> int:
         """Fixes currently inside the sliding window (resident state)."""
-        return len(self._window)
+        return int(self._window[2].size)
 
     # -- online updates ---------------------------------------------------------
 
-    def update(self, point: StreamPoint) -> None:
-        """Feed one fix; close the merge windows it puts behind the stream.
-
-        Tests the fix against every window entry, with no bin prefilter:
-        the oracle of ``update_many``.  It therefore also confirms pairs
-        across the antimeridian, which the bins of ``update_many`` (and of
-        the batch detector) do not join.
-        """
-        cfg = self.config
-        self.register_user(point.user_id)
-        window = self._window
-        floor_ts = point.timestamp - cfg.max_time_gap_s
-        while window and window[0].timestamp < floor_ts:
-            window.popleft()
-        divisor = max(cfg.merge_gap_s, 1.0)
-        for other in window:
-            if other.user_index == point.user_index:
-                continue
-            if haversine(other.lat, other.lon, point.lat, point.lon) > cfg.radius_m:
-                continue
-            # ``other`` arrived first, so its columnar index is the pair's
-            # smaller one whenever its user index is smaller; the canonical
-            # representative minimises (pos of lo user, pos of hi user).
-            if other.user_index < point.user_index:
-                lo, hi = other, point
-            else:
-                lo, hi = point, other
-            win = int(min(other.timestamp, point.timestamp) // divisor)
-            key = (lo.user_index, hi.user_index)
-            candidate: _Candidate = (
-                lo.pos,
-                hi.pos,
-                (other.lat + point.lat) / 2.0,
-                (other.lon + point.lon) / 2.0,
-                (other.timestamp + point.timestamp) / 2.0,
-            )
-            bucket = self._pending.setdefault(win, {})
-            held = bucket.get(key)
-            if held is None or candidate[:2] < held[:2]:
-                bucket[key] = candidate
-        window.append(point)
-        # A future pair's earliest timestamp is at least now - gap, so any
-        # merge window strictly before that boundary is final.
-        self._close_before(int(floor_ts // divisor))
-
     def update_many(self, chunk: StreamChunk) -> None:
-        """Feed a chunk; leaves the state per-point ``update()`` leaves."""
+        """Feed a chunk; close the merge windows it puts behind the stream."""
         cfg = self.config
+        chunk.require_roster(self._user_ids)
         if len(chunk) == 0:
             return
-        for user_id in chunk.users_in_order():
-            self.register_user(user_id)
-        window = self._window
-        w = len(window)
-        user = np.concatenate([[p.user_index for p in window], chunk.user_index]).astype(np.int64)
-        pos = np.concatenate([[p.pos for p in window], chunk.pos]).astype(np.int64)
-        ts = np.concatenate([[p.timestamp for p in window], chunk.timestamps])
-        lats = np.concatenate([[p.lat for p in window], chunk.lats])
-        lons = np.concatenate([[p.lon for p in window], chunk.lons])
+        w = self.window_points
+        user, pos, ts, lats, lons = (
+            np.concatenate([held, new])
+            for held, new in zip(
+                self._window,
+                (chunk.user_index, chunk.pos, chunk.timestamps, chunk.lats, chunk.lons),
+            )
+        )
 
         # The batch kernel's cross-user ±1 bin join over (window + chunk), on
         # the rows stably sorted by user (its owners must be non-decreasing).
         # Of each pair, the later row i is the arrival and the earlier row j
-        # the window entry the per-point scan tests it against; only pairs
-        # whose arrival is in the chunk are new.
+        # the fix it meets; only pairs whose arrival is in the chunk are new.
         gap = cfg.max_time_gap_s
         by_user = np.argsort(user, kind="stable")
         rows, cols, buckets = spatial_time_bins(lats, lons, ts, cfg.radius_m, gap)
@@ -178,7 +125,7 @@ class StreamingCrossingDetector:
             found_j.append(j[keep])
         i, j = np.concatenate(found_i), np.concatenate(found_j)
         keep = ~haversine_above(lats[j], lons[j], lats[i], lons[i], cfg.radius_m)
-        # Back to the per-point scan's order: by arrival, then window entry.
+        # Arrival order: by the later row, then the earlier one.
         order = np.lexsort((j[keep], i[keep]))
         i, j = i[keep][order], j[keep][order]
         divisor = max(cfg.merge_gap_s, 1.0)
@@ -187,7 +134,7 @@ class StreamingCrossingDetector:
             hi = np.where(user[j] < user[i], i, j)
             # Per (merge window, lo user, hi user), only the chunk's smallest
             # (lo pos, hi pos) can replace the held representative; keys are
-            # folded in the order the per-point scan first meets them.
+            # folded in the arrival order of their first pair.
             win = (ts[j] // divisor).astype(np.int64)
             order = np.lexsort((pos[hi], pos[lo], user[hi], user[lo], win))
             key = np.stack([win, user[lo], user[hi]])[:, order]
@@ -214,22 +161,13 @@ class StreamingCrossingDetector:
                 if held is None or (lo_pos, hi_pos) < held[:2]:
                     bucket[pair] = (lo_pos, hi_pos, lat, lon, t)
 
+        # A future pair's earliest timestamp is at least the last row's
+        # minus the gap: the window keeps the rows from there on, and the
+        # merge windows before that boundary are final (none of them can
+        # have closed earlier in the chunk).
         floor_ts = float(ts[-1]) - gap
-        while window and window[0].timestamp < floor_ts:
-            window.popleft()
-        first = w + int(np.searchsorted(ts[w:], floor_ts, side="left"))
-        window.extend(
-            StreamPoint(chunk.user_ids[k], k, p, t, lat, lon)
-            for k, p, t, lat, lon in zip(
-                user[first:].tolist(),
-                pos[first:].tolist(),
-                ts[first:].tolist(),
-                lats[first:].tolist(),
-                lons[first:].tolist(),
-            )
-        )
-        # As in update(): merge windows before the last row's boundary are
-        # final, and none of them can have closed earlier in the chunk.
+        keep = int(np.searchsorted(ts, floor_ts, side="left"))
+        self._window = (user[keep:], pos[keep:], ts[keep:], lats[keep:], lons[keep:])
         self._close_before(int(floor_ts // divisor))
 
     def finalize(self) -> List[CrossingEvent]:
@@ -274,14 +212,12 @@ class StreamingMixZoneDetector:
     def __init__(
         self,
         config: Optional[MixZoneDetectionConfig] = None,
-        user_ids: Sequence[str] = (),
+        *,
+        user_ids: Sequence[str],
     ) -> None:
         self.config = config or MixZoneDetectionConfig()
         self._detector = MixZoneDetector(self.config)
         self.crossings = StreamingCrossingDetector(self.config, user_ids=user_ids)
-
-    def update(self, point: StreamPoint) -> None:
-        self.crossings.update(point)
 
     def update_many(self, chunk: StreamChunk) -> None:
         self.crossings.update_many(chunk)

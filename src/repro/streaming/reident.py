@@ -1,11 +1,11 @@
-"""Online re-identification: fingerprints that grow per arrival.
+"""Online re-identification: fingerprints that grow per chunk.
 
 The batch attackers (:class:`~repro.attacks.reident.Reidentifier` and
 :class:`~repro.attacks.reident.FootprintReidentifier`) score a finished
 published dataset against fixed background knowledge.  Here the published
-side is consumed as a stream: ``update(point)`` / ``update_many(chunk)``
-feed each fix to the incremental stay-point extractor and add its
-knowledge-grid cell to its pseudonym's footprint, and return ``None``.
+side is consumed as a stream: ``update_many(chunk)`` feeds each fix to the
+incremental stay-point extractor and adds its knowledge-grid cell to its
+pseudonym's footprint, and returns ``None``.
 Scores are computed once, by ``finalize()``.
 
 Only the *published* side streams.  The knowledge is attacker training data
@@ -33,14 +33,17 @@ from ..attacks.reident import (
 )
 from ..core.trajectory import MobilityDataset
 from ..geo.grid import Grid
-from .sources import ReplaySource, StreamChunk, StreamPoint
+from .sources import ReplaySource, StreamChunk
 from .staypoints import StreamingPoiExtractor
 
 __all__ = ["OnlineReidentifier", "replay_reidentify"]
 
 
 class OnlineReidentifier:
-    """Incremental re-identification fingerprints with batch-pinned ``finalize``."""
+    """Incremental re-identification fingerprints with batch-pinned ``finalize``.
+
+    ``user_ids`` is the roster of the published source.
+    """
 
     def __init__(
         self,
@@ -49,7 +52,8 @@ class OnlineReidentifier:
         poi_knowledge: Mapping[str, Sequence[KnownPoi]],
         fp_knowledge: Mapping[str, np.ndarray],
         grid: Optional[Grid] = None,
-        user_ids: Sequence[str] = (),
+        *,
+        user_ids: Sequence[str],
     ) -> None:
         if grid is None:
             grid = getattr(fp_attacker, "_knowledge_grid", None)
@@ -66,14 +70,7 @@ class OnlineReidentifier:
         self._extractor = StreamingPoiExtractor(
             poi_attacker.config.extraction, user_ids=user_ids
         )
-        self._cells: Dict[str, Set[int]] = {}
-        for user_id in user_ids:
-            self.register_user(user_id)
-
-    def register_user(self, user_id: str) -> None:
-        if user_id not in self._cells:
-            self._cells[user_id] = set()
-            self._extractor.register_user(user_id)
+        self._cells: Dict[str, Set[int]] = {user_id: set() for user_id in user_ids}
 
     @property
     def footprint_cells(self) -> int:
@@ -82,20 +79,11 @@ class OnlineReidentifier:
 
     # -- online updates ---------------------------------------------------------
 
-    def update(self, point: StreamPoint) -> None:
-        """Feed one published fix to the stay-point scan and its footprint."""
-        self.register_user(point.user_id)
-        self._extractor.update(point)
-        cell = self.grid.cell_ids(np.asarray([point.lat]), np.asarray([point.lon]))[0]
-        self._cells[point.user_id].add(int(cell))
-
     def update_many(self, chunk: StreamChunk) -> None:
-        """Feed a chunk; leaves the state per-point ``update()`` leaves."""
+        """Feed published fixes to the stay-point scan and their footprints."""
+        self._extractor.update_many(chunk)  # checks the chunk's roster
         if len(chunk) == 0:
             return
-        for user_id in chunk.users_in_order():
-            self.register_user(user_id)
-        self._extractor.update_many(chunk)
         cells = self.grid.cell_ids(chunk.lats, chunk.lons)
         for user_id, rows in chunk.rows_by_user():
             self._cells[user_id].update(cells[rows].tolist())

@@ -7,8 +7,8 @@ candidate stay, a new point is verified against the open window's anchor as
 it arrives, and a stay is recorded the moment a violating point (or a
 too-large sampling gap) closes the window — the window is then drained, so
 memory is O(open window) per user plus the closed stays, never O(history).
-``update(point)`` and ``update_many(chunk)`` return ``None``; the stream's
-one answer is ``finalize()``.
+``update_many(chunk)`` returns ``None``; the stream's one answer is
+``finalize()``.
 
 ``finalize()`` drains the open windows and runs the batch extractor's own
 merge pass, so its output is bitwise-identical to
@@ -18,8 +18,8 @@ vectorized kernel is in turn pinned against), and centroid emission uses the
 same ``np.mean`` over the same values in the same order.
 
 ``update_many(chunk)`` appends each user's rows of a chunk at once and runs
-the same scan over them, leaving the stays and open windows per-point
-``update()`` leaves.  The reach of every anchor of every user's window
+the same scan over them, so any chunking of a stream leaves the same stays
+and open windows.  The reach of every anchor of every user's window
 (its first fix past a gap or outside the diameter) is resolved at once in
 batched probe rounds, as the batch kernel
 :func:`~repro.geo.kernels.windowed_stay_spans` does, each probe decided
@@ -38,7 +38,7 @@ from ..attacks.poi_extraction import ExtractedPoi, PoiExtractionConfig, PoiExtra
 from ..core.trajectory import MobilityDataset
 from ..geo.distance import haversine, haversine_array
 from ..geo.kernels import _STAY_SKIP_MARGIN_M, haversine_above
-from .sources import ReplaySource, StreamChunk, StreamPoint
+from .sources import ReplaySource, StreamChunk
 
 __all__ = ["StreamingPoiExtractor", "replay_extract_staypoints"]
 
@@ -58,30 +58,25 @@ class _OpenWindow:
 
 
 class StreamingPoiExtractor:
-    """Online stay-point extraction fed by ``update`` / ``update_many``.
+    """Online stay-point extraction fed by ``update_many``.
 
-    Stays are recorded unmerged as their windows close; :meth:`finalize`
-    returns the per-user merged POIs of the whole stream, pinned
-    bitwise-identical to the batch ``extract_dataset``.
+    ``user_ids`` is the source's roster.  Stays are recorded unmerged as
+    their windows close; :meth:`finalize` returns the per-user merged POIs
+    of the whole stream, pinned bitwise-identical to the batch
+    ``extract_dataset``.
     """
 
     def __init__(
         self,
         config: Optional[PoiExtractionConfig] = None,
-        user_ids: Sequence[str] = (),
+        *,
+        user_ids: Sequence[str],
     ) -> None:
         self.config = config or PoiExtractionConfig()
         self._batch = PoiExtractor(self.config)
-        self._windows: Dict[str, _OpenWindow] = {}
-        self._stays: Dict[str, List[ExtractedPoi]] = {}
-        for user_id in user_ids:
-            self.register_user(user_id)
-
-    def register_user(self, user_id: str) -> None:
-        """Declare a user (streams may also introduce users via points)."""
-        if user_id not in self._stays:
-            self._stays[user_id] = []
-            self._windows[user_id] = _OpenWindow()
+        self._user_ids = tuple(user_ids)
+        self._windows: Dict[str, _OpenWindow] = {u: _OpenWindow() for u in self._user_ids}
+        self._stays: Dict[str, List[ExtractedPoi]] = {u: [] for u in self._user_ids}
 
     @property
     def open_points(self) -> int:
@@ -90,27 +85,17 @@ class StreamingPoiExtractor:
 
     # -- online updates ---------------------------------------------------------
 
-    def update(self, point: StreamPoint) -> None:
-        """Append one fix; close every window it resolves."""
-        self.register_user(point.user_id)
-        window = self._windows[point.user_id]
-        window.ts.append(point.timestamp)
-        window.lats.append(point.lat)
-        window.lons.append(point.lon)
-        self._resolve(point.user_id, window, final=False)
-
     def update_many(self, chunk: StreamChunk) -> None:
-        """Feed a chunk; leaves the state per-point ``update()`` leaves.
+        """Feed a chunk; close every window its fixes resolve.
 
         Every user's window is extended by its rows at once; the reach of
         every anchor of every window (its first violating fix) comes from
         :func:`_window_reaches`, and the scan then visits only the anchors
         that emit a stay or stop it.
         """
+        chunk.require_roster(self._user_ids)
         if len(chunk) == 0:
             return
-        for user_id in chunk.users_in_order():
-            self.register_user(user_id)
         cfg = self.config
         users = []
         for user_id, rows in chunk.rows_by_user():
@@ -137,7 +122,7 @@ class StreamingPoiExtractor:
     def _emit(
         self, user_id: str, window: _OpenWindow, reach: np.ndarray, stops: List[int]
     ) -> None:
-        """The per-point scan over one extended window, given every anchor's reach.
+        """The two-pointer scan over one extended window, given every anchor's reach.
 
         Between two emissions the scan steps one anchor at a time without
         emitting, so it lands on the next anchor that emits a stay or has
@@ -169,7 +154,7 @@ class StreamingPoiExtractor:
     def finalize(self) -> Dict[str, List[ExtractedPoi]]:
         """Drain open windows; per-user merged POIs (batch-identical)."""
         for user_id, window in self._windows.items():
-            self._resolve(user_id, window, final=True)
+            self._resolve(user_id, window)
         return {
             user_id: self._batch._merge(stays)
             for user_id, stays in self._stays.items()
@@ -177,21 +162,21 @@ class StreamingPoiExtractor:
 
     # -- the appendable-window scan ---------------------------------------------
 
-    def _resolve(self, user_id: str, window: _OpenWindow, final: bool) -> None:
-        """Advance the two-pointer scan as far as the buffered fixes allow.
+    def _resolve(self, user_id: str, window: _OpenWindow) -> None:
+        """Drain one open window at the end of the stream.
 
-        Exactly the batch scan with the trace cut at the buffer end: extend
-        ``j`` from the anchor while the gap and extent tests pass; when a fix
-        violates (or, on ``final``, the stream ends) the window resolves —
-        emit if it lasted long enough, then restart after it (or one past the
-        anchor) and re-verify the surviving fixes against the new anchor.
+        Exactly the batch scan over the buffered fixes: extend ``j`` from the
+        anchor while the gap and extent tests pass; when a fix violates, or
+        the buffer ends, the window resolves — emit if it lasted long
+        enough, then restart after it (or one past the anchor) and
+        re-verify the surviving fixes against the new anchor.
         """
         cfg = self.config
         ts, lats, lons = window.ts, window.lats, window.lons
         while ts:
             n = len(ts)
             j = window.verified + 1
-            cut = -1
+            cut = n
             while j < n:
                 if ts[j] - ts[j - 1] > cfg.max_gap_s:
                     cut = j
@@ -200,11 +185,6 @@ class StreamingPoiExtractor:
                     cut = j
                     break
                 j += 1
-            if cut < 0:
-                window.verified = n - 1
-                if not final:
-                    break
-                cut = n  # end of stream: resolve the whole open window
             duration = ts[cut - 1] - ts[0]
             if duration >= cfg.min_duration_s and cut >= 2:
                 stay = ExtractedPoi(

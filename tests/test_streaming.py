@@ -4,11 +4,13 @@ The property suite generates randomized multi-user datasets — gappy sampling,
 duplicate timestamps, stationary dwells, users with zero or one fix — and
 asserts that every incremental attack's ``finalize()`` equals the batch
 attack exactly (``==`` on the emitted dataclasses, which are float-for-float
-comparisons), and that every consumer's chunked ``update_many`` leaves the
-same state as its per-point ``update()`` oracle over random chunk
-boundaries, with both returning ``None``.  Deterministic tests cover the
-source ordering contract, when state leaves the windows, the engine's
-``mode="stream"`` routing and the validation surfaces.
+comparisons), and that ``update_many`` over any chunking of a stream (one
+point per chunk, random cuts, cuts inside equal timestamps) leaves the same
+state and the same ``finalize()`` as the whole stream fed as one chunk,
+returning ``None`` each time.  Deterministic tests cover the source
+ordering contract, the roster every consumer is built on, when state
+leaves the windows, the engine's ``mode="stream"`` routing and the
+validation surfaces.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ from repro.geo.distance import haversine
 from repro.mixzones.detection import MixZoneDetectionConfig, MixZoneDetector
 import repro.streaming.mixzones as stream_mixzones
 from repro.streaming import (
-    LiveSource,
     OnlineReidentifier,
     ReplaySource,
     StreamChunk,
-    StreamPoint,
     StreamingCrossingDetector,
     StreamingDjCluster,
     StreamingMixZoneDetector,
@@ -166,13 +166,14 @@ def near_twin_datasets(draw):
 
     u0 gains a twin on its own fixes 1 s later (0 m apart) and a shadow
     3e-7 m north at its own times, so radii of 1e-7 m and 5e-7 m both
-    confirm crossings.  A user 3 km off spans the extent that makes
-    sub-micrometre bins overflow int64 keys.
+    confirm crossings.  A user stepping from the base point to 3 km off
+    spans the extent that makes sub-micrometre bins overflow int64 keys,
+    also when u0 and every other user have no fix.
     """
     dataset = draw(random_datasets())
     first = next(iter(dataset))
-    extra = [Trajectory("far", [1_000_000.0, 1_000_100.0], [BASE_LAT + 0.03] * 2,
-                        [BASE_LON + 0.03] * 2)]
+    extra = [Trajectory("far", [1_000_000.0, 1_000_100.0], [BASE_LAT, BASE_LAT + 0.03],
+                        [BASE_LON, BASE_LON + 0.03])]
     if len(first) > 0:
         extra += [
             Trajectory("twin", first.timestamps + 1.0, first.lats, first.lons),
@@ -200,13 +201,13 @@ def dense_stay_datasets(draw):
 
 
 @st.composite
-def chunk_cuts(draw, points):
-    """Chunk boundaries over a point list: ``0 < cut < len(points)``.
+def chunk_cuts(draw, whole):
+    """Chunk boundaries over a stream chunk: ``0 < cut < len(whole)``.
 
     Covers size-1 chunks, the whole stream as one chunk, random cuts, and
     cuts between two points sharing a timestamp.
     """
-    n = len(points)
+    n = len(whole)
     mode = draw(st.sampled_from(["single", "whole", "random", "ties"]))
     if mode == "single":
         return list(range(1, n))
@@ -214,32 +215,52 @@ def chunk_cuts(draw, points):
         return []
     cuts = set(draw(st.lists(st.integers(1, n - 1), max_size=8)))
     if mode == "ties":
-        cuts |= {
-            k for k in range(1, n) if points[k].timestamp == points[k - 1].timestamp
-        }
+        ts = whole.timestamps
+        cuts |= set((np.flatnonzero(ts[1:] == ts[:-1]) + 1).tolist())
     return sorted(cuts)
 
 
-def _rows(chunk):
-    """A chunk's rows as the StreamPoints a per-point iteration yields."""
-    return [
-        StreamPoint(chunk.user_ids[k], k, pos, ts, lat, lon)
-        for k, pos, ts, lat, lon in zip(
-            chunk.user_index.tolist(),
-            chunk.pos.tolist(),
-            chunk.timestamps.tolist(),
-            chunk.lats.tolist(),
-            chunk.lons.tolist(),
-        )
-    ]
+_COLUMNS = ("user_index", "pos", "timestamps", "lats", "lons")
 
 
-def _chunked(points, user_ids, cuts):
-    bounds = [0] + list(cuts) + [len(points)]
+def _stream(dataset):
+    """The dataset's whole stream as one chunk, by its definition.
+
+    Rows in the order of a stable sort of the flattened timestamps; each
+    row's user and position follow from the columnar offsets.
+    """
+    traces = dataset.columnar()
+    flat = np.argsort(traces.timestamps, kind="stable")
+    users = np.searchsorted(traces.offsets, flat, side="right") - 1
+    return StreamChunk(
+        tuple(traces.user_ids),
+        users,
+        flat - traces.offsets[users],
+        traces.timestamps[flat],
+        traces.lats[flat],
+        traces.lons[flat],
+    )
+
+
+def _chunked(whole, cuts):
+    """``whole`` sliced into consecutive chunks at ``cuts``."""
+    bounds = [0, *cuts, len(whole)]
     return [
-        StreamChunk.from_points(points[lo:hi], user_ids)
+        StreamChunk(whole.user_ids, *(getattr(whole, name)[lo:hi] for name in _COLUMNS))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def _points(whole):
+    """``whole`` as one-point chunks: one arrival per call."""
+    return _chunked(whole, range(1, len(whole)))
+
+
+def _assert_same_columns(a, b):
+    """Two chunks hold the same roster and bitwise-equal columns."""
+    assert a.user_ids == b.user_ids
+    for name in _COLUMNS:
+        assert_bitwise(getattr(a, name), getattr(b, name))
 
 
 def _assert_same_resident(a, b):
@@ -266,7 +287,8 @@ def _assert_same_state(a, b):
                 other.ts, other.lats, other.lons, other.verified
             )
     elif isinstance(a, StreamingCrossingDetector):
-        assert list(a._window) == list(b._window)
+        for held, other in zip(a._window, b._window):
+            assert_bitwise(held, other)
         assert [(win, list(bucket.items())) for win, bucket in a._pending.items()] == [
             (win, list(bucket.items())) for win, bucket in b._pending.items()
         ]
@@ -279,43 +301,37 @@ def _assert_same_state(a, b):
         _assert_same_state(a._extractor, b._extractor)
 
 
-def _oracle_and_chunked(make, points, chunks):
-    """One consumer fed per point, another per chunk; both return ``None``."""
-    oracle, chunked = make(), make()
-    for point in points:
-        assert oracle.update(point) is None
+def _whole_and_chunked(make, whole, chunks):
+    """One consumer fed the whole stream, another its chunks; all return ``None``."""
+    one, chunked = make(), make()
+    assert one.update_many(whole) is None
     for chunk in chunks:
         assert chunked.update_many(chunk) is None
-    return oracle, chunked
+    return one, chunked
 
 
-def _feed_alternating(consumer, points, user_ids, size):
-    """Feed ``points`` in parts of ``size``: chunked and per-point in turn."""
-    for k, lo in enumerate(range(0, len(points), size)):
-        part = points[lo : lo + size]
-        if k % 2:
-            for p in part:
-                assert consumer.update(p) is None
-        else:
-            assert consumer.update_many(StreamChunk.from_points(part, user_ids)) is None
+def _feed_alternating(consumer, whole, size):
+    """Feed ``whole`` in parts of ``size``: as one chunk and point by point in turn."""
+    for k, part in enumerate(_chunked(whole, range(size, len(whole), size))):
+        for chunk in _points(part) if k % 2 else [part]:
+            assert consumer.update_many(chunk) is None
 
 
 class TestUpdateManyEqualsUpdate:
-    """``update_many`` over any chunking leaves the per-point ``update()`` state."""
+    """Many ``update_many`` calls over any chunking equal one whole-stream update."""
 
     @given(data=st.data(), min_duration_s=st.sampled_from([120.0, 600.0]))
     @settings(max_examples=40, deadline=None)
     def test_staypoints(self, data, min_duration_s):
         dataset = data.draw(tied_datasets())
-        source = ReplaySource(dataset)
-        points = list(source)
-        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        whole = _stream(dataset)
+        chunks = _chunked(whole, data.draw(chunk_cuts(whole)))
         config = PoiExtractionConfig(min_duration_s=min_duration_s, max_diameter_m=150.0)
-        oracle, chunked = _oracle_and_chunked(
-            lambda: StreamingPoiExtractor(config, user_ids=source.user_ids), points, chunks
+        one, chunked = _whole_and_chunked(
+            lambda: StreamingPoiExtractor(config, user_ids=whole.user_ids), whole, chunks
         )
-        _assert_same_state(chunked, oracle)
-        assert chunked.finalize() == oracle.finalize()
+        _assert_same_state(chunked, one)
+        assert chunked.finalize() == one.finalize()
 
     @given(
         data=st.data(),
@@ -325,19 +341,18 @@ class TestUpdateManyEqualsUpdate:
     @settings(max_examples=40, deadline=None)
     def test_djcluster(self, data, eps_m, min_points):
         dataset = data.draw(st.one_of(tied_datasets(), dense_stay_datasets()))
-        source = ReplaySource(dataset)
-        points = list(source)
-        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        whole = _stream(dataset)
+        chunks = _chunked(whole, data.draw(chunk_cuts(whole)))
         config = DjClusterConfig(eps_m=eps_m, min_points=min_points)
-        oracle, chunked = _oracle_and_chunked(
-            lambda: StreamingDjCluster(config, user_ids=source.user_ids), points, chunks
+        one, chunked = _whole_and_chunked(
+            lambda: StreamingDjCluster(config, user_ids=whole.user_ids), whole, chunks
         )
-        _assert_same_resident(chunked, oracle)
-        assert chunked.finalize() == oracle.finalize()
-        _assert_same_resident(chunked, oracle)
+        _assert_same_resident(chunked, one)
+        assert chunked.finalize() == one.finalize()
+        _assert_same_resident(chunked, one)
 
     def test_djcluster_zero_duration_segment_is_slow(self):
-        """A repeated fix (same stamp, same place) is stationary in both paths.
+        """A repeated fix (same stamp, same place) is stationary under any chunking.
 
         Its batched speed is 0/0; only the scalar re-check decides it slow,
         as :meth:`Trajectory.speeds` does.
@@ -350,18 +365,14 @@ class TestUpdateManyEqualsUpdate:
             [BASE_LON] * 4,
         )
         dataset = MobilityDataset([traj])
-        source = ReplaySource(dataset)
-        points = list(source)
+        whole = _stream(dataset)
         config = DjClusterConfig(min_points=2)
-        oracle = StreamingDjCluster(config, user_ids=source.user_ids)
-        for point in points:
-            oracle.update(point)
-        assert oracle.stationary_points == 2
-        for cuts in ([], [1, 2, 3]):
-            chunked = StreamingDjCluster(config, user_ids=source.user_ids)
-            for chunk in _chunked(points, source.user_ids, cuts):
+        for cuts in ([], [1], [2], [1, 2, 3]):
+            chunked = StreamingDjCluster(config, user_ids=whole.user_ids)
+            for chunk in _chunked(whole, cuts):
                 chunked.update_many(chunk)
-            _assert_same_resident(chunked, oracle)
+            assert chunked.stationary_points == 2
+            assert_bitwise(chunked._fixes.ts[:2], np.array([1_000_000.0] * 2))
             assert chunked.finalize() == DjCluster(config).extract_dataset(dataset)
 
     @given(
@@ -372,19 +383,18 @@ class TestUpdateManyEqualsUpdate:
     @settings(max_examples=40, deadline=None)
     def test_crossings(self, data, radius_m, merge_gap_s):
         dataset = data.draw(st.one_of(tied_datasets(), latitude_spread_datasets()))
-        source = ReplaySource(dataset)
-        points = list(source)
-        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        whole = _stream(dataset)
+        chunks = _chunked(whole, data.draw(chunk_cuts(whole)))
         config = MixZoneDetectionConfig(
             radius_m=radius_m, max_time_gap_s=180.0, merge_gap_s=merge_gap_s
         )
-        oracle, chunked = _oracle_and_chunked(
-            lambda: StreamingCrossingDetector(config, user_ids=source.user_ids),
-            points,
+        one, chunked = _whole_and_chunked(
+            lambda: StreamingCrossingDetector(config, user_ids=whole.user_ids),
+            whole,
             chunks,
         )
-        _assert_same_state(chunked, oracle)
-        assert chunked.finalize() == oracle.finalize()
+        _assert_same_state(chunked, one)
+        assert chunked.finalize() == one.finalize()
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -392,52 +402,49 @@ class TestUpdateManyEqualsUpdate:
         published = data.draw(tied_datasets())
         training = data.draw(random_datasets())
         assume(training.n_points > 0)
-        source = ReplaySource(published)
-        points = list(source)
-        chunks = _chunked(points, source.user_ids, data.draw(chunk_cuts(points)))
+        whole = _stream(published)
+        chunks = _chunked(whole, data.draw(chunk_cuts(whole)))
         poi_attacker = Reidentifier(ReidentificationConfig(match_distance_m=250.0))
         poi_knowledge = poi_attacker.knowledge_from_dataset(training)
         fp_attacker = FootprintReidentifier()
         fp_knowledge = fp_attacker.knowledge_from_dataset(
             training, bbox=training.bbox.expanded(500.0)
         )
-        oracle, chunked = _oracle_and_chunked(
+        one, chunked = _whole_and_chunked(
             lambda: OnlineReidentifier(
                 poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
-                user_ids=source.user_ids,
+                user_ids=whole.user_ids,
             ),
-            points,
+            whole,
             chunks,
         )
-        _assert_same_state(chunked, oracle)
+        _assert_same_state(chunked, one)
         if published.n_points:
-            (a_poi, a_fp), (b_poi, b_fp) = chunked.finalize(published), oracle.finalize(published)
+            (a_poi, a_fp), (b_poi, b_fp) = chunked.finalize(published), one.finalize(published)
             assert (a_poi.scores, a_poi.predicted) == (b_poi.scores, b_poi.predicted)
             assert (a_fp.scores, a_fp.predicted) == (b_fp.scores, b_fp.predicted)
 
     def test_update_and_update_many_interleave(self):
-        """Per-point and chunked calls may alternate on one consumer."""
+        """One-point chunks and longer chunks may alternate on one consumer."""
         world = make_world("standard:scale=tiny,seed=5")
-        source = ReplaySource(world.dataset)
-        points = list(source)
+        whole = _stream(world.dataset)
         config = DjClusterConfig(eps_m=100.0, min_points=4)
         makers = [
-            lambda: StreamingPoiExtractor(PoiExtractionConfig(), user_ids=source.user_ids),
-            lambda: StreamingDjCluster(config, user_ids=source.user_ids),
+            lambda: StreamingPoiExtractor(PoiExtractionConfig(), user_ids=whole.user_ids),
+            lambda: StreamingDjCluster(config, user_ids=whole.user_ids),
             lambda: StreamingCrossingDetector(
-                MixZoneDetectionConfig(radius_m=300.0), user_ids=source.user_ids
+                MixZoneDetectionConfig(radius_m=300.0), user_ids=whole.user_ids
             ),
             lambda: StreamingMixZoneDetector(
-                MixZoneDetectionConfig(radius_m=300.0), user_ids=source.user_ids
+                MixZoneDetectionConfig(radius_m=300.0), user_ids=whole.user_ids
             ),
         ]
         for make in makers:
-            oracle, mixed = make(), make()
-            for p in points:
-                oracle.update(p)
-            _feed_alternating(mixed, points, source.user_ids, 97)
-            _assert_same_state(mixed, oracle)
-            assert mixed.finalize() == oracle.finalize()
+            one, mixed = make(), make()
+            one.update_many(whole)
+            _feed_alternating(mixed, whole, 97)
+            _assert_same_state(mixed, one)
+            assert mixed.finalize() == one.finalize()
 
     def test_online_reident_interleaves(self):
         world = make_world("standard:scale=tiny,seed=5")
@@ -446,21 +453,19 @@ class TestUpdateManyEqualsUpdate:
         poi_knowledge = poi_attacker.knowledge_from_dataset(training)
         fp_attacker = FootprintReidentifier()
         fp_knowledge = fp_attacker.knowledge_from_dataset(training)
-        source = ReplaySource(published)
-        points = list(source)
+        whole = _stream(published)
 
         def make():
             return OnlineReidentifier(
                 poi_attacker, fp_attacker, poi_knowledge, fp_knowledge,
-                user_ids=source.user_ids,
+                user_ids=whole.user_ids,
             )
 
-        oracle, mixed = make(), make()
-        for p in points:
-            oracle.update(p)
-        _feed_alternating(mixed, points, source.user_ids, 7)
-        _assert_same_state(mixed, oracle)
-        (a_poi, a_fp), (b_poi, b_fp) = mixed.finalize(published), oracle.finalize(published)
+        one, mixed = make(), make()
+        one.update_many(whole)
+        _feed_alternating(mixed, whole, 7)
+        _assert_same_state(mixed, one)
+        (a_poi, a_fp), (b_poi, b_fp) = mixed.finalize(published), one.finalize(published)
         assert (a_poi.scores, a_poi.predicted) == (b_poi.scores, b_poi.predicted)
         assert (a_fp.scores, a_fp.predicted) == (b_fp.scores, b_fp.predicted)
 
@@ -542,9 +547,8 @@ class TestStreamingMixZonesProperty:
         every fix, and the pair batches are capped at 7 pairs.
         """
         dataset = data.draw(near_twin_datasets())
-        source = ReplaySource(dataset)
-        points = list(source)
-        cuts = data.draw(chunk_cuts(points))
+        whole = _stream(dataset)
+        cuts = data.draw(chunk_cuts(whole))
         config = MixZoneDetectionConfig(radius_m=radius_m, max_time_gap_s=180.0)
         detector = MixZoneDetector(config)
         crossings, zones = detector.find_crossings(dataset), detector.detect(dataset)
@@ -553,8 +557,8 @@ class TestStreamingMixZonesProperty:
         ) as compressed:
             assert replay_find_crossings(dataset, config) == crossings
             assert replay_detect_mix_zones(dataset, config) == zones
-            chunked = StreamingCrossingDetector(config, user_ids=source.user_ids)
-            for chunk in _chunked(points, source.user_ids, cuts):
+            chunked = StreamingCrossingDetector(config, user_ids=whole.user_ids)
+            for chunk in _chunked(whole, cuts):
                 chunked.update_many(chunk)
             assert chunked.finalize() == crossings
         assert compressed.called == (radius_m < 1.0)
@@ -613,8 +617,18 @@ class _DatasetWorld:
 
 
 # ---------------------------------------------------------------------------
-# Sources: ordering contract and the synthetic live generator
+# The source: ordering contract
 # ---------------------------------------------------------------------------
+
+
+def _concatenated(chunks, user_ids):
+    """Consecutive chunks as one chunk (their columns concatenated)."""
+    if not chunks:
+        return dataclasses.replace(_stream(MobilityDataset()), user_ids=user_ids)
+    return StreamChunk(
+        user_ids,
+        *(np.concatenate([getattr(chunk, name) for chunk in chunks]) for name in _COLUMNS),
+    )
 
 
 class TestReplaySource:
@@ -622,26 +636,27 @@ class TestReplaySource:
     @settings(max_examples=25, deadline=None)
     def test_yields_stable_global_timestamp_order(self, dataset):
         traces = dataset.columnar()
-        points = list(ReplaySource(dataset))
-        assert len(points) == traces.n_points
+        source = ReplaySource(dataset)
+        stream = _concatenated(list(source.chunks()), source.user_ids)
+        assert len(stream) == traces.n_points
+        assert stream.user_ids == source.user_ids == tuple(traces.user_ids)
         # Non-decreasing timestamps, ties broken by (user_index, pos) — the
         # order a stable sort of the flattened timestamp array produces.
-        keys = [(p.timestamp, p.user_index, p.pos) for p in points]
+        keys = list(zip(stream.timestamps.tolist(), stream.user_index.tolist(), stream.pos.tolist()))
         assert keys == sorted(keys)
-        flat = [int(traces.offsets[p.user_index]) + p.pos for p in points]
-        expected = np.argsort(traces.timestamps, kind="stable")
-        assert flat == list(expected)
+        flat = traces.offsets[stream.user_index] + stream.pos
+        assert np.array_equal(flat, np.argsort(traces.timestamps, kind="stable"))
 
     @given(dataset=tied_datasets(), chunk_points=st.sampled_from([1, 2, 7, 64, 4096]))
     @settings(max_examples=40, deadline=None)
     def test_chunks_concatenate_to_the_per_point_order(self, dataset, chunk_points):
+        """Chunks of any target length concatenate to the stable-sort order."""
         source = ReplaySource(dataset)
-        points = list(source)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("repro.streaming.sources.CHUNK_POINTS", chunk_points)
             chunks = list(source.chunks())
         assert all(len(chunk) > 0 for chunk in chunks)
-        assert [p for chunk in chunks for p in _rows(chunk)] == points
+        _assert_same_columns(_concatenated(chunks, source.user_ids), _stream(dataset))
         # A chunk exceeds the target only by fixes tied at its horizon.
         for chunk in chunks:
             ties = int(np.unique(chunk.timestamps, return_counts=True)[1].max())
@@ -654,60 +669,106 @@ class TestReplaySource:
         path = tmp_path / "world"
         WorldStore.write(world.dataset, path)
         source = ReplaySource(WorldStore.open(path).dataset())
-        assert [p for chunk in source.chunks() for p in _rows(chunk)] == list(
-            ReplaySource(world.dataset)
+        _assert_same_columns(
+            _concatenated(list(source.chunks()), source.user_ids), _stream(world.dataset)
         )
-
-    def test_live_source_chunks(self):
-        source = LiveSource(n_users=3, n_points=300, seed=4)
-        assert [p for chunk in source.chunks() for p in _rows(chunk)] == list(source)
 
     def test_empty_dataset(self):
         source = ReplaySource(MobilityDataset())
-        assert list(source) == []
         assert list(source.chunks()) == []
         assert source.user_ids == ()
+        assert source.n_points == 0
 
     def test_point_values_match_columnar_view(self):
         world = make_world("standard:scale=tiny,seed=5")
         traces = world.dataset.columnar()
-        for point in ReplaySource(world.dataset):
-            flat = int(traces.offsets[point.user_index]) + point.pos
-            assert point.lat == float(traces.lats[flat])
-            assert point.lon == float(traces.lons[flat])
-            assert point.timestamp == float(traces.timestamps[flat])
-            assert point.user_id == traces.user_ids[point.user_index]
+        for chunk in ReplaySource(world.dataset).chunks():
+            flat = traces.offsets[chunk.user_index] + chunk.pos
+            assert_bitwise(chunk.lats, traces.lats[flat])
+            assert_bitwise(chunk.lons, traces.lons[flat])
+            assert_bitwise(chunk.timestamps, traces.timestamps[flat])
+            assert chunk.user_ids == tuple(traces.user_ids)
 
 
-class TestLiveSource:
-    def test_seeded_stream_is_reproducible(self):
-        a = list(LiveSource(n_users=3, n_points=200, seed=9))
-        b = list(LiveSource(n_users=3, n_points=200, seed=9))
-        assert a == b
-        assert len(a) == 200
-        assert list(LiveSource(n_users=3, n_points=200, seed=10)) != a
+# ---------------------------------------------------------------------------
+# The roster: every consumer is built on its source's users
+# ---------------------------------------------------------------------------
 
-    def test_timestamps_non_decreasing_and_users_cycle(self):
-        points = list(LiveSource(n_users=4, n_points=100, seed=1))
-        stamps = [p.timestamp for p in points]
-        assert stamps == sorted(stamps)
-        assert {p.user_id for p in points} == {f"live-{i:03d}" for i in range(4)}
 
-    def test_dwells_produce_staypoints(self):
-        source = LiveSource(n_users=2, n_points=2000, seed=3)
-        extractor = StreamingPoiExtractor(
-            PoiExtractionConfig(min_duration_s=600.0), user_ids=source.user_ids
+def _abc_dataset():
+    """``b`` first appears far away at t=0, ``c`` at t=1; then ``a`` meets ``b``."""
+    a = Trajectory("a", [100.0, 110.0], [BASE_LAT] * 2, [BASE_LON] * 2)
+    b = Trajectory("b", [0.0, 105.0], [BASE_LAT + 0.5, BASE_LAT], [BASE_LON] * 2)
+    c = Trajectory("c", [1.0, 5000.0], [BASE_LAT - 0.5] * 2, [BASE_LON] * 2)
+    return MobilityDataset([a, b, c])
+
+
+def _consumers(training, **user_ids):
+    """One consumer of each kind; ``user_ids=`` is passed through if given."""
+    poi_attacker, fp_attacker = Reidentifier(), FootprintReidentifier()
+    poi_knowledge = poi_attacker.knowledge_from_dataset(training)
+    fp_knowledge = fp_attacker.knowledge_from_dataset(training)
+    return [
+        lambda: StreamingPoiExtractor(**user_ids),
+        lambda: StreamingDjCluster(**user_ids),
+        lambda: StreamingCrossingDetector(**user_ids),
+        lambda: StreamingMixZoneDetector(**user_ids),
+        lambda: OnlineReidentifier(
+            poi_attacker, fp_attacker, poi_knowledge, fp_knowledge, **user_ids
+        ),
+    ]
+
+
+class TestRoster:
+    def test_user_ids_are_required(self):
+        for make in _consumers(_abc_dataset()):
+            with pytest.raises(TypeError, match="user_ids"):
+                make()
+
+    def test_a_mismatched_roster_raises(self):
+        """A chunk indexes its source's roster; another roster is refused."""
+        dataset = _abc_dataset()
+        chunk = next(ReplaySource(dataset).chunks())
+        empty = _chunked(chunk, [0])[0]
+        for roster in (("c", "b", "a"), ("a", "b"), ("a", "b", "c", "d")):
+            for make in _consumers(dataset, user_ids=roster):
+                consumer = make()
+                for fed in (chunk, empty):
+                    with pytest.raises(ValueError, match="roster"):
+                        consumer.update_many(fed)
+
+    def test_users_are_labelled_by_the_source_roster(self):
+        """``b`` and ``c`` arrive before ``a``: the crossing is still a–b."""
+        dataset = _abc_dataset()
+        config = MixZoneDetectionConfig()
+        batch = MixZoneDetector(config).find_crossings(dataset)
+        assert [(e.user_a, e.user_b) for e in batch] == [("a", "b")]
+        source = ReplaySource(dataset)
+        for chunks in (list(source.chunks()), _points(_stream(dataset))):
+            detector = StreamingCrossingDetector(config, user_ids=source.user_ids)
+            for chunk in chunks:
+                detector.update_many(chunk)
+            assert detector.finalize() == batch
+
+    def test_an_empty_trajectory_user_appears_in_finalize(self):
+        """A user with no fix is in ``finalize()`` with no POI, as in batch."""
+        dwell = Trajectory(
+            "a", 1_000_000.0 + 60.0 * np.arange(30), [BASE_LAT] * 30, [BASE_LON] * 30
         )
-        for point in source:
-            extractor.update(point)
-        pois = extractor.finalize()
-        assert any(pois[user] for user in source.user_ids)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LiveSource(n_users=0)
-        with pytest.raises(ValueError):
-            LiveSource(n_points=-1)
+        dataset = MobilityDataset([Trajectory.empty("e"), dwell])
+        source = ReplaySource(dataset)
+        staypoints = PoiExtractor().extract_dataset(dataset)
+        djclusters = DjCluster().extract_dataset(dataset)
+        assert staypoints["e"] == [] and djclusters["e"] == [] and staypoints["a"]
+        for consumer, batch in (
+            (StreamingPoiExtractor(user_ids=source.user_ids), staypoints),
+            (StreamingDjCluster(user_ids=source.user_ids), djclusters),
+        ):
+            for chunk in source.chunks():
+                consumer.update_many(chunk)
+            out = consumer.finalize()
+            assert list(out) == ["e", "a"]
+            assert out == batch
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +778,7 @@ class TestLiveSource:
 
 class TestUpdateEvents:
     def test_staypoint_emitted_at_window_close_not_finalize(self):
-        """A stay followed by a departure is recorded, and drained, by update()."""
+        """A stay followed by a departure is recorded, and drained, on arrival."""
         dwell = [(1_000_000.0 + 60.0 * i, BASE_LAT, BASE_LON) for i in range(20)]
         away = [(1_000_000.0 + 60.0 * 20 + 30.0 * i, BASE_LAT + 0.05, BASE_LON) for i in range(5)]
         traj = Trajectory(
@@ -729,8 +790,8 @@ class TestUpdateEvents:
         extractor = StreamingPoiExtractor(
             PoiExtractionConfig(min_duration_s=600.0), user_ids=("u0",)
         )
-        for point in ReplaySource(MobilityDataset([traj])):
-            extractor.update(point)
+        for chunk in _points(_stream(MobilityDataset([traj]))):
+            extractor.update_many(chunk)
         stays = extractor._stays["u0"]
         assert len(stays) == 1
         assert stays[0].n_points == 20
@@ -744,8 +805,8 @@ class TestUpdateEvents:
         clusterer = StreamingDjCluster(
             DjClusterConfig(eps_m=100.0, min_points=4), user_ids=("u0",)
         )
-        for point in ReplaySource(MobilityDataset([traj])):
-            assert clusterer.update(point) is None
+        for chunk in _points(_stream(MobilityDataset([traj]))):
+            assert clusterer.update_many(chunk) is None
         assert clusterer.stationary_points == 9
         pois = clusterer.finalize()
         assert clusterer.stationary_points == 10
@@ -764,10 +825,10 @@ class TestUpdateEvents:
             "b", [5.0, 15.0, 10_000.0], [BASE_LAT] * 3, [BASE_LON, BASE_LON, BASE_LON + 1.0]
         )
         detector = StreamingCrossingDetector(config, user_ids=("a", "b"))
-        for point in ReplaySource(MobilityDataset([a, b])):
-            detector.update(point)
+        for chunk in _points(_stream(MobilityDataset([a, b]))):
+            detector.update_many(chunk)
         # The far-future fix of user b pushed time past the merge window, so
-        # update() closed the crossing, before finalize.
+        # its arrival closed the crossing, before finalize.
         assert detector._pending == {}
         closed = [event for _, event in detector._emitted]
         assert len(closed) == 1
@@ -779,8 +840,8 @@ class TestUpdateEvents:
 
         (a1, b0) is confirmed at t=20, (a0, b1) only at t=30, both in merge
         window 0; the batch kernel keeps the smallest (pos_a, pos_b), i.e.
-        (0, 1), so both stream paths must swap it in — the chunked one
-        within a chunk and across chunks.
+        (0, 1), so the stream must swap it in — within a chunk and across
+        chunks.
         """
         far = BASE_LON + 0.05
         a = Trajectory("a", [0.0, 20.0], [BASE_LAT] * 2, [BASE_LON, far])
@@ -790,16 +851,33 @@ class TestUpdateEvents:
         batch = MixZoneDetector(config).find_crossings(dataset)
         assert len(batch) == 1 and batch[0].timestamp == 15.0  # midpoint of a0, b1
         source = ReplaySource(dataset)
-        per_point = StreamingCrossingDetector(config, user_ids=source.user_ids)
-        for point in source:
-            per_point.update(point)
-        assert per_point.finalize() == batch
-        points = list(source)
-        for chunks in (source.chunks(), _chunked(points, source.user_ids, [1, 2, 3])):
+        whole = _stream(dataset)
+        for chunks in (source.chunks(), _chunked(whole, [2]), _points(whole)):
             chunked = StreamingCrossingDetector(config, user_ids=source.user_ids)
             for chunk in chunks:
                 chunked.update_many(chunk)
             assert chunked.finalize() == batch
+
+    def test_window_keeps_a_fix_exactly_one_time_gap_back(self):
+        """A fix ``max_time_gap_s`` before a chunk's last row stays in the window.
+
+        ``a`` at t=0 meets ``c`` at t=180 (gap 180 s, accepted as in batch);
+        ``b``'s far fix at t=180 ends the first chunk, so ``a``'s fix sits
+        exactly on the window's lower bound when ``c`` arrives.
+        """
+        a = Trajectory("a", [0.0], [BASE_LAT], [BASE_LON])
+        b = Trajectory("b", [180.0], [BASE_LAT + 0.5], [BASE_LON])
+        c = Trajectory("c", [180.0], [BASE_LAT], [BASE_LON])
+        dataset = MobilityDataset([a, b, c])
+        config = MixZoneDetectionConfig(radius_m=100.0, max_time_gap_s=180.0)
+        batch = MixZoneDetector(config).find_crossings(dataset)
+        assert [(e.user_a, e.user_b) for e in batch] == [("a", "c")]
+        whole = _stream(dataset)
+        for cuts in ([], [1], [2], [1, 2]):
+            detector = StreamingCrossingDetector(config, user_ids=whole.user_ids)
+            for chunk in _chunked(whole, cuts):
+                detector.update_many(chunk)
+            assert detector.finalize() == batch
 
     def test_far_apart_users_reach_no_radius_test(self, monkeypatch):
         """Two users in lockstep 5 km apart: the bins keep every pair away.
@@ -813,7 +891,6 @@ class TestUpdateEvents:
         a = Trajectory("a", times, [BASE_LAT] * n, [BASE_LON] * n)
         b = Trajectory("b", times, [BASE_LAT] * n, [far] * n)
         source = ReplaySource(MobilityDataset([a, b]))
-        points = list(source)
         tested = []
         real = stream_mixzones.haversine_above
 
@@ -823,7 +900,7 @@ class TestUpdateEvents:
 
         monkeypatch.setattr(stream_mixzones, "haversine_above", spy)
         config = MixZoneDetectionConfig(radius_m=100.0, max_time_gap_s=120.0)
-        for chunks in (source.chunks(), _chunked(points, source.user_ids, range(1, len(points)))):
+        for chunks in (source.chunks(), _points(_stream(MobilityDataset([a, b])))):
             detector = StreamingCrossingDetector(config, user_ids=source.user_ids)
             for chunk in chunks:
                 detector.update_many(chunk)
@@ -833,7 +910,7 @@ class TestUpdateEvents:
     def test_online_reident_requires_a_grid(self):
         with pytest.raises(ValueError):
             OnlineReidentifier(
-                Reidentifier(), FootprintReidentifier(), {}, {}, grid=None
+                Reidentifier(), FootprintReidentifier(), {}, {}, grid=None, user_ids=()
             )
 
 
